@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fileio
 from .dpmm import DpmmConfig, detect_outliers, gibbs_cluster, sample_partitions
-from .features import HogConfig, pr_feature, relational_feature
+from .features import pr_feature, relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
 from .pipeline import PipelineConfig, Scheme, run_pipeline
@@ -216,6 +216,11 @@ def _load_corpus(corpus_dir: Path):
 # --- subcommands --------------------------------------------------------------
 
 
+def _keypoints(records: Sequence[fileio.PoseRecord]) -> np.ndarray:
+    """The (m, 14, 2) keypoint stack of pose records."""
+    return np.stack([r.keypoints for r in records])
+
+
 def _cmd_synth(a: dict) -> int:
     cfg = SynthConfig(
         n_actions=_pick(a, "actions", 8),
@@ -239,18 +244,17 @@ def _cmd_features(a: dict) -> int:
     records = fileio.read_pose_records(a["poses"])
     if not records:
         raise ValueError("no pose records")
-    image = fileio.read_pgm(a["image"]) if a.get("image") else None
-    feats = []
-    for r in records:
-        if image is None:
-            feats.append(relational_feature(r.skeleton(), normalize=not a["raw"]))
-        else:
-            feats.append(
-                pr_feature(r.skeleton(), image=image, normalize=not a["raw"]).combined()
-            )
+    if a.get("image"):
+        image = fileio.read_pgm(a["image"])
+        feats = np.vstack([
+            pr_feature(r.skeleton(), image=image, normalize=not a["raw"]).combined()
+            for r in records
+        ])
+    else:
+        feats = relational_features(_keypoints(records), normalize=not a["raw"])
     ids = np.array([r.image_id for r in records])
-    np.savez(a["out"], ids=ids, features=np.vstack(feats))
-    print(f"wrote {len(records)} feature vectors of dim {feats[0].shape[0]} -> {a['out']}")
+    np.savez(a["out"], ids=ids, features=feats)
+    print(f"wrote {len(records)} feature vectors of dim {feats.shape[1]} -> {a['out']}")
     return 0
 
 
@@ -262,24 +266,30 @@ def _cmd_train_svm(a: dict) -> int:
     rng = np.random.default_rng(_pick(a, "seed", 0))
     n_synth = _pick(a, "synth", 0)
     eps = _pick(a, "eps", 0.7)
-    positives = []
+    poses = []
     for r in pos_records:
-        skel = r.skeleton()
-        positives.append(relational_feature(skel, normalize=True))
-        for s in synthesize_positives(skel, n_synth, eps, rng):
-            positives.append(relational_feature(s, normalize=True))
-    negatives = [relational_feature(r.skeleton(), normalize=True) for r in neg_records]
-    model = train(
-        TrainSet.from_parts(positives, negatives),
-        reg=_pick(a, "reg", 1.0),
-        tol=_pick(a, "tol", 1e-4),
-    )
+        poses.append(r.keypoints)
+        poses.extend(s.keypoints for s in synthesize_positives(r.skeleton(), n_synth, eps, rng))
+    n_pos = len(poses)
+    poses.extend(r.keypoints for r in neg_records)
+    # featurized straight into the training matrix, so no second copy is held
+    X = relational_features(np.stack(poses), normalize=True)
+    y = np.concatenate([np.ones(n_pos), -np.ones(len(neg_records))])
+    tol = _pick(a, "tol", 1e-4)
+    model = train(TrainSet(X, y), reg=_pick(a, "reg", 1.0), tol=tol)
     fileio.save_svm_model(a["out"], model)
+    epochs = len(model.objective_history)
     print(
-        f"trained on {len(positives)}+{len(negatives)} samples, "
-        f"{len(model.objective_history)} epochs, objective "
+        f"trained on {n_pos}+{len(neg_records)} samples, "
+        f"{epochs} epochs, objective "
         f"{model.objective_history[-1]:.6f} -> {a['out']}"
     )
+    if model.gap_history[-1] > tol:
+        print(
+            f"warning: not converged after {epochs} epochs: "
+            f"duality gap {model.gap_history[-1]:.3g} > tol {tol:g}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -318,18 +328,16 @@ def _cmd_select(a: dict) -> int:
     out = []
     for image_id, recs in by_image.items():
         cands = [
-            (
-                CandidatePose(
-                    skeleton=r.skeleton(),
-                    score=r.score if r.score is not None else 0.0,
-                    image_id=image_id,
-                    action=r.action,
-                ),
-                relational_feature(r.skeleton(), normalize=True),
+            CandidatePose(
+                skeleton=r.skeleton(),
+                score=r.score if r.score is not None else 0.0,
+                image_id=image_id,
+                action=r.action,
             )
             for r in recs
         ]
-        pick = select(model, cands, margin=margin)
+        feats = relational_features(_keypoints(recs), normalize=True)
+        pick = select(model, list(zip(cands, feats)), margin=margin)
         if pick is not None:
             out.append(
                 fileio.PoseRecord(
@@ -349,7 +357,7 @@ def _features_and_scores(path: Path):
     records = fileio.read_pose_records(path)
     if len(records) < 4:
         raise ValueError("too few features")
-    X = np.vstack([relational_feature(r.skeleton(), normalize=True) for r in records])
+    X = relational_features(_keypoints(records), normalize=True)
     scores = np.array([r.score if r.score is not None else 0.0 for r in records])
     return records, X, scores
 
@@ -409,9 +417,11 @@ def _cmd_pipeline(a: dict) -> int:
     split, truth, heatmaps = _load_corpus(a["corpus"])
     scheme = Scheme.parse(a["scheme"])
     gen = CandidateGenConfig()
+    annotated = set(split.fs_ids())  # run_iteration never reads their candidates
     candidates = {
         image_id: enumerate_candidates(maps, gen, image_id=image_id)
         for image_id, maps in heatmaps.items()
+        if image_id not in annotated
     }
     ws_action = split.ws_actions()
     candidates = {

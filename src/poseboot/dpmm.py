@@ -345,8 +345,9 @@ def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
     """Highest-scoring partition among the post-burn-in samples.
 
     The score is crp_log_prior(z, cfg.gamma) plus the sum of cluster log
-    marginals, i.e. the unnormalized log posterior; the returned partition's
-    score is recomputed from scratch, so cached drift cannot leak out.
+    marginals, i.e. the unnormalized log posterior. Each sample's score comes
+    from the sampler's cached per-cluster marginals, not a fresh evaluation,
+    so it can drift from a recomputation by rounding (about 1e-12).
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     samples = sample_partitions(X, cfg)

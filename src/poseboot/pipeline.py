@@ -19,9 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dpmm import DpmmConfig, recover_poses
-from .features import relational_feature
+# relational_feature is not called here; it stays importable from this module
+# because bench/tests/test_bench.py checks that the tracer restores it
+from .features import relational_feature, relational_features  # noqa: F401
 from .metrics import MetricsReport, selection_stats
-from .skeleton import ActionLabel, CandidatePose, DatasetSplit, Skeleton, validate_split
+from .skeleton import N_JOINTS, ActionLabel, CandidatePose, DatasetSplit, Skeleton, validate_split
 from .svm import SvmModel, TrainSet, mine_negatives, select, synthesize_positives, train
 
 __all__ = [
@@ -97,7 +99,7 @@ class IterationState:
 
 
 def specialize_models(
-    positives_by_action: dict[ActionLabel, list[np.ndarray]],
+    positives_by_action: dict[ActionLabel, Sequence[np.ndarray]],
     negatives: Sequence[np.ndarray],
     annotation_counts: dict[ActionLabel, int],
     reg: float = 1.0,
@@ -119,7 +121,7 @@ def specialize_models(
     )
     models: dict[ActionLabel, SvmModel] = {}
     for action, feats in positives_by_action.items():
-        if annotation_counts.get(action, 0) < min_annotations or not feats:
+        if annotation_counts.get(action, 0) < min_annotations or len(feats) == 0:
             models[action] = general
         elif action is ActionLabel.GENERAL:
             models[action] = general
@@ -133,8 +135,10 @@ def specialize_models(
     return general, models
 
 
-def _candidate_features(cands: Sequence[CandidatePose]) -> list[np.ndarray]:
-    return [relational_feature(c.skeleton, normalize=True) for c in cands]
+def _features(skels: Sequence[Skeleton]) -> np.ndarray:
+    """Torso-normalized relational rows of skeletons, in one batched call."""
+    kp = np.array([s.keypoints for s in skels], dtype=np.float64)
+    return relational_features(kp.reshape(len(skels), N_JOINTS, 2), normalize=True)
 
 
 def run_iteration(
@@ -168,14 +172,15 @@ def run_iteration(
     annotations: list[tuple[Skeleton, ActionLabel]] = [
         (e.skeleton, e.action) for e in split.fs
     ] + [(a.skeleton, a.action) for a in state.accepted]
-    positives_by_action: dict[ActionLabel, list[np.ndarray]] = {}
+    poses_by_action: dict[ActionLabel, list[Skeleton]] = {}
     counts: dict[ActionLabel, int] = {}
     for skel, action in annotations:
-        feats = positives_by_action.setdefault(action, [])
+        poses = poses_by_action.setdefault(action, [])
         counts[action] = counts.get(action, 0) + 1
-        feats.append(relational_feature(skel, normalize=True))
-        for jittered in synthesize_positives(skel, cfg.n_synth, cfg.eps, rng):
-            feats.append(relational_feature(jittered, normalize=True))
+        poses.append(skel)
+        poses.extend(synthesize_positives(skel, cfg.n_synth, cfg.eps, rng))
+    positives_by_action = {a: _features(p) for a, p in poses_by_action.items()}
+    del poses_by_action  # the jittered skeletons are not needed past here
 
     bg_cands = [c for i in split.backgrounds for c in candidates_in.get(i, ())]
     mined = mine_negatives(bg_cands, split.backgrounds)
@@ -183,7 +188,7 @@ def run_iteration(
         # even thinning keeps coverage across background images deterministic
         idx = np.linspace(0, len(mined) - 1, cfg.max_negatives).round().astype(int)
         mined = [mined[i] for i in idx]
-    negatives = [relational_feature(s, normalize=True) for s in mined]
+    negatives = _features(mined)
 
     if cfg.scheme is Scheme.SEMI:
         pooled = [f for feats in positives_by_action.values() for f in feats]
@@ -205,16 +210,23 @@ def run_iteration(
             min_annotations=cfg.min_action_annotations,
         )
 
-    feats_by_image = {i: _candidate_features(candidates_in[i]) for i in targets}
+    # one image's candidates are featurized at a time and dropped after
+    # scoring; weakC keeps copies of the rows its cluster stage needs
     selected: dict[str, CandidatePose] = {}
+    leftovers: dict[str, list[tuple[CandidatePose, np.ndarray]]] = {}
     for i in targets:
         cands = list(candidates_in[i])
-        if not cands:
-            continue
-        model = general if cfg.scheme is Scheme.SEMI else models.get(ws_action[i], general)
-        pick = select(model, list(zip(cands, feats_by_image[i])), cfg.margin)
-        if pick is not None:
-            selected[i] = pick
+        pairs: list[tuple[CandidatePose, np.ndarray]] = []
+        if cands:
+            model = general if cfg.scheme is Scheme.SEMI else models.get(ws_action[i], general)
+            pairs = list(zip(cands, _features([c.skeleton for c in cands])))
+            pick = select(model, pairs, cfg.margin)
+            if pick is not None:
+                selected[i] = pick
+                continue
+        if cfg.scheme is Scheme.WEAKC and i not in accepted_ids:
+            best = sorted(pairs, key=lambda cf: -cf[0].score)[: cfg.recover_per_image]
+            leftovers[i] = [(c, f.copy()) for c, f in best]
 
     new_accepted = list(state.accepted)
     fresh: dict[str, CandidatePose] = {}
@@ -230,13 +242,7 @@ def run_iteration(
         # second chance for images the selector left empty: their best few
         # candidates are clustered per action and plausible ones recovered
         by_action: dict[ActionLabel, list[tuple[CandidatePose, np.ndarray]]] = {}
-        for i in targets:
-            if i in selected or i in accepted_ids:
-                continue  # the selector already spoke for this image
-            pool = sorted(
-                zip(candidates_in[i], feats_by_image[i]),
-                key=lambda cf: -cf[0].score,
-            )[: cfg.recover_per_image]
+        for i, pool in leftovers.items():
             by_action.setdefault(ws_action[i], []).extend(pool)
         for ai, action in enumerate(sorted(by_action, key=lambda a: a.value)):
             seed = int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])

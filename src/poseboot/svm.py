@@ -71,13 +71,19 @@ class SvmModel:
         x = np.asarray(feature, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"feature has dim {x.shape}, model expects ({self.dim},)")
-        return float(self.weights @ ((x - self.mean) / self.std) + self.bias)
+        return float(self.decisions(x[None])[0])
 
     def decisions(self, X: np.ndarray) -> np.ndarray:
+        """Decision value per row of X.
+
+        Each row is its own dot product (a stacked matmul, not one gemv), so
+        a row's value does not depend on the other rows it is scored with.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"features have dim {X.shape}, model expects (*, {self.dim})")
-        return (X - self.mean) / self.std @ self.weights + self.bias
+        Z = (X - self.mean) / self.std
+        return (Z[:, None, :] @ self.weights[:, None])[:, 0, 0] + self.bias
 
     def effective_weights(self) -> np.ndarray:
         """Weights acting on raw (unstandardized) features."""
@@ -173,7 +179,11 @@ def train(
     else:
         mean = np.zeros(d)
         std = np.ones(d)
-    X = np.concatenate([(ts.features - mean) / std, np.ones((n, 1))], axis=1)
+    # standardized in place in the augmented matrix: one copy of the data
+    X = np.empty((n, d + 1))
+    np.subtract(ts.features, mean, out=X[:, :d])
+    X[:, :d] /= std
+    X[:, d] = 1.0
 
     C = reg
     q_diag = np.einsum("ij,ij->i", X, X)  # constant-1 column keeps this >= 1
@@ -224,9 +234,12 @@ def select(
     Ties on score keep the earliest candidate. Returns None when nothing
     clears the margin.
     """
+    if not candidates:
+        return None
+    scores = model.decisions(np.vstack([feat for _, feat in candidates]))
     best: Optional[CandidatePose] = None
-    for cand, feat in candidates:
-        if model.decision(feat) > margin:
+    for (cand, _), score in zip(candidates, scores):
+        if score > margin:
             if best is None or cand.score > best.score:
                 best = cand
     return best

@@ -134,3 +134,44 @@ def exhaustive_assemblies(per_joint: list[list[float]]) -> list[tuple[tuple[int,
     ]
     combos.sort(key=lambda t: (-t[1], t[0]))
     return combos
+
+
+def _inner_angle(at: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    u = p - at
+    v = q - at
+    dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    ang = np.arctan2(np.abs(cross), dot)
+    degenerate = (np.linalg.norm(u, axis=1) == 0.0) | (np.linalg.norm(v, axis=1) == 0.0)
+    ang[degenerate] = 0.0
+    return ang
+
+
+def relational_config_per_pose(points: np.ndarray, normalize_by: float | None = None) -> np.ndarray:
+    """The relational vector of one (n, 2) point set, one pose at a time.
+
+    Pairs and triples come from itertools in lexicographic order; each
+    triple contributes the angles at its three vertices in order.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
+    tri = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
+    d = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    dist = np.hypot(d[:, 0], d[:, 1])
+    if normalize_by is not None:
+        dist = dist / normalize_by
+    orient = np.arctan2(d[:, 1], d[:, 0])
+    orient[dist == 0.0] = 0.0
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    angles = np.stack(
+        [_inner_angle(a, b, c), _inner_angle(b, a, c), _inner_angle(c, a, b)],
+        axis=1,
+    ).reshape(-1)
+    return np.concatenate([dist, orient, angles])
+
+
+def torso_length_per_pose(points: np.ndarray) -> float:
+    """Neck (joint 1) to the midpoint of the hips (joints 8 and 9)."""
+    pts = np.asarray(points, dtype=np.float64)
+    return float(np.linalg.norm(pts[1] - 0.5 * (pts[8] + pts[9])))

@@ -178,6 +178,19 @@ class TestSelectionFlow:
         out = capsys.readouterr().out
         assert "PCK@0.2" in out and "Head" in out and "Mean" in out
 
+    def test_train_svm_reports_non_convergence(self, tmp_path, rng, capsys):
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        args = ["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                "--out", str(tmp_path / "sel.svm")]
+        assert cli.main(args + ["--tol", "1e-300"]) == 0
+        err = capsys.readouterr().err
+        assert "not converged after 1000 epochs" in err
+        assert "tol 1e-300" in err and len(err.splitlines()) == 1
+        assert cli.main(args + ["--tol", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_candidates_single_file(self, corpus_dir, tmp_path):
         hm = sorted((corpus_dir / "heatmaps").glob("*.hm"))[0]
         out = tmp_path / "one.jsonl"
@@ -251,6 +264,23 @@ class TestClusterAndOutliers:
 
 
 class TestPipelineCommand:
+    def test_annotated_images_are_not_enumerated(self, corpus_dir, tmp_path, monkeypatch):
+        seen = []
+        enumerate_candidates = cli.enumerate_candidates
+
+        def spy(maps, cfg, image_id):
+            seen.append(image_id)
+            return enumerate_candidates(maps, cfg, image_id=image_id)
+
+        monkeypatch.setattr(cli, "enumerate_candidates", spy)
+        rc = cli.main(
+            ["pipeline", "--corpus", str(corpus_dir), "--exchange", str(tmp_path / "x"),
+             "--scheme", "weak", "--iterations", "1"]
+        )
+        assert rc == 0
+        fs = set(json.loads((corpus_dir / "split.json").read_text())["fs"])
+        assert seen and not fs & set(seen)
+
     def test_runs_and_writes_exchange(self, corpus_dir, tmp_path, capsys):
         exchange = tmp_path / "exchange"
         rc = cli.main(

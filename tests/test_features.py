@@ -1,7 +1,7 @@
 """Relational pose configuration and gradient-histogram appearance features."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poseboot.features import (
@@ -11,10 +11,12 @@ from poseboot.features import (
     pr_feature,
     relational_config,
     relational_feature,
+    relational_features,
     relational_length,
 )
 from poseboot.skeleton import N_JOINTS, JointId, Skeleton
 
+from _oracles import relational_config_per_pose, torso_length_per_pose
 from conftest import random_skeleton
 
 DIST, ORI, ANG = slice(0, 91), slice(91, 182), slice(182, 1274)
@@ -147,6 +149,85 @@ class TestNormalization:
         f = relational_feature(s, normalize=False)
         d01 = np.linalg.norm(s.keypoints[0] - s.keypoints[1])
         assert f[0] == pytest.approx(d01)
+
+
+@st.composite
+def point_stacks(draw):
+    """(m, n, 2) point stacks: random, with coincident points, or snapped to
+    a coarse grid so that collinear triples and zero-length rays are common."""
+    n = draw(st.sampled_from([3, 5, 10, 14]))
+    m = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.uniform(-200.0, 200.0, size=(m, n, 2))
+    kind = draw(st.sampled_from(["random", "coincident", "grid"]))
+    if kind == "coincident":
+        src = rng.integers(0, n, size=(m, n))
+        copy = rng.random((m, n)) < 0.4
+        rows = np.arange(m)[:, None]
+        pts = np.where(copy[..., None], pts[rows, src], pts)
+    elif kind == "grid":
+        pts = np.round(pts / 100.0) * 25.0
+    return pts
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBatched:
+    @given(point_stacks(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_pose_reference_bit_for_bit(self, pts, normalize):
+        n = pts.shape[1]
+        normalize = normalize and n == N_JOINTS
+        if normalize:
+            # degenerate torsos are covered by test_degenerate_torso_names_the_row
+            assume(min(torso_length_per_pose(p) for p in pts) > 0.0)
+        F = relational_features(pts, normalize=normalize)
+        assert F.shape == (pts.shape[0], relational_length(n))
+        for row, p in zip(F, pts):
+            ref = relational_config_per_pose(p, torso_length_per_pose(p) if normalize else None)
+            assert same_bits(row, ref)
+
+    def test_large_batch_matches_reference(self, rng):
+        # more poses than one internal block, so block edges are crossed
+        pts = rng.normal(0.0, 40.0, size=(300, N_JOINTS, 2))
+        pts[::3, 4] = pts[::3, 5]
+        F = relational_features(pts, normalize=True)
+        for row, p in zip(F, pts):
+            assert same_bits(row, relational_config_per_pose(p, torso_length_per_pose(p)))
+
+    def test_torso_lengths_match_skeleton(self, rng):
+        pts = rng.normal(0.0, 50.0, size=(2000, N_JOINTS, 2))
+        F = relational_features(pts, normalize=True)
+        raw = relational_features(pts)
+        for f, r, p in zip(F, raw, pts):
+            assert same_bits(f[DIST], r[DIST] / Skeleton(p).torso_length())
+
+    def test_single_pose_entry_points_are_rows(self, rng):
+        pts = rng.normal(0.0, 40.0, size=(4, N_JOINTS, 2))
+        F = relational_features(pts, normalize=True)
+        for row, p in zip(F, pts):
+            assert same_bits(row, relational_feature(Skeleton(p), normalize=True))
+        assert same_bits(relational_features(pts)[2], relational_config(pts[2]))
+
+    def test_degenerate_torso_names_the_row(self, rng):
+        pts = rng.normal(0.0, 40.0, size=(5, N_JOINTS, 2))
+        pts[3, JointId.NECK] = 0.5 * (pts[3, JointId.L_HIP] + pts[3, JointId.R_HIP])
+        with pytest.raises(ValueError, match="degenerate torso in row 3"):
+            relational_features(pts, normalize=True)
+        relational_features(pts)  # raw mode does not need a torso
+
+    def test_empty_stack(self):
+        assert relational_features(np.zeros((0, N_JOINTS, 2)), normalize=True).shape == (0, 1274)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            relational_features(np.zeros((N_JOINTS, 2)))
+        with pytest.raises(ValueError):
+            relational_features(np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="needs 14 joints"):
+            relational_features(np.ones((2, 5, 2)), normalize=True)
 
 
 class TestHog:

@@ -90,6 +90,24 @@ class TestSolver:
         d2 = X @ m.effective_weights() + m.effective_bias()
         np.testing.assert_allclose(d1, d2, atol=1e-9)
 
+    def test_decisions_equal_decision_exactly(self, rng):
+        d = 1274
+        m = SvmModel(
+            mean=rng.normal(size=d),
+            std=rng.uniform(0.5, 2.0, d),
+            weights=rng.normal(size=d),
+            bias=0.3,
+            reg=1.0,
+        )
+        X = rng.normal(size=(500, d))
+        got = m.decisions(X)
+        for row, x in zip(got, X):
+            assert row == m.decision(x)
+            # the per-row dot product of a single decision, to the last bit
+            assert row == float(m.weights @ ((x - m.mean) / m.std) + m.bias)
+        # a row's value does not depend on the rows scored with it
+        assert np.array_equal(m.decisions(X[7:9]), got[7:9])
+
     def test_constant_feature_does_not_crash(self, rng):
         X = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
