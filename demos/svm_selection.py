@@ -8,7 +8,7 @@ recall for precision.
 
 import numpy as np
 
-from poseboot.features import relational_feature
+from poseboot.features import relational_feature, relational_features
 from poseboot.skeleton import CandidatePose, Skeleton
 from poseboot.svm import TrainSet, select, synthesize_positives, train
 from poseboot.synth import action_template
@@ -39,14 +39,16 @@ cands = [CandidatePose(skeleton=truth, score=0.8, image_id="img")]
 for k in range(4):
     junk = Skeleton(rng.uniform(10, 150, (14, 2)))
     cands.append(CandidatePose(skeleton=junk, score=0.9, image_id="img"))
-feats = [relational_feature(c.skeleton, normalize=True) for c in cands]
+feats = relational_features(
+    np.stack([c.skeleton.keypoints for c in cands]), normalize=True
+)
 
-scored = [float(model.decision(f)) for f in feats]
+scored = model.decisions(feats)
 print("\ndecision values (candidate 0 is the true pose):")
 for i, s in enumerate(scored):
     print(f"  candidate {i}: {s:+.3f}")
 
 for margin in (0.0, 0.5, 2.0, 8.0):
-    pick = select(model, list(zip(cands, feats)), margin=margin)
+    pick = select(model, cands, feats, margin=margin)
     verdict = "abstains" if pick is None else f"picks candidate {cands.index(pick)}"
     print(f"margin {margin:>4}: selector {verdict}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fileio
-from .dpmm import DpmmConfig, detect_outliers, gibbs_cluster, sample_partitions
+from .dpmm import DpmmConfig, detect_outliers, gibbs_cluster, project_features
 from .features import pr_feature, relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
@@ -337,7 +337,7 @@ def _cmd_select(a: dict) -> int:
             for r in recs
         ]
         feats = relational_features(_keypoints(recs), normalize=True)
-        pick = select(model, list(zip(cands, feats)), margin=margin)
+        pick = select(model, cands, feats, margin=margin)
         if pick is not None:
             out.append(
                 fileio.PoseRecord(
@@ -374,18 +374,10 @@ def _dpmm_config(a: dict) -> DpmmConfig:
     )
 
 
-def _project_for_dpmm(X: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
-    from .dpmm import project
-
-    if cfg.pca_dim is not None and cfg.pca_dim < X.shape[1]:
-        X, _ = project(X, min(cfg.pca_dim, X.shape[0], X.shape[1]))
-    return X
-
-
 def _cmd_cluster(a: dict) -> int:
     _, X, _ = _features_and_scores(a["poses"])
     cfg = _dpmm_config(a)
-    X = _project_for_dpmm(X, cfg)
+    X = project_features(X, cfg)
     p = gibbs_cluster(X, cfg)
     sizes = ",".join(str(s) for s in p.sizes())
     text = (
@@ -401,7 +393,7 @@ def _cmd_cluster(a: dict) -> int:
 def _cmd_outliers(a: dict) -> int:
     records, X, scores = _features_and_scores(a["poses"])
     cfg = _dpmm_config(a)
-    X = _project_for_dpmm(X, cfg)
+    X = project_features(X, cfg)
     p = gibbs_cluster(X, cfg)
     report = detect_outliers(X, scores, p, cfg)
     fileio.write_outlier_report(a["out"], report)

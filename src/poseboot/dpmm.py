@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .skeleton import CandidatePose
 
@@ -25,6 +25,7 @@ __all__ = [
     "DpmmConfig",
     "ProjectionRecord",
     "project",
+    "project_features",
     "crp_log_prior",
     "cluster_log_marginal",
     "sample_partitions",
@@ -167,6 +168,16 @@ def project(features: np.ndarray, d: int) -> tuple[np.ndarray, ProjectionRecord]
     return (X - mean) @ basis, rec
 
 
+def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
+    """Features as the sampler sees them: projected onto the top cfg.pca_dim
+    principal directions (at most one per row) when that is fewer than
+    their dimension, unchanged otherwise."""
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if cfg.pca_dim is not None and cfg.pca_dim < X.shape[1]:
+        X, _ = project(X, min(cfg.pca_dim, X.shape[0], X.shape[1]))
+    return X
+
+
 def crp_log_prior(p: Partition, alpha: float) -> float:
     """Log probability of a partition under the Polya-urn seating prior.
 
@@ -181,26 +192,47 @@ def crp_log_prior(p: Partition, alpha: float) -> float:
     return float(np.sum(np.log(alpha) + gammaln(sizes)) - log_norm)
 
 
-def _logml_stats(n, s, ss, base: NigBase):
-    """Log marginal from sufficient stats; n must be positive elementwise
-    and broadcastable against s/ss of shape (..., d). Sums over the last axis.
+# count-only columns at the head of a _count_terms row; per-dimension ones follow
+_N_COLS = 6
+
+
+def _count_terms(base: NigBase, counts) -> np.ndarray:
+    """The terms of the log marginal that depend only on a cluster's count.
+
+    One row per count n: n, a0 + n/2, kappa0*n, 2*(kappa0 + n),
+    (log kappa0 - log(kappa0 + n))/2 and n*log(2*pi)/2, then
+    gammaln(a0 + n/2) - gammaln(a0) + a0*log(b0) per dimension (a single
+    column when b0 is a scalar).
     """
-    n = np.asarray(n, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    ss = np.asarray(ss, dtype=np.float64)
-    xbar = s / n
-    dev = np.maximum(ss - s * xbar, 0.0)  # sum of squared deviations
+    n = np.asarray(counts, dtype=np.float64).reshape(-1, 1)
     kn = base.kappa0 + n
     an = base.a0 + 0.5 * n
-    bn = base.b0 + 0.5 * dev + base.kappa0 * n * (xbar - base.mu0) ** 2 / (2.0 * kn)
-    per_dim = (
-        gammaln(an)
-        - gammaln(base.a0)
-        + base.a0 * np.log(base.b0)
-        - an * np.log(bn)
-        + 0.5 * (np.log(base.kappa0) - np.log(kn))
-        - 0.5 * n * _LOG_2PI
-    )
+    per_dim = gammaln(an) - gammaln(base.a0) + base.a0 * np.log(base.b0)
+    return np.hstack([
+        n,
+        an,
+        base.kappa0 * n,
+        2.0 * kn,
+        0.5 * (np.log(base.kappa0) - np.log(kn)),
+        0.5 * n * _LOG_2PI,
+        per_dim,
+    ])
+
+
+def _logml_stats(terms: np.ndarray, s, ss, base: NigBase) -> np.ndarray:
+    """Log marginal per row from its count terms and sufficient statistics.
+
+    terms holds one _count_terms row per cluster (counts must be positive);
+    s and ss are the clusters' sums and sums of squares, (rows, d) or
+    broadcastable against it. Sums over the d dimensions. The terms and
+    this expression keep the order of operations of the formula written
+    out in place (tests/_oracles.py), so every value is the same double.
+    """
+    n, an, k0n, two_kn, half_log_k, half_n_log_2pi = terms[:, :_N_COLS].T[:, :, None]
+    xbar = s / n
+    dev = np.maximum(ss - s * xbar, 0.0)  # sum of squared deviations
+    bn = base.b0 + 0.5 * dev + k0n * (xbar - base.mu0) ** 2 / two_kn
+    per_dim = terms[:, _N_COLS:] - an * np.log(bn) + half_log_k - half_n_log_2pi
     return per_dim.sum(axis=-1)
 
 
@@ -210,135 +242,138 @@ def cluster_log_marginal(members: np.ndarray, base: NigBase) -> float:
     if X.size == 0:
         return 0.0
     X = np.atleast_2d(X)
-    n = X.shape[0]
-    return float(_logml_stats(float(n), X.sum(axis=0), (X ** 2).sum(axis=0), base))
+    terms = _count_terms(base, [X.shape[0]])
+    return float(_logml_stats(terms, X.sum(axis=0), (X ** 2).sum(axis=0), base)[0])
 
 
 def _partition_log_evidence(X: np.ndarray, p: Partition, base: NigBase) -> float:
     return float(sum(cluster_log_marginal(X[p.members(k)], base) for k in range(p.n_clusters)))
 
 
-class _GibbsState:
-    """Padded per-cluster sufficient statistics with cached log marginals."""
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite 1-D array, rounded as SciPy 1.17 rounds it.
 
-    def __init__(self, X: np.ndarray, base: NigBase):
-        n, d = X.shape
-        cap = 8
-        self.X = X
-        self.base = base
-        self.k = 0
-        self.counts = np.zeros(cap)
-        self.sums = np.zeros((cap, d))
-        self.sqs = np.zeros((cap, d))
-        self.cache = np.zeros(cap)  # log marginal per active cluster
-
-    def _grow(self) -> None:
-        self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)])
-        self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
-        self.sqs = np.vstack([self.sqs, np.zeros_like(self.sqs)])
-        self.cache = np.concatenate([self.cache, np.zeros_like(self.cache)])
-
-    def _recache(self, k: int) -> None:
-        if self.counts[k] == 0:
-            self.cache[k] = 0.0
-        else:
-            self.cache[k] = float(
-                _logml_stats(self.counts[k], self.sums[k], self.sqs[k], self.base)
-            )
-
-    def add(self, i: int, k: int, cached: Optional[float] = None) -> None:
-        x = self.X[i]
-        if k == self.k:
-            if self.k == len(self.counts):
-                self._grow()
-            self.k += 1
-        self.counts[k] += 1
-        self.sums[k] += x
-        self.sqs[k] += x * x
-        if cached is None:
-            self._recache(k)
-        else:
-            self.cache[k] = cached
-
-    def remove(self, i: int, k: int, z: np.ndarray) -> None:
-        """Drop point i from cluster k; swap-deletes k if it empties."""
-        x = self.X[i]
-        self.counts[k] -= 1
-        self.sums[k] -= x
-        self.sqs[k] -= x * x
-        if self.counts[k] == 0:
-            last = self.k - 1
-            if k != last:
-                self.counts[k] = self.counts[last]
-                self.sums[k] = self.sums[last]
-                self.sqs[k] = self.sqs[last]
-                self.cache[k] = self.cache[last]
-                z[z == last] = k
-            self.counts[last] = 0.0
-            self.sums[last] = 0.0
-            self.sqs[last] = 0.0
-            self.cache[last] = 0.0
-            self.k = last
-        else:
-            self._recache(k)
-
-    def with_point(self, i: int) -> np.ndarray:
-        """Log marginal of every active cluster with point i appended, (k,)."""
-        x = self.X[i]
-        k = self.k
-        return _logml_stats(
-            (self.counts[:k] + 1.0)[:, None],
-            self.sums[:k] + x,
-            self.sqs[:k] + x * x,
-            self.base,
-        )
+    The m entries tied at the maximum are left out of the sum s of
+    exp(a - max) over the rest; the result is log1p(s/m) + log(m) + max, with
+    s left at 0 when it is 0. Doing these steps here keeps the sampler's draws
+    the same under any SciPy version.
+    """
+    values = a.tolist()
+    top = max(values)
+    m = values.count(top)
+    e = np.exp(a - top)
+    if m == 1:
+        e[values.index(top)] = 0.0
+    else:
+        e[a == top] = 0.0
+    s = np.add.reduce(e)
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(np.float64(m)) + top
 
 
-def _run_gibbs(X: np.ndarray, cfg: DpmmConfig) -> list[tuple[tuple[int, ...], float]]:
-    n, _ = X.shape
+def sample_partitions(features: np.ndarray, cfg: DpmmConfig) -> list[tuple[tuple[int, ...], float]]:
+    """Post-burn-in Gibbs samples as (canonical assignments, log posterior score).
+
+    Collapsed Gibbs sampling (Neal 2000, algorithm 3): every point starts in
+    one cluster, and each sweep reseats the points in order, each in an
+    existing cluster with weight N_k * p(x | cluster k) or in a new one with
+    weight gamma * p(x). One batched marginal evaluation per point update
+    covers every cluster with the point added and the cluster it left.
+    """
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    n, d = X.shape
+    if n < 1:
+        raise ValueError("no features")
     base = cfg.base if cfg.base is not None else NigBase.from_data(X)
     rng = np.random.default_rng(cfg.seed)
     log_gamma = np.log(cfg.gamma)
 
+    terms = _count_terms(base, np.arange(n + 1))
+    with np.errstate(divide="ignore"):
+        log_n = np.log(np.arange(n + 1, dtype=np.float64))  # log 0 is never read
     # marginal of each point alone; reused as the new-cluster predictive
-    pred0 = _logml_stats(
-        np.ones((n, 1)), X, X ** 2, base
-    )
+    pred0 = _logml_stats(terms[1:2], X, X ** 2, base)
+    new_w = (log_gamma + pred0).tolist()
+    pred0 = pred0.tolist()
+    xx = np.hstack([X, X * X])  # a point's share of [sums | sums of squares]
+    x_rows = list(xx)
 
-    state = _GibbsState(X, base)
-    z = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        state.add(i, 0)
+    # per cluster: [sums | sums of squares], count, log count, cached marginal
+    stats = np.zeros((n, 2 * d))
+    rows = list(stats)
+    cnt = np.zeros(n, dtype=np.intp)
+    log_cnt = np.zeros(n)
+    cache = np.zeros(n)
+    # the batch: clusters with the point added, then the cluster it left
+    work = np.empty((n + 1, 2 * d))
+    idx = np.empty(n + 1, dtype=np.intp)
+    logw = np.empty(n + 1)
+
+    for x in x_rows:
+        rows[0] += x
+    cnt[0] = n
+    log_cnt[0] = log_n[n]
+    cache[0] = _logml_stats(terms[n : n + 1], stats[:1, :d], stats[:1, d:], base)[0]
+    k = 1
+    z = [0] * n
 
     samples: list[tuple[tuple[int, ...], float]] = []
     for sweep in range(cfg.gibbs_iters):
-        for i in range(n):
-            state.remove(i, int(z[i]), z)
-            k = state.k
-            plus = state.with_point(i)
-            logw = np.empty(k + 1)
-            logw[:k] = np.log(state.counts[:k]) + plus - state.cache[:k]
-            logw[k] = log_gamma + pred0[i]
-            probs = np.exp(logw - logsumexp(logw))
-            choice = int(np.searchsorted(np.cumsum(probs), rng.random()))
-            choice = min(choice, k)
+        draws = rng.random(n).tolist()
+        for i, x in enumerate(x_rows):
+            c = z[i]
+            rows[c] -= x
+            left = cnt[c] - 1
+            cnt[c] = left
+            if left == 0:  # swap-delete the emptied cluster
+                k -= 1
+                if c != k:
+                    stats[c] = stats[k]
+                    cnt[c] = cnt[k]
+                    log_cnt[c] = log_cnt[k]
+                    cache[c] = cache[k]
+                    z = [c if v == k else v for v in z]
+                stats[k] = 0.0
+                cnt[k] = 0
+                cache[k] = 0.0
+            else:
+                log_cnt[c] = log_n[left]
+                work[k] = rows[c]
+                idx[k] = left
+            r = k + 1 if left else k
+            np.add(stats[:k], x, out=work[:k])
+            np.add(cnt[:k], 1, out=idx[:k])
+            plus = _logml_stats(terms[idx[:r]], work[:r, :d], work[:r, d:], base)
+            if left:
+                cache[c] = plus[k]
+            np.add(log_cnt[:k], plus[:k], out=logw[:k])
+            np.subtract(logw[:k], cache[:k], out=logw[:k])
+            logw[k] = new_w[i]
+            w = logw[: k + 1]
+            probs = np.exp(w - _logsumexp(w)).tolist()
+            # first cumulative probability at or above the draw (inverse CDF)
+            u = draws[i]
+            choice = k
+            acc = 0.0
+            for j, p in enumerate(probs):
+                acc += p
+                if u <= acc:
+                    choice = j
+                    break
             z[i] = choice
-            state.add(i, choice, cached=float(plus[choice]) if choice < k else float(pred0[i]))
+            if choice == k:
+                k += 1
+                cache[choice] = pred0[i]
+            else:
+                cache[choice] = plus[choice]
+            rows[choice] += x
+            cnt[choice] += 1
+            log_cnt[choice] = log_n[cnt[choice]]
         if sweep >= cfg.burn_in:
-            score = float(
-                np.sum(np.log(cfg.gamma) + gammaln(state.counts[: state.k]))
-                + np.sum(state.cache[: state.k])
-            )
-            samples.append((tuple(Partition.from_assignments(z).assignments), score))
+            score = float(np.sum(log_gamma + gammaln(cnt[:k])) + np.sum(cache[:k]))
+            samples.append((Partition.from_assignments(z).assignments, score))
     return samples
-
-
-def sample_partitions(features: np.ndarray, cfg: DpmmConfig) -> list[tuple[tuple[int, ...], float]]:
-    """Post-burn-in Gibbs samples as (canonical assignments, log posterior score)."""
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if X.shape[0] < 1:
-        raise ValueError("no features")
-    return _run_gibbs(X, cfg)
 
 
 def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
@@ -515,11 +550,8 @@ def recover_poses(
     """
     if len(candidates) < 4:
         return []
-    X = np.vstack([np.asarray(f, dtype=np.float64) for _, f in candidates])
+    X = project_features(np.vstack([np.asarray(f, dtype=np.float64) for _, f in candidates]), cfg)
     scores = np.array([c.score for c, _ in candidates])
-    if cfg.pca_dim is not None and cfg.pca_dim < X.shape[1]:
-        d = min(cfg.pca_dim, X.shape[0], X.shape[1])
-        X, _ = project(X, d)
     work = replace(cfg, base=cfg.base if cfg.base is not None else NigBase.from_data(X))
     p = gibbs_cluster(X, work)
     report = detect_outliers(X, scores, p, work)

@@ -130,9 +130,15 @@ def _record_from_dict(d: dict, where: str) -> PoseRecord:
         raise ValueError(f"{where}: missing field {e.args[0]!r}") from None
     if not isinstance(image_id, str) or not image_id:
         raise ValueError(f"{where}: image_id must be a non-empty string")
-    kp = np.asarray(keypoints, dtype=np.float64)
-    if kp.shape != (N_JOINTS, 2):
-        raise ValueError(f"{where}: keypoints must be {N_JOINTS} [x, y] pairs")
+    try:
+        kp = np.asarray(keypoints)
+    except ValueError:  # ragged nesting
+        kp = None
+    if kp is None or kp.dtype.kind not in "iuf" or kp.shape != (N_JOINTS, 2):
+        raise ValueError(f"{where}: keypoints must be {N_JOINTS} [x, y] pairs of numbers")
+    kp = kp.astype(np.float64, copy=False)
+    if not np.isfinite(kp).all():
+        raise ValueError(f"{where}: keypoints must be finite")
     action = None
     if d.get("action") is not None:
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -106,32 +106,39 @@ def specialize_models(
     tol: float = 1e-4,
     max_iter: Optional[int] = None,
     min_annotations: int = 5,
-) -> tuple[SvmModel, dict[ActionLabel, SvmModel]]:
-    """General selector from the pooled positives, plus one per action.
+    target_actions: Iterable[ActionLabel] = (),
+) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
+    """One selector per action, plus a general one from the pooled positives
+    where some action needs it.
 
     An action's selector retrains on its own positives against the shared
-    negatives; actions with fewer than min_annotations annotations reuse
-    the general model.
+    negatives; the general action and actions with fewer than
+    min_annotations annotations reuse the general model. The general model
+    is trained only when such an action exists or one of target_actions
+    has no positives; otherwise it is None.
     """
     pooled = [f for feats in positives_by_action.values() for f in feats]
     if not pooled:
         raise ValueError("no positive features")
-    general = train(
-        TrainSet.from_parts(pooled, list(negatives)), reg=reg, tol=tol, max_iter=max_iter
-    )
-    models: dict[ActionLabel, SvmModel] = {}
-    for action, feats in positives_by_action.items():
-        if annotation_counts.get(action, 0) < min_annotations or len(feats) == 0:
-            models[action] = general
-        elif action is ActionLabel.GENERAL:
-            models[action] = general
-        else:
-            models[action] = train(
-                TrainSet.from_parts(feats, list(negatives)),
-                reg=reg,
-                tol=tol,
-                max_iter=max_iter,
-            )
+
+    def fit(positives: Sequence[np.ndarray]) -> SvmModel:
+        return train(
+            TrainSet.from_parts(positives, list(negatives)), reg=reg, tol=tol, max_iter=max_iter
+        )
+
+    own = {
+        action
+        for action, feats in positives_by_action.items()
+        if annotation_counts.get(action, 0) >= min_annotations
+        and len(feats) > 0
+        and action is not ActionLabel.GENERAL
+    }
+    needs_general = any(a not in own for a in (*positives_by_action, *target_actions))
+    general = fit(pooled) if needs_general else None
+    models = {
+        action: fit(feats) if action in own else general
+        for action, feats in positives_by_action.items()
+    }
     return general, models
 
 
@@ -208,6 +215,7 @@ def run_iteration(
             tol=cfg.tol,
             max_iter=cfg.max_iter,
             min_annotations=cfg.min_action_annotations,
+            target_actions={ws_action[i] for i in targets if candidates_in[i]},
         )
 
     # one image's candidates are featurized at a time and dropped after
@@ -216,17 +224,20 @@ def run_iteration(
     leftovers: dict[str, list[tuple[CandidatePose, np.ndarray]]] = {}
     for i in targets:
         cands = list(candidates_in[i])
-        pairs: list[tuple[CandidatePose, np.ndarray]] = []
+        recover = cfg.scheme is Scheme.WEAKC and i not in accepted_ids
+        pool: list[tuple[CandidatePose, np.ndarray]] = []
         if cands:
             model = general if cfg.scheme is Scheme.SEMI else models.get(ws_action[i], general)
-            pairs = list(zip(cands, _features([c.skeleton for c in cands])))
-            pick = select(model, pairs, cfg.margin)
+            feats = _features([c.skeleton for c in cands])
+            pick = select(model, cands, feats, cfg.margin)
             if pick is not None:
                 selected[i] = pick
                 continue
-        if cfg.scheme is Scheme.WEAKC and i not in accepted_ids:
-            best = sorted(pairs, key=lambda cf: -cf[0].score)[: cfg.recover_per_image]
-            leftovers[i] = [(c, f.copy()) for c, f in best]
+            if recover:
+                best = sorted(range(len(cands)), key=lambda j: -cands[j].score)
+                pool = [(cands[j], feats[j].copy()) for j in best[: cfg.recover_per_image]]
+        if recover:
+            leftovers[i] = pool
 
     new_accepted = list(state.accepted)
     fresh: dict[str, CandidatePose] = {}

@@ -226,19 +226,22 @@ def train(
 
 def select(
     model: SvmModel,
-    candidates: Sequence[tuple[CandidatePose, np.ndarray]],
+    candidates: Sequence[CandidatePose],
+    features: np.ndarray,
     margin: float = 0.0,
 ) -> Optional[CandidatePose]:
     """Pick at most one candidate: decision strictly above margin, best score.
 
-    Ties on score keep the earliest candidate. Returns None when nothing
-    clears the margin.
+    Row j of features is the feature of candidates[j]. Ties on score keep
+    the earliest candidate. Returns None when nothing clears the margin.
     """
     if not candidates:
         return None
-    scores = model.decisions(np.vstack([feat for _, feat in candidates]))
+    if len(features) != len(candidates):
+        raise ValueError(f"{len(candidates)} candidates but {len(features)} feature rows")
+    scores = model.decisions(features)
     best: Optional[CandidatePose] = None
-    for (cand, _), score in zip(candidates, scores):
+    for cand, score in zip(candidates, scores):
         if score > margin:
             if best is None or cand.score > best.score:
                 best = cand

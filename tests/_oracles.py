@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy import integrate, stats
+from scipy.special import gammaln, logsumexp
 
 
 def set_partitions(n: int) -> list[tuple[int, ...]]:
@@ -175,3 +176,157 @@ def torso_length_per_pose(points: np.ndarray) -> float:
     """Neck (joint 1) to the midpoint of the hips (joints 8 and 9)."""
     pts = np.asarray(points, dtype=np.float64)
     return float(np.linalg.norm(pts[1] - 0.5 * (pts[8] + pts[9])))
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def logml_stats_reference(n, s, ss, base):
+    """NIG log marginal from sufficient stats, every term computed in place.
+
+    n must be positive and broadcastable against s/ss of shape (..., d);
+    base is anything with mu0, kappa0, a0 and b0. Sums over the last axis.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    ss = np.asarray(ss, dtype=np.float64)
+    xbar = s / n
+    dev = np.maximum(ss - s * xbar, 0.0)  # sum of squared deviations
+    kn = base.kappa0 + n
+    an = base.a0 + 0.5 * n
+    bn = base.b0 + 0.5 * dev + base.kappa0 * n * (xbar - base.mu0) ** 2 / (2.0 * kn)
+    per_dim = (
+        gammaln(an)
+        - gammaln(base.a0)
+        + base.a0 * np.log(base.b0)
+        - an * np.log(bn)
+        + 0.5 * (np.log(base.kappa0) - np.log(kn))
+        - 0.5 * n * _LOG_2PI
+    )
+    return per_dim.sum(axis=-1)
+
+
+class _GibbsState:
+    """Padded per-cluster sufficient statistics with cached log marginals."""
+
+    def __init__(self, X: np.ndarray, base):
+        n, d = X.shape
+        cap = 8
+        self.X = X
+        self.base = base
+        self.k = 0
+        self.counts = np.zeros(cap)
+        self.sums = np.zeros((cap, d))
+        self.sqs = np.zeros((cap, d))
+        self.cache = np.zeros(cap)  # log marginal per active cluster
+
+    def _grow(self) -> None:
+        self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)])
+        self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
+        self.sqs = np.vstack([self.sqs, np.zeros_like(self.sqs)])
+        self.cache = np.concatenate([self.cache, np.zeros_like(self.cache)])
+
+    def _recache(self, k: int) -> None:
+        if self.counts[k] == 0:
+            self.cache[k] = 0.0
+        else:
+            self.cache[k] = float(
+                logml_stats_reference(self.counts[k], self.sums[k], self.sqs[k], self.base)
+            )
+
+    def add(self, i: int, k: int, cached=None) -> None:
+        x = self.X[i]
+        if k == self.k:
+            if self.k == len(self.counts):
+                self._grow()
+            self.k += 1
+        self.counts[k] += 1
+        self.sums[k] += x
+        self.sqs[k] += x * x
+        if cached is None:
+            self._recache(k)
+        else:
+            self.cache[k] = cached
+
+    def remove(self, i: int, k: int, z: np.ndarray) -> None:
+        """Drop point i from cluster k; swap-deletes k if it empties."""
+        x = self.X[i]
+        self.counts[k] -= 1
+        self.sums[k] -= x
+        self.sqs[k] -= x * x
+        if self.counts[k] == 0:
+            last = self.k - 1
+            if k != last:
+                self.counts[k] = self.counts[last]
+                self.sums[k] = self.sums[last]
+                self.sqs[k] = self.sqs[last]
+                self.cache[k] = self.cache[last]
+                z[z == last] = k
+            self.counts[last] = 0.0
+            self.sums[last] = 0.0
+            self.sqs[last] = 0.0
+            self.cache[last] = 0.0
+            self.k = last
+        else:
+            self._recache(k)
+
+    def with_point(self, i: int) -> np.ndarray:
+        """Log marginal of every active cluster with point i appended, (k,)."""
+        x = self.X[i]
+        k = self.k
+        return logml_stats_reference(
+            (self.counts[:k] + 1.0)[:, None],
+            self.sums[:k] + x,
+            self.sqs[:k] + x * x,
+            self.base,
+        )
+
+
+def _canonical(z) -> tuple[int, ...]:
+    remap: dict[int, int] = {}
+    return tuple(remap.setdefault(int(v), len(remap)) for v in z)
+
+
+def gibbs_samples_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,
+                            burn_in: int, seed: int) -> list[tuple[tuple[int, ...], float]]:
+    """Collapsed Gibbs over CRP(gamma) x NIG(base), one NumPy call per term.
+
+    Every point starts in one cluster; each sweep removes and reseats the
+    points in order, normalizing the weights with scipy.special.logsumexp.
+    Returns the post-burn-in (canonical assignments, score) samples, where
+    the score is the CRP prior term plus the cached cluster marginals.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n, _ = X.shape
+    rng = np.random.default_rng(seed)
+    log_gamma = np.log(gamma)
+
+    # marginal of each point alone; reused as the new-cluster predictive
+    pred0 = logml_stats_reference(np.ones((n, 1)), X, X ** 2, base)
+
+    state = _GibbsState(X, base)
+    z = np.zeros(n, dtype=np.intp)
+    for i in range(n):
+        state.add(i, 0)
+
+    samples: list[tuple[tuple[int, ...], float]] = []
+    for sweep in range(gibbs_iters):
+        for i in range(n):
+            state.remove(i, int(z[i]), z)
+            k = state.k
+            plus = state.with_point(i)
+            logw = np.empty(k + 1)
+            logw[:k] = np.log(state.counts[:k]) + plus - state.cache[:k]
+            logw[k] = log_gamma + pred0[i]
+            probs = np.exp(logw - logsumexp(logw))
+            choice = int(np.searchsorted(np.cumsum(probs), rng.random()))
+            choice = min(choice, k)
+            z[i] = choice
+            state.add(i, choice, cached=float(plus[choice]) if choice < k else float(pred0[i]))
+        if sweep >= burn_in:
+            score = float(
+                np.sum(np.log(gamma) + gammaln(state.counts[: state.k]))
+                + np.sum(state.cache[: state.k])
+            )
+            samples.append((_canonical(z), score))
+    return samples

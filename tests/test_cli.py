@@ -76,6 +76,31 @@ class TestExitCodes:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_nan_keypoints_are_data_error_naming_the_line(self, tmp_path, rng, capsys):
+        poses = tmp_path / "p.jsonl"
+        write_template_poses(poses, rng, 12)
+        lines = poses.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[6])
+        rec["keypoints"][3][0] = float("nan")  # json.dumps writes the NaN literal
+        lines[6] = json.dumps(rec) + "\n"
+        poses.write_text("".join(lines))
+        rc = cli.main(["outliers", "--poses", str(poses), "--out", str(tmp_path / "r.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 7:") and "finite" in err
+
+    def test_keypoints_object_is_data_error_naming_the_line(self, tmp_path, rng, capsys):
+        poses = tmp_path / "p.jsonl"
+        write_template_poses(poses, rng, 12)
+        lines = poses.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[4])
+        rec["keypoints"] = {"x": 1}
+        lines[4] = json.dumps(rec) + "\n"
+        poses.write_text("".join(lines))
+        rc = cli.main(["outliers", "--poses", str(poses), "--out", str(tmp_path / "r.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 5: keypoints must be")
+
 
 class TestSynth:
     def test_writes_corpus_layout(self, corpus_dir, capsys):

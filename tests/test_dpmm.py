@@ -1,8 +1,11 @@
 """Infinite-mixture clustering: priors, marginals, Gibbs, outlier pruning."""
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+import poseboot.dpmm as dpmm
 from poseboot.dpmm import (
     DpmmConfig,
     NigBase,
@@ -19,7 +22,20 @@ from poseboot.dpmm import (
 )
 from poseboot.skeleton import CandidatePose, Skeleton
 
-from _oracles import crp_seating_probability, nig_marginal_quadrature, set_partitions
+from _oracles import (
+    crp_seating_probability,
+    gibbs_samples_reference,
+    nig_marginal_quadrature,
+    set_partitions,
+)
+
+# The reference sampler normalizes with scipy.special.logsumexp; the
+# package's own normalizer takes the steps of SciPy 1.17's, and older
+# versions round differently.
+needs_scipy_1_17 = pytest.mark.skipif(
+    tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 17),
+    reason="scipy.special.logsumexp before 1.17 may round differently",
+)
 
 
 class TestPartition:
@@ -210,6 +226,78 @@ class TestGibbs:
         emp /= emp.sum()
         tv = 0.5 * np.abs(emp - exact).sum()
         assert tv <= 0.08, tv
+
+
+@st.composite
+def gibbs_cases(draw):
+    """Points (with exact duplicates when n_distinct < n) and a sampler config."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    n_distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.05, 1.0, 20.0]))
+    distinct = rng.normal(size=(n_distinct, d)) * scale
+    X = distinct[rng.integers(0, n_distinct, n)]
+    base = draw(st.sampled_from(["derived", "scalar", "vector"]))
+    if base == "scalar":
+        base = NigBase(mu0=0.3, kappa0=0.2, a0=1.5, b0=0.7)
+    elif base == "vector":
+        base = NigBase(mu0=rng.normal(size=d), kappa0=1.0, a0=0.8, b0=rng.uniform(0.1, 3.0, d))
+    else:
+        base = None
+    iters = draw(st.integers(1, 12))
+    cfg = DpmmConfig(
+        gamma=draw(st.sampled_from([0.1, 0.5, 1.0, 3.0, 20.0])),
+        base=base,
+        gibbs_iters=iters,
+        burn_in=draw(st.integers(0, iters - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return X, cfg
+
+
+def reference_samples(X, cfg):
+    base = cfg.base if cfg.base is not None else NigBase.from_data(X)
+    return gibbs_samples_reference(X, base, cfg.gamma, cfg.gibbs_iters, cfg.burn_in, cfg.seed)
+
+
+@needs_scipy_1_17
+class TestSamplerAgainstReference:
+    """The batched sampler runs the reference sampler's chain exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gibbs_cases())
+    def test_samples_and_scores_equal_bit_for_bit(self, case):
+        X, cfg = case
+        assert sample_partitions(X, cfg) == reference_samples(X, cfg)
+
+    def test_tied_weights_and_emptied_clusters(self, monkeypatch):
+        """Copies of three points: clusters holding the same copies tie at
+        the maximum weight, and clusters open, empty and get relabelled."""
+        X = np.repeat(np.array([[0.0], [0.5], [4.0]]), 6, axis=0)
+        cfg = DpmmConfig(gamma=5.0, gibbs_iters=30, burn_in=0, seed=7)
+        ties = []
+        normalizer = dpmm._logsumexp
+
+        def counting(a):
+            ties.append(int(np.count_nonzero(a == a.max())))
+            return normalizer(a)
+
+        monkeypatch.setattr(dpmm, "_logsumexp", counting)
+        samples = sample_partitions(X, cfg)
+        assert max(ties) > 1
+        sizes = [max(z) + 1 for z, _ in samples]
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        assert samples == reference_samples(X, cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=70),
+        st.integers(0, 5),
+    )
+    def test_normalizer_rounds_like_scipy(self, values, extra_ties):
+        a = np.array(values + [max(values)] * extra_ties)
+        assert dpmm._logsumexp(a) == logsumexp(a)
 
 
 class TestMergeSet:

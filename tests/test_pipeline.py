@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import poseboot.pipeline as pipeline
 from poseboot.dpmm import DpmmConfig
 from poseboot.features import relational_feature
 from poseboot.fileio import PoseRecord, read_pose_records, write_pose_records
@@ -126,6 +127,17 @@ class TestSpecializeModels:
         )
         assert models[ActionLabel.GENERAL] is general
 
+    def test_general_trained_only_when_used(self, rng):
+        rich, unseen = list(ActionLabel)[:2]
+        pos = {rich: junk_features(rng, 8)}
+        negs = junk_features(rng, 10)
+        kw = dict(tol=1e-3, max_iter=40, min_annotations=5)
+        general, models = specialize_models(pos, negs, {rich: 8}, **kw)
+        assert general is None and models[rich] is not None
+        # a target action without positives of its own needs the general model
+        general, models = specialize_models(pos, negs, {rich: 8}, target_actions=[unseen], **kw)
+        assert general is not None and models[rich] is not general
+
     def test_no_positives_rejected(self, rng):
         with pytest.raises(ValueError, match="no positive features"):
             specialize_models({}, junk_features(rng, 4), {})
@@ -161,6 +173,31 @@ class TestRunIteration:
         )
         assert state.general_model is not None
         assert state.models == {}
+
+    def test_weak_trains_one_selector_per_action_and_no_general(self, monkeypatch):
+        corpus, cands = tiny_corpus()
+        counts = {}
+        for e in corpus.split.fs:
+            counts[e.action] = counts.get(e.action, 0) + 1
+        cfg = fast_cfg()
+        assert min(counts.values()) >= cfg.min_action_annotations
+        calls = []
+        real_train = pipeline.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counting_train)
+        state = run_iteration(IterationState(), corpus.split, cands, cfg)
+        assert len(calls) == len(counts) == len(state.models)
+        assert state.general_model is None
+        # with every action below the threshold only the general model is trained
+        calls.clear()
+        sparse = fast_cfg(min_action_annotations=max(counts.values()) + 1)
+        state = run_iteration(IterationState(), corpus.split, cands, sparse)
+        assert len(calls) == 1
+        assert all(m is state.general_model for m in state.models.values())
 
     def test_weak_trains_per_action_models(self):
         corpus, cands = tiny_corpus()

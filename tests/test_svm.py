@@ -165,41 +165,43 @@ class TestSelect:
         y = np.array([1.0, 1.0, -1.0, -1.0])
         return train(TrainSet(X, y), tol=1e-8, standardize=False)
 
-    def _cand(self, rng, image_id, score, x):
-        return (
-            CandidatePose(skeleton=random_skeleton(rng), score=score, image_id=image_id),
-            np.array([x, 0.0]),
-        )
+    def _cands(self, rng, image_id, scored_xs):
+        """Candidates with the given scores and their (x, 0) feature rows."""
+        cands = [
+            CandidatePose(skeleton=random_skeleton(rng), score=score, image_id=image_id)
+            for score, _ in scored_xs
+        ]
+        return cands, np.array([[x, 0.0] for _, x in scored_xs])
 
     def test_picks_highest_score_among_accepted(self, rng):
         m = self._model_preferring_positive_x()
-        cands = [
-            self._cand(rng, "a", score=0.3, x=5.0),
-            self._cand(rng, "a", score=0.9, x=4.0),
-            self._cand(rng, "a", score=2.0, x=-5.0),  # rejected by the margin
-        ]
-        pick = select(m, cands)
-        assert pick is cands[1][0]
+        # the third has the best score but is rejected by the margin
+        cands, feats = self._cands(rng, "a", [(0.3, 5.0), (0.9, 4.0), (2.0, -5.0)])
+        pick = select(m, cands, feats)
+        assert pick is cands[1]
 
     def test_none_when_all_below_margin(self, rng):
         m = self._model_preferring_positive_x()
-        cands = [self._cand(rng, "a", score=1.0, x=-3.0)]
-        assert select(m, cands) is None
+        cands, feats = self._cands(rng, "a", [(1.0, -3.0)])
+        assert select(m, cands, feats) is None
 
     def test_margin_raises_the_bar(self, rng):
         m = self._model_preferring_positive_x()
-        cands = [self._cand(rng, "a", score=1.0, x=0.5)]
+        cands, feats = self._cands(rng, "a", [(1.0, 0.5)])
         d = m.decision(np.array([0.5, 0.0]))
-        assert select(m, cands, margin=0.0) is not None
-        assert select(m, cands, margin=d + 1.0) is None
+        assert select(m, cands, feats, margin=0.0) is not None
+        assert select(m, cands, feats, margin=d + 1.0) is None
 
     def test_score_tie_keeps_first(self, rng):
         m = self._model_preferring_positive_x()
-        cands = [
-            self._cand(rng, "a", score=1.0, x=3.0),
-            self._cand(rng, "a", score=1.0, x=4.0),
-        ]
-        assert select(m, cands) is cands[0][0]
+        cands, feats = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
+        assert select(m, cands, feats) is cands[0]
+
+    def test_rows_must_match_candidates(self, rng):
+        m = self._model_preferring_positive_x()
+        cands, feats = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
+        with pytest.raises(ValueError, match="2 candidates but 1 feature rows"):
+            select(m, cands, feats[:1])
 
 
 class TestEndToEndSeparation:
