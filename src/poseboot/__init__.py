@@ -7,181 +7,5 @@ pose per frame, and an infinite mixture over relational pose features prunes
 implausible picks or recovers extra poses, iterating until no new frames are
 accepted.
 """
-from .dpmm import (
-    DpmmConfig,
-    MergeEvaluation,
-    NigBase,
-    OutlierReport,
-    Partition,
-    cluster_log_marginal,
-    crp_log_prior,
-    detect_outliers,
-    format_outlier_report,
-    gibbs_cluster,
-    merge_set,
-    project,
-    project_features,
-    recover_poses,
-    sample_partitions,
-)
-from .features import (
-    HogConfig,
-    PrFeature,
-    hog_descriptor,
-    pr_feature,
-    relational_config,
-    relational_feature,
-    relational_features,
-    relational_length,
-)
-from .fileio import (
-    PoseRecord,
-    atomic_write,
-    load_config,
-    load_svm_model,
-    read_heatmaps,
-    read_pgm,
-    read_pose_records,
-    save_svm_model,
-    write_heatmaps,
-    write_outlier_report,
-    write_pgm,
-    write_pose_records,
-)
-from .heatmaps import (
-    CandidateGenConfig,
-    Heatmap,
-    Peak,
-    beam_assemble,
-    enumerate_candidates,
-    local_maxima,
-    merge_stage_candidates,
-)
-from .metrics import (
-    MetricsReport,
-    ReferenceLength,
-    format_pck_table,
-    pck_correct,
-    pck_report,
-    pcp_correct,
-    selection_stats,
-)
-from .pipeline import (
-    AcceptedPose,
-    IterationState,
-    PipelineConfig,
-    Scheme,
-    read_candidate_dir,
-    run_iteration,
-    run_pipeline,
-    specialize_models,
-    stop_check,
-    write_iteration_files,
-)
-from .skeleton import (
-    LIMBS,
-    N_JOINTS,
-    ActionLabel,
-    CandidatePose,
-    DatasetSplit,
-    FsExample,
-    JointId,
-    Skeleton,
-    SplitViolation,
-    WsExample,
-    validate_split,
-)
-from .svm import (
-    SvmModel,
-    TrainSet,
-    mine_negatives,
-    select,
-    synthesize_positives,
-    train,
-)
-from .synth import SynthConfig, SynthCorpus, action_template, synth_corpus
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionLabel",
-    "AcceptedPose",
-    "CandidateGenConfig",
-    "CandidatePose",
-    "DatasetSplit",
-    "DpmmConfig",
-    "FsExample",
-    "Heatmap",
-    "HogConfig",
-    "IterationState",
-    "JointId",
-    "LIMBS",
-    "MergeEvaluation",
-    "MetricsReport",
-    "N_JOINTS",
-    "NigBase",
-    "OutlierReport",
-    "Partition",
-    "Peak",
-    "PipelineConfig",
-    "PoseRecord",
-    "PrFeature",
-    "ReferenceLength",
-    "Scheme",
-    "Skeleton",
-    "SplitViolation",
-    "SvmModel",
-    "SynthConfig",
-    "SynthCorpus",
-    "TrainSet",
-    "WsExample",
-    "action_template",
-    "atomic_write",
-    "beam_assemble",
-    "cluster_log_marginal",
-    "crp_log_prior",
-    "detect_outliers",
-    "enumerate_candidates",
-    "format_outlier_report",
-    "format_pck_table",
-    "gibbs_cluster",
-    "hog_descriptor",
-    "load_config",
-    "load_svm_model",
-    "local_maxima",
-    "merge_set",
-    "merge_stage_candidates",
-    "mine_negatives",
-    "pck_correct",
-    "pck_report",
-    "pcp_correct",
-    "pr_feature",
-    "project",
-    "project_features",
-    "read_candidate_dir",
-    "read_heatmaps",
-    "read_pgm",
-    "read_pose_records",
-    "recover_poses",
-    "relational_config",
-    "relational_feature",
-    "relational_features",
-    "relational_length",
-    "run_iteration",
-    "run_pipeline",
-    "sample_partitions",
-    "save_svm_model",
-    "select",
-    "selection_stats",
-    "specialize_models",
-    "stop_check",
-    "synth_corpus",
-    "synthesize_positives",
-    "train",
-    "validate_split",
-    "write_heatmaps",
-    "write_iteration_files",
-    "write_outlier_report",
-    "write_pgm",
-    "write_pose_records",
-]

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage errors, 2 data/processing errors.
 Every subcommand takes --seed and --config; a config file holds flat
 key=value lines whose keys are the long option names (dashes or
-underscores). Explicit flags beat config values, which beat defaults.
+underscores), each value read as its option's type; on/off flags and
+--metric are set on the command line only. Explicit flags beat config
+values, which beat defaults.
 """
 from __future__ import annotations
 
@@ -17,19 +19,11 @@ import numpy as np
 
 from . import fileio
 from .dpmm import DpmmConfig, detect_outliers, gibbs_cluster, project_features
-from .features import pr_feature, relational_features
+from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
 from .pipeline import PipelineConfig, Scheme, run_pipeline
-from .skeleton import (
-    ActionLabel,
-    CandidatePose,
-    DatasetSplit,
-    FsExample,
-    JointId,
-    Skeleton,
-    WsExample,
-)
+from .skeleton import ActionLabel, DatasetSplit, FsExample, JointId, WsExample
 from .svm import TrainSet, select, synthesize_positives, train
 from .synth import SynthConfig, synth_corpus
 
@@ -43,7 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser, and the parser of each subcommand by name."""
     p = _Parser(prog="poseboot", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -66,7 +61,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--poses", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
     sp.add_argument("--raw", action="store_true", help="skip torso normalization")
-    sp.add_argument("--image", type=Path, default=None, help="PGM for appearance")
 
     sp = sub.add_parser("train-svm", help="train a selector from pose records")
     common(sp)
@@ -134,27 +128,45 @@ def _build_parser() -> _Parser:
     sp.add_argument("--est", type=Path, required=True)
     sp.add_argument("--metric", choices=("pck", "pckh"), default="pck")
     sp.add_argument("--frac", type=float, default=None)
-    return p
+    return p, sub.choices
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    """Config-file values fill in for options left at None."""
-    cfg: dict[str, str] = {}
-    if args.config is not None:
-        cfg = fileio.load_config(args.config)
-    out = {}
-    for key, val in vars(args).items():
+def _merged(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
+    """Config-file values fill in for options left at None.
+
+    Each value is converted by the type of its option. A key that names no
+    option of the command, or an option that only the command line sets
+    (on/off flags, options with a default, --config), is an error.
+    """
+    out = dict(vars(args))
+    if args.config is None:
+        return out
+    options = {}
+    for act in command._actions:
+        if act.option_strings and act.dest != "help":
+            options[act.dest] = options[act.dest.replace("_", "-")] = act
+    typed = {}
+    for key, value in fileio.load_config(args.config).items():
+        act = options.get(key)
+        if act is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if act.default is not None or act.dest == "config":
+            raise ValueError(
+                f"config key {key!r}: {act.option_strings[-1]} is set on the command line only"
+            )
+        convert = act.type or str
+        try:
+            typed[key] = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r}: invalid {convert.__name__} value {value!r}"
+            ) from None
+    for dest, val in out.items():
         if val is None:
-            for alias in (key, key.replace("_", "-")):
-                if alias in cfg:
-                    val = fileio.coerce_config_value(cfg[alias])
+            for alias in (dest, dest.replace("_", "-")):
+                if alias in typed:
+                    out[dest] = typed[alias]
                     break
-        out[key] = val
-    unknown = set(cfg) - {
-        k.replace("_", "-") for k in vars(args)
-    } - set(vars(args))
-    if unknown:
-        raise ValueError(f"unknown config key {sorted(unknown)[0]!r}")
     return out
 
 
@@ -244,14 +256,7 @@ def _cmd_features(a: dict) -> int:
     records = fileio.read_pose_records(a["poses"])
     if not records:
         raise ValueError("no pose records")
-    if a.get("image"):
-        image = fileio.read_pgm(a["image"])
-        feats = np.vstack([
-            pr_feature(r.skeleton(), image=image, normalize=not a["raw"]).combined()
-            for r in records
-        ])
-    else:
-        feats = relational_features(_keypoints(records), normalize=not a["raw"])
+    feats = relational_features(_keypoints(records), normalize=not a["raw"])
     ids = np.array([r.image_id for r in records])
     np.savez(a["out"], ids=ids, features=feats)
     print(f"wrote {len(records)} feature vectors of dim {feats.shape[1]} -> {a['out']}")
@@ -327,15 +332,7 @@ def _cmd_select(a: dict) -> int:
         by_image.setdefault(r.image_id, []).append(r)
     out = []
     for image_id, recs in by_image.items():
-        cands = [
-            CandidatePose(
-                skeleton=r.skeleton(),
-                score=r.score if r.score is not None else 0.0,
-                image_id=image_id,
-                action=r.action,
-            )
-            for r in recs
-        ]
+        cands = [r.candidate(image_id) for r in recs]
         feats = relational_features(_keypoints(recs), normalize=True)
         pick = select(model, cands, feats, margin=margin)
         if pick is not None:
@@ -415,14 +412,6 @@ def _cmd_pipeline(a: dict) -> int:
         for image_id, maps in heatmaps.items()
         if image_id not in annotated
     }
-    ws_action = split.ws_actions()
-    candidates = {
-        i: [
-            CandidatePose(c.skeleton, c.score, c.image_id, c.stage, ws_action.get(i))
-            for c in cands
-        ]
-        for i, cands in candidates.items()
-    }
     dp = DpmmConfig(
         gibbs_iters=_pick(a, "gibbs_iters", 400),
         burn_in=_pick(a, "burn_in", 120),
@@ -490,12 +479,12 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("poseboot: a subcommand is required (see --help)")
-        merged = _merged(args)
+        merged = _merged(args, commands[args.command])
         return _DISPATCH[args.command](merged)
     except _UsageError as e:
         print(str(e), file=sys.stderr)

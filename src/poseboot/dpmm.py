@@ -23,7 +23,6 @@ __all__ = [
     "Partition",
     "NigBase",
     "DpmmConfig",
-    "ProjectionRecord",
     "project",
     "project_features",
     "crp_log_prior",
@@ -139,16 +138,7 @@ class DpmmConfig:
             raise ValueError("small_cluster_max must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProjectionRecord:
-    mean: np.ndarray  # (dim,)
-    basis: np.ndarray  # (dim, d), orthonormal columns
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.mean) @ self.basis
-
-
-def project(features: np.ndarray, d: int) -> tuple[np.ndarray, ProjectionRecord]:
+def project(features: np.ndarray, d: int) -> np.ndarray:
     """Center and project onto the top-d principal directions."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -164,8 +154,7 @@ def project(features: np.ndarray, d: int) -> tuple[np.ndarray, ProjectionRecord]
         j = int(np.argmax(np.abs(basis[:, c])))
         if basis[j, c] < 0:
             basis[:, c] = -basis[:, c]
-    rec = ProjectionRecord(mean=mean, basis=basis)
-    return (X - mean) @ basis, rec
+    return (X - mean) @ basis
 
 
 def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
@@ -174,7 +163,7 @@ def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
     their dimension, unchanged otherwise."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if cfg.pca_dim is not None and cfg.pca_dim < X.shape[1]:
-        X, _ = project(X, min(cfg.pca_dim, X.shape[0], X.shape[1]))
+        X = project(X, min(cfg.pca_dim, X.shape[0], X.shape[1]))
     return X
 
 
@@ -391,10 +380,12 @@ def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
 
 
 def _small_and_large(p: Partition, small_max: int) -> tuple[list[int], list[int]]:
+    """The small clusters screened, smallest first (ties by label) and at most
+    MERGE_ENUM_CAP of them, and the large clusters."""
     sizes = p.sizes()
     small = [k for k in range(p.n_clusters) if sizes[k] <= small_max]
     large = [k for k in range(p.n_clusters) if sizes[k] > small_max]
-    return small, large
+    return sorted(small, key=lambda k: (sizes[k], k))[:MERGE_ENUM_CAP], large
 
 
 def merge_set(p: Partition, small_max: int, features: np.ndarray) -> list[Partition]:
@@ -409,8 +400,6 @@ def merge_set(p: Partition, small_max: int, features: np.ndarray) -> list[Partit
     small, large = _small_and_large(p, small_max)
     if not small or not large:
         return []
-    sizes = p.sizes()
-    small = sorted(small, key=lambda k: (sizes[k], k))[:MERGE_ENUM_CAP]
 
     means = {k: X[p.members(k)].mean(axis=0) for k in (*small, *large)}
     target = {
@@ -498,8 +487,6 @@ def detect_outliers(
     weights = np.sqrt(tbar)
 
     small, _ = _small_and_large(p, cfg.small_cluster_max)
-    sizes = p.sizes()
-    small = sorted(small, key=lambda k: (sizes[k], k))[:MERGE_ENUM_CAP]
 
     ev_i = _partition_log_evidence(X, p, base)
     w_i = _weighted_cluster_counts(p, weights)

@@ -1,5 +1,5 @@
 """On-disk formats: line-delimited pose records, binary heatmaps and models,
-P5 grayscale images, and flat key=value config files.
+and flat key=value config files.
 
 All writers go through an atomic write-temp-then-rename so partially
 written files never appear under the target name.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .dpmm import OutlierReport, format_outlier_report
 from .heatmaps import Heatmap
-from .skeleton import N_JOINTS, ActionLabel, JointId, Skeleton
+from .skeleton import N_JOINTS, ActionLabel, CandidatePose, JointId, Skeleton
 from .svm import SvmModel
 
 __all__ = [
@@ -33,14 +33,11 @@ __all__ = [
     "read_pose_records",
     "write_pose_records",
     "atomic_write",
-    "read_pgm",
-    "write_pgm",
     "read_heatmaps",
     "write_heatmaps",
     "save_svm_model",
     "load_svm_model",
     "load_config",
-    "coerce_config_value",
     "write_outlier_report",
 ]
 
@@ -95,6 +92,15 @@ class PoseRecord:
 
     def skeleton(self) -> Skeleton:
         return Skeleton(self.keypoints)
+
+    def candidate(self, image_id: str) -> CandidatePose:
+        """This pose as a candidate for image_id; a missing score counts as 0."""
+        return CandidatePose(
+            skeleton=self.skeleton(),
+            score=self.score if self.score is not None else 0.0,
+            image_id=image_id,
+            action=self.action,
+        )
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -176,55 +182,6 @@ def write_pose_records(path: Union[str, Path], records: Sequence[PoseRecord]) ->
     atomic_write(path, text)
 
 
-# --- P5 grayscale -----------------------------------------------------------
-
-
-def read_pgm(path: Union[str, Path]) -> np.ndarray:
-    """Binary (P5) 8-bit grayscale to float array in [0, 1]."""
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError("not a binary PGM (P5) file")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        tokens.append(data[start:pos])
-    pos += 1  # the single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ValueError("malformed PGM header") from None
-    if maxval != 255:
-        raise ValueError(f"unsupported PGM maxval {maxval}, expected 255")
-    need = width * height
-    raster = data[pos : pos + need]
-    if len(raster) != need:
-        raise ValueError("truncated PGM raster")
-    img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return img.astype(np.float64) / 255.0
-
-
-def write_pgm(path: Union[str, Path], image: np.ndarray) -> None:
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
-    raw = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    atomic_write(path, header + raw.tobytes())
-
-
 # --- heatmap binary ---------------------------------------------------------
 
 _HM_HEADER = struct.Struct("<8sIII3d")  # magic, joint, width, height, stride, ox, oy
@@ -300,6 +257,18 @@ def load_svm_model(path: Union[str, Path]) -> SvmModel:
     vecs = np.frombuffer(data, dtype="<f8", count=3 * d, offset=20)
     mean, std, weights = vecs[:d].copy(), vecs[d : 2 * d].copy(), vecs[2 * d :].copy()
     (bias,) = struct.unpack_from("<d", data, 20 + 24 * d)
+    if not reg > 0.0:
+        raise ValueError(f"model file: reg is {reg}, must be positive")
+    for name, v, ok, rule in (
+        ("mean", mean, np.isfinite(mean), "finite"),
+        ("std", std, np.isfinite(std) & (std > 0.0), "finite and positive"),
+        ("weights", weights, np.isfinite(weights), "finite"),
+    ):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ValueError(f"model file: {name}[{bad[0]}] is {float(v[bad[0]])}, must be {rule}")
+    if not math.isfinite(bias):
+        raise ValueError(f"model file: bias is {bias}, must be finite")
     return SvmModel(mean=mean, std=std, weights=weights, bias=float(bias), reg=float(reg))
 
 
@@ -322,21 +291,6 @@ def load_config(path: Union[str, Path]) -> dict[str, str]:
                 raise ValueError(f"line {lineno}: empty key")
             out[key] = value.strip()
     return out
-
-
-def coerce_config_value(value: str):
-    """int, then float, then bool, else the raw string."""
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
 
 
 def write_outlier_report(path: Union[str, Path], report: OutlierReport) -> None:

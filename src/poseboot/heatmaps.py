@@ -20,7 +20,6 @@ __all__ = [
     "local_maxima",
     "beam_assemble",
     "enumerate_candidates",
-    "merge_stage_candidates",
 ]
 
 
@@ -148,7 +147,6 @@ def enumerate_candidates(
     maps: Mapping[JointId, Heatmap] | Sequence[Heatmap],
     cfg: CandidateGenConfig,
     image_id: str = "",
-    stage: int = 1,
 ) -> list[CandidatePose]:
     """Candidates for one image from its 14 joint heatmaps, best first.
 
@@ -171,34 +169,6 @@ def enumerate_candidates(
     out = []
     for idx, total in assemblies:
         kp = np.array([[per_joint[j][idx[j]].x, per_joint[j][idx[j]].y] for j in range(N_JOINTS)])
-        out.append(
-            CandidatePose(
-                skeleton=Skeleton(kp), score=float(total), image_id=image_id, stage=stage
-            )
-        )
+        out.append(CandidatePose(skeleton=Skeleton(kp), score=float(total), image_id=image_id))
     return out
 
-
-def merge_stage_candidates(
-    stages: Sequence[Sequence[CandidatePose]],
-    dup_tolerance: float = 1.0,
-) -> list[CandidatePose]:
-    """Pool candidates across inference stages, dropping near-duplicates.
-
-    Two candidates are duplicates when every joint sits within dup_tolerance
-    px; the higher-scoring one survives. Output is sorted by score, best
-    first; stage tags are preserved.
-    """
-    flat: list[CandidatePose] = [c for stage in stages for c in stage]
-    flat.sort(key=lambda c: -c.score)  # stable: earlier stages win ties
-    kept: list[CandidatePose] = []
-    for cand in flat:
-        dup = False
-        for k in kept:
-            d = np.linalg.norm(cand.skeleton.keypoints - k.skeleton.keypoints, axis=1)
-            if float(d.max()) <= dup_tolerance:
-                dup = True
-                break
-        if not dup:
-            kept.append(cand)
-    return kept

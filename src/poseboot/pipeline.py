@@ -120,12 +120,6 @@ def specialize_models(
     pooled = [f for feats in positives_by_action.values() for f in feats]
     if not pooled:
         raise ValueError("no positive features")
-
-    def fit(positives: Sequence[np.ndarray]) -> SvmModel:
-        return train(
-            TrainSet.from_parts(positives, list(negatives)), reg=reg, tol=tol, max_iter=max_iter
-        )
-
     own = {
         action
         for action, feats in positives_by_action.items()
@@ -134,12 +128,24 @@ def specialize_models(
         and action is not ActionLabel.GENERAL
     }
     needs_general = any(a not in own for a in (*positives_by_action, *target_actions))
-    general = fit(pooled) if needs_general else None
+    general = _fit(pooled, negatives, reg, tol, max_iter) if needs_general else None
     models = {
-        action: fit(feats) if action in own else general
+        action: _fit(feats, negatives, reg, tol, max_iter) if action in own else general
         for action, feats in positives_by_action.items()
     }
     return general, models
+
+
+def _fit(
+    positives: Sequence[np.ndarray],
+    negatives: Sequence[np.ndarray],
+    reg: float,
+    tol: float,
+    max_iter: Optional[int],
+) -> SvmModel:
+    return train(
+        TrainSet.from_parts(positives, list(negatives)), reg=reg, tol=tol, max_iter=max_iter
+    )
 
 
 def _features(skels: Sequence[Skeleton]) -> np.ndarray:
@@ -199,12 +205,7 @@ def run_iteration(
 
     if cfg.scheme is Scheme.SEMI:
         pooled = [f for feats in positives_by_action.values() for f in feats]
-        general = train(
-            TrainSet.from_parts(pooled, negatives),
-            reg=cfg.reg,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-        )
+        general = _fit(pooled, negatives, cfg.reg, cfg.tol, cfg.max_iter)
         models: dict[ActionLabel, SvmModel] = {}
     else:
         general, models = specialize_models(
@@ -361,21 +362,10 @@ def read_candidate_dir(path: Path) -> dict[str, list[CandidatePose]]:
     """Ingest refreshed candidates: one <image_id>.jsonl per image."""
     from .fileio import read_pose_records
 
-    out: dict[str, list[CandidatePose]] = {}
-    for f in sorted(path.glob("*.jsonl")):
-        image_id = f.stem
-        cands = []
-        for rec in read_pose_records(f):
-            cands.append(
-                CandidatePose(
-                    skeleton=rec.skeleton(),
-                    score=rec.score if rec.score is not None else 0.0,
-                    image_id=image_id,
-                    action=rec.action,
-                )
-            )
-        out[image_id] = cands
-    return out
+    return {
+        f.stem: [r.candidate(f.stem) for r in read_pose_records(f)]
+        for f in sorted(path.glob("*.jsonl"))
+    }
 
 
 def run_pipeline(

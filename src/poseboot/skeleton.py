@@ -107,14 +107,11 @@ class CandidatePose:
     skeleton: Skeleton
     score: float
     image_id: str
-    stage: int = 1  # inference stage the hypothesis came from, >= 1
     action: Optional["ActionLabel"] = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.score):
             raise ValueError("candidate score must be finite")
-        if self.stage < 1:
-            raise ValueError("stage must be >= 1")
 
 
 class ActionLabel(Enum):

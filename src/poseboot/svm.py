@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainSet:
-    """Feature matrix with +/-1 labels; both labels must be present."""
+    """Finite feature matrix with +/-1 labels; both labels must be present."""
 
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,) values in {-1, +1}
@@ -41,6 +41,10 @@ class TrainSet:
             raise ValueError("features must be (n, d) aligned with (n,) labels")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        # min and max propagate NaN and reach any infinity without a mask of X's size
+        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+            raise ValueError(f"features must be finite: row {bad} is not")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 

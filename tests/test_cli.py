@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from poseboot import cli, fileio
-from poseboot.features import HogConfig
 from poseboot.skeleton import ActionLabel
+from poseboot.svm import SvmModel
 from poseboot.synth import action_template
 
 
@@ -138,18 +138,6 @@ class TestFeatures:
         assert len(data["ids"]) == 12
         assert "dim 1274" in capsys.readouterr().out
 
-    def test_appearance_extends_dim(self, corpus_dir, tmp_path):
-        img = tmp_path / "scene.pgm"
-        fileio.write_pgm(img, np.linspace(0, 1, 160 * 160).reshape(160, 160))
-        out = tmp_path / "f.npz"
-        rc = cli.main(
-            ["features", "--poses", str(corpus_dir / "truth.jsonl"),
-             "--out", str(out), "--image", str(img)]
-        )
-        assert rc == 0
-        dim = 1274 + 14 * HogConfig().length()
-        assert np.load(out)["features"].shape == (12, dim)
-
     def test_raw_skips_normalization(self, corpus_dir, tmp_path):
         norm, raw = tmp_path / "n.npz", tmp_path / "r.npz"
         base = ["features", "--poses", str(corpus_dir / "truth.jsonl")]
@@ -234,6 +222,34 @@ class TestSelectionFlow:
         assert cli.main(["eval", "--gt", truth, "--est", truth,
                          "--metric", "pckh"]) == 0
         assert "PCKh@0.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("reg", 0.0, "reg is 0.0"),
+            ("mean", np.nan, "mean[7] is nan"),
+            ("std", 0.0, "std[7] is 0.0"),
+            ("std", np.inf, "std[7] is inf"),
+            ("weights", -np.inf, "weights[7] is -inf"),
+            ("bias", np.nan, "bias is nan"),
+        ],
+    )
+    def test_bad_model_field_is_data_error(self, tmp_path, rng, capsys, field, value, named):
+        fields = dict(mean=np.zeros(1274), std=np.ones(1274), weights=np.zeros(1274),
+                      bias=0.0, reg=1.0)
+        if np.ndim(fields[field]):
+            fields[field][7] = value
+        else:
+            fields[field] = value
+        model = tmp_path / "bad.svm"
+        fileio.save_svm_model(model, SvmModel(**fields))
+        cands = tmp_path / "cands.jsonl"
+        write_template_poses(cands, rng, 3)
+        rc = cli.main(["select", "--model", str(model), "--candidates", str(cands),
+                       "--out", str(tmp_path / "picks.jsonl")])
+        assert rc == 2
+        assert f"error: model file: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "picks.jsonl").exists()
 
     def test_eval_disjoint_ids_is_data_error(self, corpus_dir, tmp_path, rng, capsys):
         other = tmp_path / "other.jsonl"
@@ -373,3 +389,39 @@ class TestConfigFile:
         )
         assert rc == 2
         assert "unknown config key 'warp-speed'" in capsys.readouterr().err
+
+    def test_values_take_their_option_type(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setitem(cli._DISPATCH, "pipeline", lambda a: seen.update(a) or 0)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("reg = 2.5\ngibbs-iters=300\nmargin=1\nseed=7\n")
+        rc = cli.main(["pipeline", "--corpus", "c", "--exchange", "x",
+                       "--scheme", "weakC", "--config", str(cfg)])
+        assert rc == 0
+        assert seen["reg"] == 2.5 and seen["scheme"] == "weakC"
+        assert seen["gibbs_iters"] == 300 and type(seen["gibbs_iters"]) is int
+        assert seen["seed"] == 7 and type(seen["seed"]) is int
+        assert seen["margin"] == 1.0 and type(seen["margin"]) is float
+
+    def test_value_of_wrong_type_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=abc\n")
+        rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config key 'seed': ")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command, key", [("features", "raw"), ("pipeline", "audit")])
+    def test_flag_key_is_data_error(self, corpus_dir, tmp_path, capsys, command, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}=true\n")
+        args = {
+            "features": ["--poses", str(corpus_dir / "truth.jsonl"),
+                         "--out", str(tmp_path / "f.npz")],
+            "pipeline": ["--corpus", str(corpus_dir), "--exchange", str(tmp_path / "x"),
+                         "--scheme", "weak"],
+        }[command]
+        rc = cli.main([command, *args, "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]

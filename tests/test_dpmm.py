@@ -129,11 +129,9 @@ class TestClusterMarginal:
 class TestProjection:
     def test_reduces_dimension_and_centers(self, rng):
         X = rng.normal(size=(40, 10))
-        Z, record = project(X, 3)
+        Z = project(X, 3)
         assert Z.shape == (40, 3)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
-        assert record.basis.shape == (10, 3)
-        np.testing.assert_allclose(record.apply(X), Z, atol=1e-12)
 
     def test_preserves_separation_along_dominant_axis(self, rng):
         """Two groups split along one coordinate stay sign-separated in 1-D."""
@@ -142,20 +140,21 @@ class TestProjection:
         a[:, 2] -= 8.0
         b[:, 2] += 8.0
         X = np.vstack([a, b])
-        Z, _ = project(X, 1)
+        Z = project(X, 1)
         signs = np.sign(Z[:, 0])
         assert len(set(signs[:25])) == 1 and len(set(signs[25:])) == 1
         assert signs[0] != signs[-1]
 
     def test_sign_convention_deterministic(self, rng):
         X = rng.normal(size=(12, 5))
-        Z1, r1 = project(X, 2)
-        Z2, r2 = project(X.copy(), 2)
+        Z1 = project(X, 2)
+        Z2 = project(X.copy(), 2)
         np.testing.assert_array_equal(Z1, Z2)
-        np.testing.assert_array_equal(r1.basis, r2.basis)
+        # the basis, recovered from the centered rows (full column rank):
         # each direction points toward its largest-magnitude component
-        peaks = np.abs(r1.basis).argmax(axis=0)
-        assert (r1.basis[peaks, range(2)] > 0).all()
+        basis = np.linalg.lstsq(X - X.mean(axis=0), Z1, rcond=None)[0]
+        peaks = np.abs(basis).argmax(axis=0)
+        assert (basis[peaks, range(2)] > 0).all()
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -333,6 +332,34 @@ class TestMergeSet:
         (m,) = merges
         # all 8 points end up together: small cluster folded into the big one
         assert Partition.from_assignments(m.assignments).n_clusters == 1
+
+
+class TestMergeCap:
+    """More than MERGE_ENUM_CAP small clusters: only the 12 smallest are
+    screened, ties broken by the lower label."""
+
+    def _case(self):
+        # cluster 0: 20 points near 0 (large); cluster 1: a far pair;
+        # clusters 2..14: 13 far singletons, so 14 small clusters in all
+        z = [0] * 20 + [1, 1] + list(range(2, 15))
+        X = np.concatenate(
+            [np.linspace(-1.0, 1.0, 20), [500.0, 500.5], 100.0 * np.arange(2, 15)]
+        )[:, None]
+        scores = np.concatenate([np.full(20, 0.9), np.full(15, 0.2)])
+        return Partition(tuple(z)), X, scores
+
+    def test_merge_set_enumerates_capped_subsets(self):
+        p, X, _ = self._case()
+        assert dpmm.MERGE_ENUM_CAP == 12
+        assert len(merge_set(p, small_max=3, features=X)) == 2 ** 12 - 1
+
+    def test_accepted_screen_flags_only_the_twelve_smallest(self):
+        p, X, scores = self._case()
+        rep = detect_outliers(X, scores, p, DpmmConfig())
+        assert rep.accepted and len(rep.per_merge) == 2 ** 12 - 1
+        # singletons 2..13 (rows 22..33); the pair (cluster 1) is larger and
+        # singleton 14 loses the tie on its label
+        assert rep.outlier_indices == tuple(range(22, 34))
 
 
 class TestDetectOutliers:

@@ -1,19 +1,10 @@
-"""Relational pose configuration and gradient-histogram appearance features."""
+"""Relational pose configuration features."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poseboot.features import (
-    HogConfig,
-    PrFeature,
-    hog_descriptor,
-    pr_feature,
-    relational_config,
-    relational_feature,
-    relational_features,
-    relational_length,
-)
+from poseboot.features import relational_feature, relational_features, relational_length
 from poseboot.skeleton import N_JOINTS, JointId, Skeleton
 
 from _oracles import relational_config_per_pose, torso_length_per_pose
@@ -43,13 +34,13 @@ class TestDimensionality:
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            relational_config(np.zeros((2, 2)))
+            relational_features(np.zeros((2, 2))[None])[0]
 
 
 class TestRelationalComponents:
     def test_distances_match_pairwise_norms(self, rng):
         pts = rng.uniform(0, 50, (14, 2))
-        f = relational_config(pts)
+        f = relational_features(pts[None])[0]
         k = 0
         for i in range(14):
             for j in range(i + 1, 14):
@@ -60,20 +51,20 @@ class TestRelationalComponents:
         pts = np.zeros((3, 2))
         pts[1] = (1.0, 1.0)
         pts[2] = (5.0, 0.0)
-        f = relational_config(pts)
+        f = relational_features(pts[None])[0]
         n_pairs = 3
         assert f[n_pairs] == pytest.approx(np.pi / 4)  # pair (0,1)
 
     def test_triangle_angles_sum_to_pi(self, rng):
         pts = rng.uniform(0, 50, (3, 2))
-        f = relational_config(pts)
+        f = relational_features(pts[None])[0]
         angles = f[2 * 3:]
         assert angles.shape == (3,)
         assert angles.sum() == pytest.approx(np.pi)
 
     def test_right_triangle_angles(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        f = relational_config(pts)
+        f = relational_features(pts[None])[0]
         np.testing.assert_allclose(
             np.sort(f[6:]), [np.pi / 4, np.pi / 4, np.pi / 2], atol=1e-12
         )
@@ -81,7 +72,7 @@ class TestRelationalComponents:
     def test_coincident_points_give_zero_not_nan(self):
         pts = np.zeros((3, 2))
         pts[2] = (1.0, 0.0)
-        f = relational_config(pts)
+        f = relational_features(pts[None])[0]
         assert np.isfinite(f).all()
         assert f[0] == 0.0  # distance between the coincident pair
 
@@ -95,8 +86,8 @@ class TestInvariances:
     @settings(max_examples=150, deadline=None)
     @given(point_sets(), st.floats(-500, 500), st.floats(-500, 500))
     def test_translation_invariance(self, pts, dx, dy):
-        f0 = relational_config(pts)
-        f1 = relational_config(pts + np.array([dx, dy]))
+        f0 = relational_features(pts[None])[0]
+        f1 = relational_features((pts + np.array([dx, dy]))[None])[0]
         atol = 1e-6 * (1 + np.abs(f0).max())
         np.testing.assert_allclose(f1[DIST], f0[DIST], rtol=0, atol=atol)
         np.testing.assert_allclose(circular_diff(f1[ORI], f0[ORI]), 0, atol=atol)
@@ -105,8 +96,8 @@ class TestInvariances:
     @settings(max_examples=150, deadline=None)
     @given(point_sets(), st.floats(0.1, 10.0))
     def test_uniform_scaling_scales_distances_only(self, pts, k):
-        f0 = relational_config(pts)
-        f1 = relational_config(pts * k)
+        f0 = relational_features(pts[None])[0]
+        f1 = relational_features((pts * k)[None])[0]
         np.testing.assert_allclose(f1[DIST], k * f0[DIST], rtol=1e-9)
         np.testing.assert_allclose(f1[ANG], f0[ANG], rtol=0, atol=1e-7)
 
@@ -115,8 +106,8 @@ class TestInvariances:
     def test_rotation_preserves_distances_and_angles(self, pts, theta):
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s], [s, c]])
-        f0 = relational_config(pts)
-        f1 = relational_config(pts @ R.T)
+        f0 = relational_features(pts[None])[0]
+        f1 = relational_features((pts @ R.T)[None])[0]
         np.testing.assert_allclose(f1[DIST], f0[DIST], rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(f1[ANG], f0[ANG], rtol=0, atol=1e-7)
 
@@ -125,7 +116,7 @@ class TestInvariances:
         theta = 0.7
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s], [s, c]])
-        f0, f1 = relational_config(pts), relational_config(pts @ R.T)
+        f0, f1 = relational_features(pts[None])[0], relational_features((pts @ R.T)[None])[0]
         shift = np.angle(np.exp(1j * (f1[ORI] - f0[ORI] - theta)))
         np.testing.assert_allclose(shift, 0.0, atol=1e-9)
 
@@ -209,7 +200,7 @@ class TestBatched:
         F = relational_features(pts, normalize=True)
         for row, p in zip(F, pts):
             assert same_bits(row, relational_feature(Skeleton(p), normalize=True))
-        assert same_bits(relational_features(pts)[2], relational_config(pts[2]))
+        assert same_bits(relational_features(pts)[2], relational_features(pts[2][None])[0])
 
     def test_degenerate_torso_names_the_row(self, rng):
         pts = rng.normal(0.0, 40.0, size=(5, N_JOINTS, 2))
@@ -229,68 +220,3 @@ class TestBatched:
         with pytest.raises(ValueError, match="needs 14 joints"):
             relational_features(np.ones((2, 5, 2)), normalize=True)
 
-
-class TestHog:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HogConfig(window=(30, 30), cell=8)  # not divisible
-        with pytest.raises(ValueError):
-            HogConfig(window=(16, 16), cell=8, block=3)  # more blocks than cells
-
-    def test_length_formula(self):
-        cfg = HogConfig(window=(32, 32), cell=8, block=2, bins=9)
-        assert cfg.length() == 3 * 3 * 2 * 2 * 9
-        assert hog_descriptor(np.zeros((64, 64)), (32, 32), cfg).shape == (324,)
-
-    def test_step_edge_concentrates_in_one_bin(self):
-        """A vertical step edge has purely horizontal gradients: all mass in
-        the first orientation bin, and each of the 4 cells in the single
-        block contributes equally, so every nonzero normalized value is 0.5.
-        """
-        img = np.zeros((16, 16))
-        img[:, 8:] = 1.0
-        cfg = HogConfig(window=(16, 16), cell=8, block=2, bins=9)
-        desc = hog_descriptor(img, (8.0, 8.0), cfg)
-        assert desc.shape == (36,)
-        nonzero = desc[desc > 0]
-        np.testing.assert_allclose(nonzero, 0.5, atol=1e-12)
-        # mass sits in bin 0 of each cell
-        per_cell = desc.reshape(4, 9)
-        assert (per_cell[:, 1:] == 0).all()
-
-    def test_block_norms_are_zero_or_one(self, rng):
-        img = rng.uniform(0, 1, (48, 48))
-        cfg = HogConfig(window=(32, 32), cell=8, block=2, bins=9)
-        desc = hog_descriptor(img, (24.0, 24.0), cfg)
-        blocks = desc.reshape(-1, cfg.block * cfg.block * cfg.bins)
-        norms = np.linalg.norm(blocks, axis=1)
-        assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
-
-    def test_flat_image_gives_zero_descriptor(self):
-        cfg = HogConfig(window=(16, 16), cell=8, block=2, bins=9)
-        desc = hog_descriptor(np.full((32, 32), 0.3), (16.0, 16.0), cfg)
-        np.testing.assert_array_equal(desc, 0.0)
-
-    def test_window_out_of_image_rejected(self):
-        cfg = HogConfig(window=(16, 16), cell=8, block=2, bins=9)
-        with pytest.raises(ValueError, match="window exceeds image"):
-            hog_descriptor(np.zeros((8, 8)), (4.0, 4.0), cfg)
-
-
-class TestCombinedFeature:
-    def test_without_image_matches_relational(self, rng):
-        s = random_skeleton(rng)
-        pr = pr_feature(s)
-        assert pr.appearance is None
-        np.testing.assert_array_equal(pr.combined(), relational_feature(s))
-
-    def test_with_image_appends_appearance(self, rng):
-        s = Skeleton(rng.uniform(60, 130, (14, 2)))
-        img = rng.uniform(0, 1, (192, 192))
-        cfg = HogConfig(window=(32, 32), cell=8, block=2, bins=9)
-        pr = pr_feature(s, image=img, hog_cfg=cfg)
-        assert isinstance(pr, PrFeature)
-        # 13 limb windows plus one head window
-        assert pr.appearance.shape == (14 * cfg.length(),)
-        assert pr.combined().shape == (1274 + 14 * cfg.length(),)
-        assert np.isfinite(pr.combined()).all()

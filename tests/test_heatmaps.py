@@ -1,4 +1,4 @@
-"""Per-joint score maps: peak finding, assembly, and stage merging."""
+"""Per-joint score maps: peak finding and assembly."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +10,8 @@ from poseboot.heatmaps import (
     beam_assemble,
     enumerate_candidates,
     local_maxima,
-    merge_stage_candidates,
 )
-from poseboot.skeleton import CandidatePose, JointId, Skeleton
+from poseboot.skeleton import JointId
 
 from _oracles import exhaustive_assemblies
 
@@ -163,32 +162,3 @@ class TestEnumerateCandidates:
         scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
 
-
-class TestMergeStages:
-    def _cand(self, pts, score, stage=1):
-        return CandidatePose(
-            skeleton=Skeleton(pts), score=score, image_id="x", stage=stage
-        )
-
-    def test_near_duplicates_keep_higher_score(self, rng):
-        pts = rng.uniform(0, 50, (14, 2))
-        a = self._cand(pts, 0.5, stage=1)
-        b = self._cand(pts + 0.4, 0.9, stage=2)  # within 1 px everywhere
-        merged = merge_stage_candidates([[a], [b]], dup_tolerance=1.0)
-        assert merged == [b]
-
-    def test_distinct_candidates_survive_sorted(self, rng):
-        pts = rng.uniform(0, 50, (14, 2))
-        a = self._cand(pts, 0.5)
-        b = self._cand(pts + 10.0, 0.9, stage=2)
-        merged = merge_stage_candidates([[a], [b]], dup_tolerance=1.0)
-        assert merged == [b, a]
-
-    def test_one_far_joint_is_not_a_duplicate(self, rng):
-        pts = rng.uniform(0, 50, (14, 2))
-        other = pts.copy()
-        other[3] += 8.0
-        merged = merge_stage_candidates(
-            [[self._cand(pts, 0.5)], [self._cand(other, 0.4)]], dup_tolerance=1.0
-        )
-        assert len(merged) == 2

@@ -98,11 +98,6 @@ class TestCandidatePose:
         with pytest.raises(ValueError):
             CandidatePose(skeleton=s, score=float("nan"), image_id="a")
 
-    def test_stage_must_be_positive(self, rng):
-        s = random_skeleton(rng)
-        with pytest.raises(ValueError):
-            CandidatePose(skeleton=s, score=0.0, image_id="a", stage=0)
-
 
 class TestValidateSplit:
     def _split(self, rng, ws_ids=("w1", "w2"), fs_ids=("f1",), us=("u1",),

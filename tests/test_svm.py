@@ -41,6 +41,14 @@ class TestTrainSet:
         with pytest.raises(ValueError, match="one class"):
             train(TrainSet(X, np.ones(4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_the_row(self, rng, bad):
+        X = rng.normal(size=(6, 3))
+        X[4, 1] = bad
+        X[5, 0] = bad
+        with pytest.raises(ValueError, match="row 4"):
+            TrainSet(X, np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
+
 
 class TestSolver:
     def test_grid_oracle_frozen_values_still_hold(self):
