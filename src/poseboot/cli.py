@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -327,6 +328,8 @@ def _cmd_select(a: dict) -> int:
     model = fileio.load_svm_model(a["model"])
     records = fileio.read_pose_records(a["candidates"])
     margin = _pick(a, "margin", 0.0)
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
     by_image: dict[str, list] = {}
     for r in records:
         by_image.setdefault(r.image_id, []).append(r)
@@ -403,21 +406,12 @@ def _cmd_outliers(a: dict) -> int:
 
 
 def _cmd_pipeline(a: dict) -> int:
-    split, truth, heatmaps = _load_corpus(a["corpus"])
-    scheme = Scheme.parse(a["scheme"])
-    gen = CandidateGenConfig()
-    annotated = set(split.fs_ids())  # run_iteration never reads their candidates
-    candidates = {
-        image_id: enumerate_candidates(maps, gen, image_id=image_id)
-        for image_id, maps in heatmaps.items()
-        if image_id not in annotated
-    }
     dp = DpmmConfig(
         gibbs_iters=_pick(a, "gibbs_iters", 400),
         burn_in=_pick(a, "burn_in", 120),
     )
     cfg = PipelineConfig(
-        scheme=scheme,
+        scheme=Scheme.parse(a["scheme"]),
         max_iterations=_pick(a, "iterations", 2),
         eps=_pick(a, "eps", 0.7),
         n_synth=_pick(a, "n_synth", 10),
@@ -426,6 +420,14 @@ def _cmd_pipeline(a: dict) -> int:
         dpmm=dp,
         seed=_pick(a, "seed", 0),
     )
+    split, truth, heatmaps = _load_corpus(a["corpus"])
+    gen = CandidateGenConfig()
+    annotated = set(split.fs_ids())  # run_iteration never reads their candidates
+    candidates = {
+        image_id: enumerate_candidates(maps, gen, image_id=image_id)
+        for image_id, maps in heatmaps.items()
+        if image_id not in annotated
+    }
     gt = truth if a["audit"] else None
     states = run_pipeline(split, candidates, cfg, exchange_dir=a["exchange"], gt=gt)
     prev = 0

@@ -147,9 +147,11 @@ def _record_from_dict(d: dict, where: str) -> PoseRecord:
         raise ValueError(f"{where}: keypoints must be finite")
     action = None
     if d.get("action") is not None:
+        if not isinstance(d["action"], str):
+            raise ValueError(f"{where}: action must be a string")
         try:
             action = ActionLabel.parse(d["action"])
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
     score = d.get("score")
     if score is not None and not isinstance(score, (int, float)):
@@ -165,8 +167,12 @@ def _record_from_dict(d: dict, where: str) -> PoseRecord:
 def read_pose_records(path: Union[str, Path]) -> list[PoseRecord]:
     """Parse a line-delimited pose file; errors name the offending line."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+    with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"line {lineno}: invalid UTF-8 at byte {e.start}") from None
             if not line.strip():
                 continue
             try:
@@ -207,6 +213,7 @@ def read_heatmaps(path: Union[str, Path]) -> list[Heatmap]:
     out = []
     pos = 0
     while pos < len(data):
+        start = pos
         if len(data) - pos < _HM_HEADER.size:
             raise ValueError(f"truncated heatmap header at offset {pos}")
         magic, joint, width, height, stride, ox, oy = _HM_HEADER.unpack_from(data, pos)
@@ -224,7 +231,10 @@ def read_heatmaps(path: Union[str, Path]) -> list[Heatmap]:
             .astype(np.float64)
         )
         pos += need
-        out.append(Heatmap(joint=JointId(joint), grid=grid, stride=stride, origin=(ox, oy)))
+        try:
+            out.append(Heatmap(joint=JointId(joint), grid=grid, stride=stride, origin=(ox, oy)))
+        except ValueError as e:
+            raise ValueError(f"heatmap at offset {start}: {e}") from None
     return out
 
 

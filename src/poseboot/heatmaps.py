@@ -6,6 +6,7 @@ order by cumulative likelihood.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -39,8 +40,10 @@ class Heatmap:
             raise ValueError("grid must be a non-empty 2-D array")
         if not np.all(np.isfinite(g)) or g.min() < 0.0 or g.max() > 1.0:
             raise ValueError("grid values must lie in [0, 1]")
-        if not (self.stride > 0):
-            raise ValueError("stride must be positive")
+        if not 0.0 < self.stride < np.inf:
+            raise ValueError(f"stride must be finite and positive, got {self.stride}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {tuple(self.origin)}")
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)

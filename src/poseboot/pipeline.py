@@ -11,6 +11,7 @@ Acceptance is append-only within a run and capped at max_iterations
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -72,8 +73,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.n_synth < 0 or self.eps < 0:
-            raise ValueError("n_synth and eps must be non-negative")
+        if self.n_synth < 0:
+            raise ValueError("n_synth must be non-negative")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
         if self.max_negatives < 1:
             raise ValueError("max_negatives must be >= 1")
 

@@ -10,6 +10,7 @@ the model and applied inside decision().
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -89,13 +90,6 @@ class SvmModel:
         Z = (X - self.mean) / self.std
         return (Z[:, None, :] @ self.weights[:, None])[:, 0, 0] + self.bias
 
-    def effective_weights(self) -> np.ndarray:
-        """Weights acting on raw (unstandardized) features."""
-        return self.weights / self.std
-
-    def effective_bias(self) -> float:
-        return float(self.bias - np.sum(self.weights * self.mean / self.std))
-
 
 def _incident_limb_lengths(skel: Skeleton) -> np.ndarray:
     """Min annotated length over limbs touching each joint, shape (14,)."""
@@ -122,8 +116,8 @@ def synthesize_positives(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     radii = eps * _incident_limb_lengths(annotation)
     radii[~np.isfinite(radii)] = 0.0
     out = []
@@ -153,6 +147,11 @@ def mine_negatives(
     return out
 
 
+# epochs between resets of the shrunk active set to all samples; without the
+# reset a sample shrunk too early is never visited again and the gap drifts
+_FULL_SWEEP_EVERY = 10
+
+
 def train(
     ts: TrainSet,
     reg: float = 1.0,
@@ -160,16 +159,26 @@ def train(
     max_iter: Optional[int] = None,
     standardize: bool = True,
 ) -> SvmModel:
-    """Dual coordinate descent on the box-constrained hinge dual.
+    """Dual coordinate descent on the box-constrained hinge dual, with
+    shrinking (Hsieh et al., ICML 2008, section 3.2).
 
-    Samples are visited in fixed cyclic order, so the result is
-    deterministic. Stops when the primal-dual gap falls to tol or after
-    max_iter epochs (default 1000).
+    An epoch visits the active samples in fixed cyclic order, so the result
+    is deterministic. A sample leaves the active set when it sits at a bound
+    and its gradient points out of the box beyond the range of the previous
+    epoch's projected gradients: alpha=0 with a gradient above their
+    maximum, or alpha=reg with one below their minimum (a maximum <= 0 or
+    a minimum >= 0 shrinks nothing on its side). Every 10 epochs
+    (_FULL_SWEEP_EVERY) the active set is reset to all samples, so a sample
+    shrunk too early is visited again. No step lowers the dual objective;
+    the primal can rise from one epoch to the next. Stops when the
+    primal-dual gap, computed over all samples, falls to tol or after
+    max_iter epochs (default 1000). objective_history (primal) and
+    gap_history hold one entry per epoch.
     """
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not reg > 0:
+        raise ValueError(f"reg must be positive, got {reg}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     y = ts.labels
     n, d = ts.features.shape
     if np.all(y == y[0]):
@@ -183,34 +192,56 @@ def train(
     else:
         mean = np.zeros(d)
         std = np.ones(d)
-    # standardized in place in the augmented matrix: one copy of the data
+    # standardized in place in the augmented matrix: one copy of the data;
+    # row i holds y_i * [z_i, 1], exact since y_i is +/-1
     X = np.empty((n, d + 1))
     np.subtract(ts.features, mean, out=X[:, :d])
     X[:, :d] /= std
     X[:, d] = 1.0
+    X *= y[:, None]
 
     C = reg
+    rows = list(X)
     q_diag = np.einsum("ij,ij->i", X, X)  # constant-1 column keeps this >= 1
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
+    w_dot = w.dot  # bound once; w is only updated in place
     obj_hist: list[float] = []
     gap_hist: list[float] = []
-    for _ in range(max_iter):
-        for i in range(n):
-            g = y[i] * (w @ X[i]) - 1.0
+    for epoch in range(max_iter):
+        if epoch % _FULL_SWEEP_EVERY == 0:  # epoch 0 included
+            active = list(range(n))
+            pg_max, pg_min = math.inf, -math.inf
+        kept = []
+        hi, lo = -math.inf, math.inf
+        for i in active:
+            xi = rows[i]
+            g = w_dot(xi) - 1.0
             a = alpha[i]
             if a == 0.0:
+                if g > pg_max:
+                    continue
                 pg = min(g, 0.0)
             elif a == C:
+                if g < pg_min:
+                    continue
                 pg = max(g, 0.0)
             else:
                 pg = g
+            kept.append(i)
+            if pg > hi:
+                hi = pg
+            if pg < lo:
+                lo = pg
             if pg != 0.0:
                 new_a = min(max(a - g / q_diag[i], 0.0), C)
                 if new_a != a:
-                    w += (new_a - a) * y[i] * X[i]
+                    w += (new_a - a) * xi
                     alpha[i] = new_a
-        margins = y * (X @ w)
+        active = kept
+        pg_max = hi if hi > 0.0 else math.inf
+        pg_min = lo if lo < 0.0 else -math.inf
+        margins = X @ w  # the labels are folded into X
         primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
         dual = np.sum(alpha) - 0.5 * (w @ w)
         obj_hist.append(float(primal))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate, stats
@@ -124,6 +125,79 @@ def svm_grid_minimum(X: np.ndarray, y: np.ndarray, C: float = 1.0,
         ).sum(axis=0)
         best = min(best, float(J.min()))
     return best
+
+
+def effective_weights(model) -> np.ndarray:
+    """A selector's weights acting on raw (unstandardized) features."""
+    return model.weights / model.std
+
+
+def effective_bias(model) -> float:
+    """A selector's bias acting on raw (unstandardized) features."""
+    return float(model.bias - np.sum(model.weights * model.mean / model.std))
+
+
+def svm_train_reference(X: np.ndarray, y: np.ndarray, reg: float = 1.0,
+                        tol: float = 1e-4, max_iter: int = 1000,
+                        standardize: bool = True) -> SimpleNamespace:
+    """Dual coordinate descent without shrinking: every sample, every epoch.
+
+    Samples are visited in fixed cyclic order and labels multiply each
+    step. Stops when the primal-dual gap falls to tol or after max_iter
+    epochs. Returns mean, std, weights, bias and the per-epoch
+    objective_history (primal) and gap_history.
+    """
+    X0 = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X0.shape
+    if standardize:
+        mean = X0.mean(axis=0)
+        std = X0.std(axis=0)
+        std[std == 0.0] = 1.0
+    else:
+        mean = np.zeros(d)
+        std = np.ones(d)
+    X = np.empty((n, d + 1))
+    np.subtract(X0, mean, out=X[:, :d])
+    X[:, :d] /= std
+    X[:, d] = 1.0
+
+    C = reg
+    q_diag = np.einsum("ij,ij->i", X, X)
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    obj_hist: list[float] = []
+    gap_hist: list[float] = []
+    for _ in range(max_iter):
+        for i in range(n):
+            g = y[i] * (w @ X[i]) - 1.0
+            a = alpha[i]
+            if a == 0.0:
+                pg = min(g, 0.0)
+            elif a == C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                new_a = min(max(a - g / q_diag[i], 0.0), C)
+                if new_a != a:
+                    w += (new_a - a) * y[i] * X[i]
+                    alpha[i] = new_a
+        margins = y * (X @ w)
+        primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
+        dual = np.sum(alpha) - 0.5 * (w @ w)
+        obj_hist.append(float(primal))
+        gap_hist.append(float(primal - dual))
+        if primal - dual <= tol:
+            break
+    return SimpleNamespace(
+        mean=mean,
+        std=std,
+        weights=w[:d].copy(),
+        bias=float(w[d]),
+        objective_history=tuple(obj_hist),
+        gap_history=tuple(gap_hist),
+    )
 
 
 def exhaustive_assemblies(per_joint: list[list[float]]) -> list[tuple[tuple[int, ...], float]]:

@@ -204,6 +204,36 @@ class TestSelectionFlow:
         assert cli.main(args + ["--tol", "1"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "flag, named",
+        [("--reg", "reg must be positive, got nan"),
+         ("--tol", "tol must be positive, got nan"),
+         ("--eps", "eps must be finite and non-negative, got nan")],
+    )
+    def test_train_svm_nan_option_is_data_error(self, tmp_path, rng, capsys, flag, named):
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        rc = cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                       "--out", str(tmp_path / "sel.svm"), "--synth", "1", flag, "nan"])
+        assert rc == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "sel.svm").exists()
+
+    def test_select_nan_margin_is_data_error(self, tmp_path, rng, capsys):
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        model = tmp_path / "sel.svm"
+        assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                         "--out", str(model)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["select", "--model", str(model), "--candidates", str(pos),
+                       "--out", str(tmp_path / "picks.jsonl"), "--margin", "nan"])
+        assert rc == 2
+        assert "error: margin must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "picks.jsonl").exists()
+
     def test_candidates_single_file(self, corpus_dir, tmp_path):
         hm = sorted((corpus_dir / "heatmaps").glob("*.hm"))[0]
         out = tmp_path / "one.jsonl"
@@ -337,6 +367,19 @@ class TestPipelineCommand:
         assert (exchange / "report_iter1.txt").exists()
         report = (exchange / "report_iter1.txt").read_text()
         assert "scheme weak" in report
+
+    @pytest.mark.parametrize(
+        "flag, named",
+        [("--margin", "margin must be finite, got nan"),
+         ("--eps", "eps must be finite and non-negative, got nan")],
+    )
+    def test_nan_option_is_data_error(self, corpus_dir, tmp_path, capsys, flag, named):
+        exchange = tmp_path / "x"
+        rc = cli.main(["pipeline", "--corpus", str(corpus_dir), "--exchange", str(exchange),
+                       "--scheme", "weak", flag, "nan"])
+        assert rc == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not exchange.exists()
 
     def test_bad_scheme_is_data_error(self, corpus_dir, tmp_path, capsys):
         rc = cli.main(

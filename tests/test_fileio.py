@@ -1,9 +1,12 @@
 """On-disk formats: pose records, score-map blobs, models, config."""
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poseboot import fileio
 from poseboot.heatmaps import Heatmap
@@ -64,6 +67,19 @@ class TestPoseRecords:
         with pytest.raises(ValueError, match="line 1"):
             fileio.read_pose_records(tmp_path / "r.jsonl")
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        data = _valid_pose_bytes().splitlines(keepends=True)
+        data[1] = data[1].replace(b"bg_002", b"bg_\xff02")
+        (tmp_path / "r.jsonl").write_bytes(b"".join(data))
+        with pytest.raises(ValueError, match="line 2: invalid UTF-8 at byte 16"):
+            fileio.read_pose_records(tmp_path / "r.jsonl")
+
+    def test_non_string_action_rejected(self, tmp_path, keypoints):
+        rec = {"image_id": "a", "keypoints": keypoints.tolist(), "action": 5}
+        (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match="line 1: action must be a string"):
+            fileio.read_pose_records(tmp_path / "r.jsonl")
+
     def test_skeleton_view(self, keypoints):
         rec = fileio.PoseRecord("a", keypoints)
         np.testing.assert_array_equal(rec.skeleton().keypoints, keypoints)
@@ -118,6 +134,19 @@ class TestHeatmapBlobs:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="joint"):
             fileio.read_heatmaps(path)
+
+    @pytest.mark.parametrize(
+        "field_offset, value, named",
+        [(20, float("nan"), "stride must be finite and positive"),
+         (28, float("inf"), "origin must be finite")],
+    )
+    def test_bad_second_header_names_its_offset(self, tmp_path, field_offset, value, named):
+        data = bytearray(_valid_heatmap_bytes())
+        second = data.index(b"PBHMAP01", 1)
+        struct.pack_into("<d", data, second + field_offset, value)
+        (tmp_path / "m.hm").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"heatmap at offset {second}: {named}"):
+            fileio.read_heatmaps(tmp_path / "m.hm")
 
 
 class TestModelBlob:
@@ -178,3 +207,62 @@ class TestAtomicWrite:
         fileio.atomic_write(target, "one")
         fileio.atomic_write(target, "two")
         assert target.read_text() == "two"
+
+
+def _valid_pose_bytes() -> bytes:
+    kp = np.arange(28, dtype=float).reshape(14, 2) * 1.5 + 0.25
+    recs = [
+        fileio.PoseRecord("a_001", kp, ActionLabel.TENNIS, score=0.5, provenance="svm"),
+        fileio.PoseRecord("bg_002", kp[::-1], score=1e-3),
+        fileio.PoseRecord("c", kp + 100.0, ActionLabel.GYMNASTICS),
+    ]
+    return "".join(json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in recs).encode()
+
+
+def _valid_heatmap_bytes() -> bytes:
+    g = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    maps = [
+        Heatmap(JointId.HEAD, g, stride=4.0, origin=(1.5, -2.5)),
+        Heatmap(JointId.R_ANKLE, g[:2, :2] * 0.5),
+    ]
+    return b"".join(fileio._pack_heatmap(h) for h in maps)
+
+
+@st.composite
+def _damaged(draw, data: bytes) -> bytes:
+    """The file cut at some length, then up to 8 bytes overwritten."""
+    buf = bytearray(data[: draw(st.integers(0, len(data)))])
+    if buf:
+        for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(buf) - 1),
+                                                 st.integers(0, 255)), max_size=8)):
+            buf[pos] = byte
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestReadersUnderDamage:
+    """A damaged file either parses or raises a ValueError naming where."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_damaged(_valid_pose_bytes()))
+    def test_pose_records(self, fuzz_dir, data):
+        path = fuzz_dir / "r.jsonl"
+        path.write_bytes(data)
+        try:
+            fileio.read_pose_records(path)
+        except ValueError as e:
+            assert re.search(r"\bline \d+", str(e)), str(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_damaged(_valid_heatmap_bytes()))
+    def test_heatmaps(self, fuzz_dir, data):
+        path = fuzz_dir / "m.hm"
+        path.write_bytes(data)
+        try:
+            fileio.read_heatmaps(path)
+        except ValueError as e:
+            assert re.search(r"\boffset \d+", str(e)), str(e)

@@ -77,7 +77,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(max_iterations=0), dict(n_synth=-1), dict(eps=-0.1),
-         dict(max_negatives=0)],
+         dict(max_negatives=0), dict(eps=float("nan")), dict(eps=float("inf")),
+         dict(margin=float("nan")), dict(margin=float("inf"))],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Max-margin pose selector: training, solver quality, selection rules."""
+import types
+
 import numpy as np
 import pytest
 
+from poseboot import svm
 from poseboot.features import relational_feature
 from poseboot.metrics import pcp_correct
 from poseboot.skeleton import ActionLabel, CandidatePose, Skeleton
@@ -14,7 +17,13 @@ from poseboot.svm import (
     train,
 )
 
-from _oracles import svm_grid_minimum, svm_objective
+from _oracles import (
+    effective_bias,
+    effective_weights,
+    svm_grid_minimum,
+    svm_objective,
+    svm_train_reference,
+)
 from conftest import random_skeleton
 
 # two tiny benchmark problems with brute-force-verified optima
@@ -50,6 +59,16 @@ class TestTrainSet:
             TrainSet(X, np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
 
 
+@pytest.fixture(scope="module")
+def noisy_set():
+    """300 overlapping samples in 20 dims: many bounded and free duals."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(300, 20))
+    beta = rng.normal(size=20)
+    y = np.where(X @ beta + rng.normal(scale=2.0, size=300) > 0, 1.0, -1.0)
+    return X, y
+
+
 class TestSolver:
     def test_grid_oracle_frozen_values_still_hold(self):
         """Re-derive the frozen constants from the brute-force grid."""
@@ -65,7 +84,7 @@ class TestSolver:
         """The continuous optimum can only undercut the 0.05-step grid, so the
         solver must land at or below the grid value (within tolerance)."""
         m = train(TrainSet(X, y), reg=1.0, tol=1e-8, max_iter=100000, standardize=False)
-        j = svm_objective(m.effective_weights(), m.effective_bias(), X, y)
+        j = svm_objective(effective_weights(m), effective_bias(m), X, y)
         assert j <= grid_j + 1e-2
         assert m.gap_history[-1] <= 1e-8
 
@@ -84,9 +103,52 @@ class TestSolver:
         """No linear separator helps on XOR; the optimum is w = 0, objective 4."""
         m = train(TrainSet(X_XOR, Y_XOR), tol=1e-10, max_iter=100000, standardize=False)
         assert svm_objective(
-            m.effective_weights(), m.effective_bias(), X_XOR, Y_XOR
+            effective_weights(m), effective_bias(m), X_XOR, Y_XOR
         ) == pytest.approx(4.0, abs=1e-8)
-        np.testing.assert_allclose(m.effective_weights(), 0.0, atol=1e-8)
+        np.testing.assert_allclose(effective_weights(m), 0.0, atol=1e-8)
+
+    def test_dual_never_decreases(self, noisy_set):
+        """Every coordinate step maximizes the dual along its coordinate, so
+        the dual cannot fall, whichever samples an epoch visits."""
+        X, y = noisy_set
+        for reg in (0.1, 1.0):
+            m = train(TrainSet(X, y), reg=reg, tol=1e-6)
+            dual = np.array(m.objective_history) - np.array(m.gap_history)
+            assert np.all(np.diff(dual) >= -1e-12), np.diff(dual).min()
+
+    def test_agrees_with_unshrunk_reference(self, noisy_set):
+        X, y = noisy_set
+        tol = 1e-6
+        m = train(TrainSet(X, y), reg=0.1, tol=tol)
+        ref = svm_train_reference(X, y, reg=0.1, tol=tol)
+        assert m.gap_history[-1] <= tol and ref.gap_history[-1] <= tol
+        assert len(m.objective_history) < 1000 and len(ref.objective_history) < 1000
+        assert abs(m.objective_history[-1] - ref.objective_history[-1]) <= tol
+
+    def test_without_shrinking_matches_reference_bit_for_bit(self, noisy_set):
+        """A copy of train that resets the active set every epoch never skips
+        a sample, so folding the labels into the rows changes no bit."""
+        X, y = noisy_set
+        unshrunk = types.FunctionType(
+            train.__code__, {**vars(svm), "_FULL_SWEEP_EVERY": 1}, "train", train.__defaults__
+        )
+        for reg, max_iter in ((1.0, 200), (0.1, 1000)):
+            m = unshrunk(TrainSet(X, y), reg=reg, tol=1e-6, max_iter=max_iter)
+            ref = svm_train_reference(X, y, reg=reg, tol=1e-6, max_iter=max_iter)
+            assert np.array_equal(m.weights, ref.weights)
+            assert m.bias == ref.bias
+            assert m.objective_history == ref.objective_history
+            assert m.gap_history == ref.gap_history
+        # whereas the shipped solver skips samples, and its path departs
+        shrunk = train(TrainSet(X, y), reg=1.0, tol=1e-6, max_iter=200)
+        ref = svm_train_reference(X, y, reg=1.0, tol=1e-6, max_iter=200)
+        assert not np.array_equal(shrunk.weights, ref.weights)
+
+    @pytest.mark.parametrize("field", ["reg", "tol"])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_non_positive_or_nan_option_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be positive, got {bad}"):
+            train(TrainSet(X_SEP, Y_SEP), **{field: bad})
 
     def test_standardization_stored_and_applied(self, rng):
         X = rng.normal(size=(30, 4)) * np.array([1.0, 10.0, 0.1, 5.0]) + 7.0
@@ -95,7 +157,7 @@ class TestSolver:
         assert m.mean.shape == (4,) and m.std.shape == (4,)
         # decision must agree with the effective raw-space form
         d1 = m.decisions(X)
-        d2 = X @ m.effective_weights() + m.effective_bias()
+        d2 = X @ effective_weights(m) + effective_bias(m)
         np.testing.assert_allclose(d1, d2, atol=1e-9)
 
     def test_decisions_equal_decision_exactly(self, rng):
@@ -140,6 +202,11 @@ class TestSynthesizePositives:
         base = random_skeleton(rng)
         (s,) = synthesize_positives(base, 1, eps=0.0, rng=rng)
         np.testing.assert_array_equal(s.keypoints, base.keypoints)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_eps_must_be_finite_and_non_negative(self, rng, bad):
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            synthesize_positives(random_skeleton(rng), 1, eps=bad, rng=rng)
 
     def test_jitter_strictly_inside_radius(self, rng):
         base = random_skeleton(rng)
