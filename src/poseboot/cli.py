@@ -375,8 +375,8 @@ def _dpmm_config(a: dict) -> DpmmConfig:
 
 
 def _cmd_cluster(a: dict) -> int:
-    _, X, _ = _features_and_scores(a["poses"])
     cfg = _dpmm_config(a)
+    _, X, _ = _features_and_scores(a["poses"])
     X = project_features(X, cfg)
     p = gibbs_cluster(X, cfg)
     sizes = ",".join(str(s) for s in p.sizes())
@@ -391,8 +391,8 @@ def _cmd_cluster(a: dict) -> int:
 
 
 def _cmd_outliers(a: dict) -> int:
-    records, X, scores = _features_and_scores(a["poses"])
     cfg = _dpmm_config(a)
+    records, X, scores = _features_and_scores(a["poses"])
     X = project_features(X, cfg)
     p = gibbs_cluster(X, cfg)
     report = detect_outliers(X, scores, p, cfg)

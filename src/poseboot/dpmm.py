@@ -11,7 +11,7 @@ replaced by score-weighted counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,8 +128,10 @@ class DpmmConfig:
     small_cluster_max: int = 3
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0 or self.alpha <= 0:
-            raise ValueError("gamma and alpha must be positive")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (0 <= self.burn_in < self.gibbs_iters):
             raise ValueError("need 0 <= burn_in < gibbs_iters")
         if self.pca_dim is not None and self.pca_dim < 1:
@@ -539,13 +541,12 @@ def recover_poses(
         return []
     X = project_features(np.vstack([np.asarray(f, dtype=np.float64) for _, f in candidates]), cfg)
     scores = np.array([c.score for c, _ in candidates])
-    work = replace(cfg, base=cfg.base if cfg.base is not None else NigBase.from_data(X))
-    p = gibbs_cluster(X, work)
-    report = detect_outliers(X, scores, p, work)
+    p = gibbs_cluster(X, cfg)
+    report = detect_outliers(X, scores, p, cfg)
     if report.accepted:
         keep = set(range(len(candidates))) - set(report.outlier_indices)
     else:
-        _, large = _small_and_large(p, work.small_cluster_max)
+        _, large = _small_and_large(p, cfg.small_cluster_max)
         z = np.asarray(p.assignments)
         keep = {int(i) for i in np.flatnonzero(np.isin(z, large))}
     best: dict[str, tuple[int, CandidatePose]] = {}

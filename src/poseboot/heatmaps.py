@@ -59,8 +59,10 @@ class CandidateGenConfig:
     def __post_init__(self) -> None:
         if self.top_k < 1 or self.beam < 1:
             raise ValueError("top_k and beam must be >= 1")
-        if self.nms_radius < 0:
-            raise ValueError("nms_radius must be non-negative")
+        if not self.nms_radius >= 0:
+            raise ValueError(f"nms_radius must be non-negative, got {self.nms_radius}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Pose evaluation: per-limb PCP, per-joint PCK, and selection statistics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -58,8 +59,8 @@ def pck_correct(
     ref: ReferenceLength = ReferenceLength.BBOX_MAX_SIDE,
 ) -> np.ndarray:
     """Per-joint flags: estimate within frac * reference length of the truth."""
-    if frac < 0:
-        raise ValueError("frac must be non-negative")
+    if not 0.0 <= frac < math.inf:
+        raise ValueError(f"frac must be finite and non-negative, got {frac}")
     r = _reference(gt, ref)
     if r <= 0.0:
         raise ValueError("degenerate reference")

@@ -159,34 +159,16 @@ def _features(skels: Sequence[Skeleton]) -> np.ndarray:
     return relational_features(kp.reshape(len(skels), N_JOINTS, 2), normalize=True)
 
 
-def run_iteration(
+def _train_selectors(
     state: IterationState,
     split: DatasetSplit,
     candidates_in: dict[str, Sequence[CandidatePose]],
     cfg: PipelineConfig,
-    gt: Optional[dict[str, Skeleton]] = None,
-) -> IterationState:
-    """One training-selection round; returns the successor state.
-
-    candidates_in maps image ids to candidate lists and must cover the
-    background images (their detections are the negative pool). Target
-    images are the non-background, non-annotated ids; under weak/weakC each
-    target must carry an action label in the split.
-    """
-    it = state.iteration + 1
-    rng = np.random.default_rng([cfg.seed, it])
-    fs_ids = set(split.fs_ids())
-    bg_ids = set(split.backgrounds)
-    accepted_ids = state.accepted_ids()
-    ws_action = split.ws_actions()
-
-    targets = [i for i in sorted(candidates_in) if i not in bg_ids and i not in fs_ids]
-    if cfg.scheme in (Scheme.WEAK, Scheme.WEAKC):
-        for i in targets:
-            if i not in ws_action:
-                raise ValueError(f"missing action grouping for image {i!r}")
-
-    # positive pool: annotations plus previously accepted poses, jittered
+    scored: Sequence[str],
+) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
+    """Selectors for the images in scored: the annotations plus the poses
+    accepted so far, jittered, against negatives mined from the backgrounds."""
+    rng = np.random.default_rng([cfg.seed, state.iteration + 1])
     annotations: list[tuple[Skeleton, ActionLabel]] = [
         (e.skeleton, e.action) for e in split.fs
     ] + [(a.skeleton, a.action) for a in state.accepted]
@@ -210,52 +192,81 @@ def run_iteration(
 
     if cfg.scheme is Scheme.SEMI:
         pooled = [f for feats in positives_by_action.values() for f in feats]
-        general = _fit(pooled, negatives, cfg.reg, cfg.tol, cfg.max_iter)
-        models: dict[ActionLabel, SvmModel] = {}
-    else:
-        general, models = specialize_models(
-            positives_by_action,
-            negatives,
-            counts,
-            reg=cfg.reg,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            min_annotations=cfg.min_action_annotations,
-            target_actions={ws_action[i] for i in targets if candidates_in[i]},
-        )
+        return _fit(pooled, negatives, cfg.reg, cfg.tol, cfg.max_iter), {}
+    ws_action = split.ws_actions()
+    return specialize_models(
+        positives_by_action,
+        negatives,
+        counts,
+        reg=cfg.reg,
+        tol=cfg.tol,
+        max_iter=cfg.max_iter,
+        min_annotations=cfg.min_action_annotations,
+        target_actions={ws_action[i] for i in scored},
+    )
+
+
+def run_iteration(
+    state: IterationState,
+    split: DatasetSplit,
+    candidates_in: dict[str, Sequence[CandidatePose]],
+    cfg: PipelineConfig,
+    gt: Optional[dict[str, Skeleton]] = None,
+) -> IterationState:
+    """One training-selection round; returns the successor state.
+
+    candidates_in maps image ids to candidate lists and must cover the
+    background images (their detections are the negative pool); every
+    candidate in candidates_in[i] must carry image_id == i. Target images
+    are the non-background, non-annotated ids; under weak/weakC each
+    target must carry an action label in the split. Only open targets,
+    those with no accepted pose yet, are scored: a pick is accepted at
+    once, and under weakC an open image without one goes to cluster
+    recovery. When no open image has candidates the round trains nothing
+    (general_model None, no models). The report scores every target by
+    its accepted pose.
+    """
+    ws_action = split.ws_actions()
+    excluded = set(split.fs_ids()) | set(split.backgrounds)
+    targets = [i for i in sorted(candidates_in) if i not in excluded]
+    if cfg.scheme in (Scheme.WEAK, Scheme.WEAKC):
+        for i in targets:
+            if i not in ws_action:
+                raise ValueError(f"missing action grouping for image {i!r}")
+    accepted_ids = state.accepted_ids()
+    open_ids = [i for i in targets if i not in accepted_ids]
+    scored = [i for i in open_ids if candidates_in[i]]
+
+    general, models = (
+        _train_selectors(state, split, candidates_in, cfg, scored) if scored else (None, {})
+    )
 
     # one image's candidates are featurized at a time and dropped after
     # scoring; weakC keeps copies of the rows its cluster stage needs
-    selected: dict[str, CandidatePose] = {}
+    recover = cfg.scheme is Scheme.WEAKC
+    new_accepted = list(state.accepted)
     leftovers: dict[str, list[tuple[CandidatePose, np.ndarray]]] = {}
-    for i in targets:
+    for i in open_ids:
         cands = list(candidates_in[i])
-        recover = cfg.scheme is Scheme.WEAKC and i not in accepted_ids
         pool: list[tuple[CandidatePose, np.ndarray]] = []
         if cands:
-            model = general if cfg.scheme is Scheme.SEMI else models.get(ws_action[i], general)
+            # semi has no per-action models, so every image gets the general one
+            model = models.get(ws_action.get(i), general)
             feats = _features([c.skeleton for c in cands])
             pick = select(model, cands, feats, cfg.margin)
             if pick is not None:
-                selected[i] = pick
+                action = ws_action.get(i, pick.action or ActionLabel.GENERAL)
+                new_accepted.append(AcceptedPose(i, pick.skeleton, action, "svm"))
                 continue
             if recover:
                 best = sorted(range(len(cands)), key=lambda j: -cands[j].score)
                 pool = [(cands[j], feats[j].copy()) for j in best[: cfg.recover_per_image]]
         if recover:
+            # images without candidates stay, so each action keeps its seed index
             leftovers[i] = pool
 
-    new_accepted = list(state.accepted)
-    fresh: dict[str, CandidatePose] = {}
-    for i in targets:
-        pick = selected.get(i)
-        if pick is None or i in accepted_ids:
-            continue
-        action = ws_action.get(i, pick.action or ActionLabel.GENERAL)
-        new_accepted.append(AcceptedPose(i, pick.skeleton, action, "svm"))
-        fresh[i] = pick
-
-    if cfg.scheme is Scheme.WEAKC:
+    it = state.iteration + 1
+    if recover:
         # second chance for images the selector left empty: their best few
         # candidates are clustered per action and plausible ones recovered
         by_action: dict[ActionLabel, list[tuple[CandidatePose, np.ndarray]]] = {}
@@ -265,20 +276,15 @@ def run_iteration(
             seed = int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])
             dp = replace(cfg.dpmm, seed=seed)
             for cand in recover_poses(by_action[action], dp):
-                i = cand.image_id
-                if i in selected or i in accepted_ids or i in fresh:
-                    continue  # selector wins conflicts; acceptance is append-only
-                new_accepted.append(AcceptedPose(i, cand.skeleton, action, "cluster"))
-                fresh[i] = cand
-                selected[i] = cand
+                new_accepted.append(AcceptedPose(cand.image_id, cand.skeleton, action, "cluster"))
 
     reports = state.reports
     if gt is not None:
-        ws_truth = [(i, gt.get(i)) for i in targets]
+        target_set = set(targets)
         report = selection_stats(
-            ws_truth,
-            {i: list(candidates_in[i]) for i in targets},
-            _carried_selected(selected, state, targets, candidates_in),
+            [(i, gt.get(i)) for i in targets],
+            candidates_in,
+            {a.image_id: a for a in new_accepted if a.image_id in target_set},
             cfg.eps,
             actions={i: ws_action[i] for i in targets if i in ws_action},
         )
@@ -291,23 +297,6 @@ def run_iteration(
         general_model=general,
         reports=reports,
     )
-
-
-def _carried_selected(
-    selected: dict[str, CandidatePose],
-    state: IterationState,
-    targets: Sequence[str],
-    candidates_in: dict[str, Sequence[CandidatePose]],
-) -> dict[str, CandidatePose]:
-    """This iteration's picks plus earlier acceptances, as selection output."""
-    out = dict(selected)
-    target_set = set(targets)
-    for a in state.accepted:
-        if a.image_id in target_set and a.image_id not in out:
-            out[a.image_id] = CandidatePose(
-                skeleton=a.skeleton, score=0.0, image_id=a.image_id, action=a.action
-            )
-    return out
 
 
 def stop_check(prev: IterationState, cur: IterationState, cfg: PipelineConfig) -> bool:

@@ -5,6 +5,7 @@ Ground truth is returned for evaluation only; the pipeline never sees it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,8 +84,8 @@ class SynthConfig:
             raise ValueError("outlier_rate must be in [0, 1]")
         if not 0.0 <= self.ws_fraction <= 1.0:
             raise ValueError("ws_fraction must be in [0, 1]")
-        if self.base_noise < 0:
-            raise ValueError("base_noise must be non-negative")
+        if not 0.0 <= self.base_noise < math.inf:
+            raise ValueError(f"base_noise must be finite and non-negative, got {self.base_noise}")
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,14 @@ class TestSynth:
         for f in sorted((a / "heatmaps").iterdir()):
             assert f.read_bytes() == (b / "heatmaps" / f.name).read_bytes()
 
+    def test_nan_noise_is_data_error_naming_the_field(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        rc = cli.main(["synth", "--out", str(out), "--actions", "1", "--poses", "2",
+                       "--noise", "nan"])
+        assert rc == 2
+        assert "error: base_noise must be finite and non-negative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFeatures:
     def test_relational_matrix(self, corpus_dir, tmp_path, capsys):
@@ -247,6 +255,27 @@ class TestSelectionFlow:
         out = capsys.readouterr().out
         assert "mean 100.0 over 12 images" in out
 
+    @pytest.mark.parametrize(
+        "flag, named",
+        [("--threshold", "threshold must be finite, got nan"),
+         ("--nms-radius", "nms_radius must be non-negative, got nan")],
+    )
+    def test_candidates_nan_option_is_data_error(self, corpus_dir, tmp_path, capsys, flag, named):
+        out = tmp_path / "c.jsonl"
+        rc = cli.main(["candidates", "--heatmaps", str(corpus_dir / "heatmaps"),
+                       "--out", str(out), flag, "nan"])
+        assert rc == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_nan_frac_is_data_error(self, corpus_dir, capsys):
+        truth = str(corpus_dir / "truth.jsonl")
+        rc = cli.main(["eval", "--gt", truth, "--est", truth, "--frac", "nan"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: frac must be finite and non-negative, got nan" in captured.err
+        assert "mean" not in captured.out
+
     def test_eval_pckh_metric(self, corpus_dir, capsys):
         truth = str(corpus_dir / "truth.jsonl")
         assert cli.main(["eval", "--gt", truth, "--est", truth,
@@ -324,6 +353,20 @@ class TestClusterAndOutliers:
         assert "junk_000" in stdout and "junk_001" in stdout
         assert "good_000" not in stdout
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, named",
+        [("cluster", "--gamma", "gamma must be positive, got nan"),
+         ("outliers", "--alpha", "alpha must be positive, got nan")],
+    )
+    def test_nan_concentration_is_data_error(self, tmp_path, rng, capsys, command, flag, named):
+        poses = tmp_path / "p.jsonl"
+        write_template_poses(poses, rng, 6)
+        out = tmp_path / "out.txt"
+        rc = cli.main([command, "--poses", str(poses), "--out", str(out), flag, "nan"])
+        assert rc == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_records_is_data_error(self, tmp_path, rng, capsys):
         poses = tmp_path / "p.jsonl"

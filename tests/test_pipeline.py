@@ -9,6 +9,7 @@ from poseboot.dpmm import DpmmConfig
 from poseboot.features import relational_feature
 from poseboot.fileio import PoseRecord, read_pose_records, write_pose_records
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
+from poseboot.metrics import pcp_correct
 from poseboot.pipeline import (
     AcceptedPose,
     IterationState,
@@ -29,6 +30,7 @@ from poseboot.skeleton import (
     Skeleton,
     WsExample,
 )
+from poseboot.svm import select
 from poseboot.synth import SynthConfig, action_template, synth_corpus
 
 
@@ -225,6 +227,58 @@ class TestRunIteration:
         assert 0 <= stp <= n_targets and 0 <= atp <= n_targets
 
 
+    def test_report_scores_the_accepted_pose(self):
+        # an earlier round accepted a wrong pose for one image although its
+        # candidates hold the true pose, which the selector would pick
+        corpus, cands = tiny_corpus()
+        gt = {i: skel for i, (skel, _) in corpus.truth.items()}
+        cfg = fast_cfg()
+        ws = corpus.split.ws[0]
+        truth = gt[ws.image_id]
+        wrong = Skeleton(truth.keypoints[::-1].copy())
+        assert not pcp_correct(truth, wrong, cfg.eps)[1]
+        cands[ws.image_id] = [CandidatePose(truth, score=1.0, image_id=ws.image_id)]
+        state = IterationState(
+            iteration=1, accepted=(AcceptedPose(ws.image_id, wrong, ws.action, "svm"),)
+        )
+        s2 = run_iteration(state, corpus.split, cands, cfg, gt=gt)
+        model = s2.models.get(ws.action, s2.general_model)
+        feats = relational_feature(truth, normalize=True)[None, :]
+        assert select(model, cands[ws.image_id], feats, cfg.margin) is not None
+
+        atp, stp, atp_stp, _ = s2.reports[-1].counts
+        assert stp == len(s2.accepted)
+        correct = sum(pcp_correct(gt[a.image_id], a.skeleton, cfg.eps)[1] for a in s2.accepted)
+        assert atp_stp == correct <= stp - 1
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_no_open_image_trains_and_selects_nothing(self, tmp_path, monkeypatch, scheme):
+        corpus, cands = tiny_corpus()
+        gt = {i: skel for i, (skel, _) in corpus.truth.items()}
+        state = IterationState(
+            iteration=1,
+            accepted=tuple(
+                AcceptedPose(e.image_id, gt[e.image_id], e.action, "svm") for e in corpus.split.ws
+            ),
+        )
+        calls = []
+
+        def forbidden(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(pipeline, "train", forbidden("train"))
+        monkeypatch.setattr(pipeline, "select", forbidden("select"))
+        cfg = fast_cfg(scheme=scheme)
+        s2 = run_iteration(state, corpus.split, cands, cfg, gt=gt)
+        assert calls == []
+        assert s2.accepted == state.accepted
+        assert s2.general_model is None and s2.models == {}
+        write_iteration_files(tmp_path, s2, corpus.split, cfg)
+        recs = read_pose_records(tmp_path / "annotations_iter2.jsonl")
+        assert len(recs) == len(corpus.split.fs) + len(state.accepted)
+        assert "counts atp=" in (tmp_path / "report_iter2.txt").read_text()
+
+
 class TestStopCheck:
     def pose(self, image_id):
         skel = Skeleton(np.zeros((14, 2)) + np.arange(14)[:, None])
@@ -304,7 +358,7 @@ class TestRunPipeline:
         for t in range(1, states[-1].iteration + 1):
             assert (tmp_path / f"annotations_iter{t}.jsonl").exists()
             assert (tmp_path / f"report_iter{t}.txt").exists()
-        # carried picks keep earlier selections in later reports
+        # later reports score every pose accepted so far
         if len(states) > 2:
             assert states[-1].reports[-1].counts[1] >= states[1].reports[-1].counts[1]
 
