@@ -38,13 +38,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def seed(text: str) -> int:
+    """The type of --seed: NumPy seeds only from non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The parser, and the parser of each subcommand by name."""
     p = _Parser(prog="poseboot", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed")
+        sp.add_argument("--seed", type=seed, default=None, help="RNG seed, >= 0")
         sp.add_argument("--config", type=Path, default=None, help="key=value config file")
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -162,6 +170,8 @@ def _merged(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
             raise ValueError(
                 f"config key {key!r}: invalid {convert.__name__} value {value!r}"
             ) from None
+        except argparse.ArgumentTypeError as e:
+            raise ValueError(f"config key {key!r}: {act.option_strings[-1]} {e}") from None
     for dest, val in out.items():
         if val is None:
             for alias in (dest, dest.replace("_", "-")):

@@ -43,6 +43,9 @@ MERGE_ENUM_CAP = 12  # at most 2**12 merge partitions are enumerated
 _LOG_2PI = np.log(2.0 * np.pi)
 _WEIGHT_FLOOR = 1e-12  # keeps Gamma() finite when a cluster's score mass is 0
 
+# one chain's post-burn-in (canonical assignments, log posterior score) samples
+_Samples = list[tuple[tuple[int, ...], float]]
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -128,10 +131,12 @@ class DpmmConfig:
     small_cluster_max: int = 3
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        for name in ("gamma", "alpha"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0 <= self.burn_in < self.gibbs_iters):
             raise ValueError("need 0 <= burn_in < gibbs_iters")
         if self.pca_dim is not None and self.pca_dim < 1:
@@ -183,48 +188,53 @@ def crp_log_prior(p: Partition, alpha: float) -> float:
     return float(np.sum(np.log(alpha) + gammaln(sizes)) - log_norm)
 
 
-# count-only columns at the head of a _count_terms row; per-dimension ones follow
-_N_COLS = 6
+# the planes of a _count_planes table, in the order _logml_stats reads them
+_N_PLANES = 9
 
 
-def _count_terms(base: NigBase, counts) -> np.ndarray:
+def _count_planes(base: NigBase, counts, d: int) -> np.ndarray:
     """The terms of the log marginal that depend only on a cluster's count.
 
-    One row per count n: n, a0 + n/2, kappa0*n, 2*(kappa0 + n),
-    (log kappa0 - log(kappa0 + n))/2 and n*log(2*pi)/2, then
-    gammaln(a0 + n/2) - gammaln(a0) + a0*log(b0) per dimension (a single
-    column when b0 is a scalar).
+    A (9, len(counts), d) array of planes: n, a0 + n/2, kappa0*n,
+    2*(kappa0 + n), (log kappa0 - log(kappa0 + n))/2, n*log(2*pi)/2,
+    gammaln(a0 + n/2) - gammaln(a0) + a0*log(b0), then b0 and mu0. Every
+    value is repeated across the d dimensions, so that _logml_stats combines
+    arrays of one shape.
     """
     n = np.asarray(counts, dtype=np.float64).reshape(-1, 1)
     kn = base.kappa0 + n
     an = base.a0 + 0.5 * n
-    per_dim = gammaln(an) - gammaln(base.a0) + base.a0 * np.log(base.b0)
-    return np.hstack([
+    out = np.empty((_N_PLANES, n.shape[0], d))
+    for plane, value in zip(out, (
         n,
         an,
         base.kappa0 * n,
         2.0 * kn,
         0.5 * (np.log(base.kappa0) - np.log(kn)),
         0.5 * n * _LOG_2PI,
-        per_dim,
-    ])
+        gammaln(an) - gammaln(base.a0) + base.a0 * np.log(base.b0),
+        base.b0,
+        base.mu0,
+    )):
+        plane[...] = value
+    return out
 
 
-def _logml_stats(terms: np.ndarray, s, ss, base: NigBase) -> np.ndarray:
-    """Log marginal per row from its count terms and sufficient statistics.
+def _logml_stats(planes: np.ndarray, s, ss) -> np.ndarray:
+    """Log marginal per row from its count planes and sufficient statistics.
 
-    terms holds one _count_terms row per cluster (counts must be positive);
-    s and ss are the clusters' sums and sums of squares, (rows, d) or
-    broadcastable against it. Sums over the d dimensions. The terms and
-    this expression keep the order of operations of the formula written
-    out in place (tests/_oracles.py), so every value is the same double.
+    planes holds the _count_planes rows of the clusters' counts (counts must
+    be positive), each plane of the shape of s and ss, the clusters' sums
+    and sums of squares, or broadcastable against them. Sums over the last
+    axis, the d dimensions. The planes and this expression keep the order
+    of operations of the formula written out in place (tests/_oracles.py),
+    so every value is the same double.
     """
-    n, an, k0n, two_kn, half_log_k, half_n_log_2pi = terms[:, :_N_COLS].T[:, :, None]
+    n, an, k0n, two_kn, half_log_k, half_n_log_2pi, per_dim, b0, mu0 = planes
     xbar = s / n
     dev = np.maximum(ss - s * xbar, 0.0)  # sum of squared deviations
-    bn = base.b0 + 0.5 * dev + k0n * (xbar - base.mu0) ** 2 / two_kn
-    per_dim = terms[:, _N_COLS:] - an * np.log(bn) + half_log_k - half_n_log_2pi
-    return per_dim.sum(axis=-1)
+    bn = b0 + 0.5 * dev + k0n * (xbar - mu0) ** 2 / two_kn
+    return np.add.reduce(per_dim - an * np.log(bn) + half_log_k - half_n_log_2pi, axis=-1)
 
 
 def cluster_log_marginal(members: np.ndarray, base: NigBase) -> float:
@@ -233,8 +243,8 @@ def cluster_log_marginal(members: np.ndarray, base: NigBase) -> float:
     if X.size == 0:
         return 0.0
     X = np.atleast_2d(X)
-    terms = _count_terms(base, [X.shape[0]])
-    return float(_logml_stats(terms, X.sum(axis=0), (X ** 2).sum(axis=0), base)[0])
+    planes = _count_planes(base, [X.shape[0]], X.shape[1])
+    return float(_logml_stats(planes, X.sum(axis=0), (X ** 2).sum(axis=0))[0])
 
 
 def _partition_log_evidence(X: np.ndarray, p: Partition, base: NigBase) -> float:
@@ -263,108 +273,212 @@ def _logsumexp(a: np.ndarray) -> float:
     return np.log1p(s) + np.log(np.float64(m)) + top
 
 
-def sample_partitions(features: np.ndarray, cfg: DpmmConfig) -> list[tuple[tuple[int, ...], float]]:
+# Widest rows _logsumexp_rows may normalize. NumPy sums a row of 8 or more
+# with unrolled partial sums, so the -inf padding of a shorter row would
+# change the rounding of its sum; up to 7 the sum runs left to right and
+# the padding adds exact zeros.
+_ROWS_MAX_WIDTH = 7
+
+
+def _logsumexp_rows(w: np.ndarray) -> np.ndarray:
+    """_logsumexp of every row of w, (rows, width) with width <= 7.
+
+    Each row holds its finite weights, then -inf padding. Every value is the
+    double _logsumexp gives for the row without its padding: s/m is 0/m = 0
+    where s is 0, and the padding's exp(-inf) adds 0 to s.
+    """
+    top = np.maximum.reduce(w, axis=1, keepdims=True)
+    tied = w == top
+    e = np.exp(w - top)
+    np.copyto(e, 0.0, where=tied)
+    m = np.add.reduce(tied, axis=1, dtype=np.float64)
+    return np.log1p(np.add.reduce(e, axis=1) / m) + np.log(m) + top[:, 0]
+
+
+def sample_partitions(
+    features: np.ndarray,
+    cfg: DpmmConfig,
+    chains: Optional[Sequence[tuple[int, int]]] = None,
+) -> _Samples | list[_Samples]:
     """Post-burn-in Gibbs samples as (canonical assignments, log posterior score).
 
     Collapsed Gibbs sampling (Neal 2000, algorithm 3): every point starts in
     one cluster, and each sweep reseats the points in order, each in an
     existing cluster with weight N_k * p(x | cluster k) or in a new one with
-    weight gamma * p(x). One batched marginal evaluation per point update
-    covers every cluster with the point added and the cluster it left.
+    weight gamma * p(x).
+
+    chains splits the rows of features into independent chains, given as
+    (row count, seed) in row order, and a list of samples per chain comes
+    back. Each chain has its own base: cfg.base, or one derived from its own
+    rows. Without chains, all rows form one chain seeded with cfg.seed, and
+    its samples come back.
+
+    The chains run in lockstep: at each step every chain still in its sweep
+    reseats its i-th point. One marginal evaluation covers, for every such
+    chain, its clusters with the point added and the cluster the point
+    left, and one log-sum-exp normalizes all their weights while the
+    padded width is at most 7 (each chain alone otherwise). Only
+    elementwise operations and row sums of equal length are batched, so
+    every chain's samples and scores equal those of the chain run alone,
+    bit for bit, and there is nothing to tune.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n, d = X.shape
-    if n < 1:
+    total, d = X.shape
+    blocks = [(total, cfg.seed)] if chains is None else [(int(n), s) for n, s in chains]
+    sizes = [n for n, _ in blocks]
+    if total < 1:
         raise ValueError("no features")
-    base = cfg.base if cfg.base is not None else NigBase.from_data(X)
-    rng = np.random.default_rng(cfg.seed)
+    if not blocks or min(sizes) < 1 or sum(sizes) != total:
+        raise ValueError("chain sizes must be positive and add up to the rows of features")
+    starts = np.cumsum([0] + sizes)
+    # longest first, so the chains still in their sweep at point i are a prefix
+    order = sorted(range(len(blocks)), key=lambda c: -sizes[c])
+    sizes = [sizes[c] for c in order]
+    n_chains, n_max = len(order), sizes[0]
     log_gamma = np.log(cfg.gamma)
-
-    terms = _count_terms(base, np.arange(n + 1))
     with np.errstate(divide="ignore"):
-        log_n = np.log(np.arange(n + 1, dtype=np.float64))  # log 0 is never read
-    # marginal of each point alone; reused as the new-cluster predictive
-    pred0 = _logml_stats(terms[1:2], X, X ** 2, base)
-    new_w = (log_gamma + pred0).tolist()
-    pred0 = pred0.tolist()
-    xx = np.hstack([X, X * X])  # a point's share of [sums | sums of squares]
-    x_rows = list(xx)
+        # log 0 = -inf marks an empty seat, so that padding weighs exp(-inf) = 0
+        log_n = np.log(np.arange(n_max + 1, dtype=np.float64)).tolist()
 
-    # per cluster: [sums | sums of squares], count, log count, cached marginal
-    stats = np.zeros((n, 2 * d))
-    rows = list(stats)
-    cnt = np.zeros(n, dtype=np.intp)
-    log_cnt = np.zeros(n)
-    cache = np.zeros(n)
-    # the batch: clusters with the point added, then the cluster it left
-    work = np.empty((n + 1, 2 * d))
-    idx = np.empty(n + 1, dtype=np.intp)
-    logw = np.empty(n + 1)
+    # Chain c owns row c of each array: its points as [x, x*x], and per
+    # cluster [sums, sums of squares], count, log count and cached marginal.
+    # Its count planes sit in table columns offset[c] + count.
+    xx = np.zeros((n_chains, n_max, 2, d))
+    stats = np.zeros((n_chains, n_max, 2, d))
+    cnt = np.zeros((n_chains, n_max), dtype=np.intp)
+    log_cnt = np.full((n_chains, n_max), -np.inf)
+    cache = np.zeros((n_chains, n_max))
+    offset = np.cumsum([0] + [n + 1 for n in sizes])
+    table = np.empty((_N_PLANES, offset[-1], d))
+    plus_one = (offset[:-1] + 1).reshape(-1, 1)
+    offset = offset.tolist()
 
-    for x in x_rows:
-        rows[0] += x
-    cnt[0] = n
-    log_cnt[0] = log_n[n]
-    cache[0] = _logml_stats(terms[n : n + 1], stats[:1, :d], stats[:1, d:], base)[0]
-    k = 1
-    z = [0] * n
+    rngs, z, k, new_w, pred0, samples = [], [], [], [], [], []
+    for c, src in enumerate(order):
+        n = sizes[c]
+        Xc = X[starts[src] : starts[src] + n]
+        base = cfg.base if cfg.base is not None else NigBase.from_data(Xc)
+        planes = _count_planes(base, np.arange(n + 1), d)
+        table[:, offset[c] : offset[c] + n + 1] = planes
+        xx[c, :n, 0] = Xc
+        xx[c, :n, 1] = Xc * Xc
+        # marginal of each point alone; reused as the new-cluster predictive
+        p0 = _logml_stats(planes[:, 1:2], Xc, Xc ** 2)
+        new_w.append((log_gamma + p0).tolist())
+        pred0.append(p0.tolist())
+        for x in xx[c, :n]:
+            stats[c, 0] += x
+        cnt[c, 0] = n
+        log_cnt[c, 0] = log_n[n]
+        cache[c, 0] = _logml_stats(planes[:, n : n + 1], stats[c, :1, 0], stats[c, :1, 1])[0]
+        rngs.append(np.random.default_rng(blocks[src][1]))
+        z.append([0] * n)
+        k.append(1)
+        samples.append([])
+    # row views, made once: a chain's points and clusters, its counts, log
+    # counts and cached marginals
+    x_rows = [list(v) for v in xx]
+    rows = [list(v) for v in stats]
+    cnt_c, log_cnt_c, cache_c = list(cnt), list(log_cnt), list(cache)
+    # the chains still in their sweep at point i, and the point's rows
+    live = [range(sum(1 for n in sizes if n > i)) for i in range(n_max)]
+    x_live = [xx[: len(live[i]), i, None] for i in range(n_max)]
+    lefts = [0] * n_chains
+    seats = [0] * n_chains
 
-    samples: list[tuple[tuple[int, ...], float]] = []
     for sweep in range(cfg.gibbs_iters):
-        draws = rng.random(n).tolist()
-        for i, x in enumerate(x_rows):
-            c = z[i]
-            rows[c] -= x
-            left = cnt[c] - 1
-            cnt[c] = left
-            if left == 0:  # swap-delete the emptied cluster
-                k -= 1
-                if c != k:
-                    stats[c] = stats[k]
-                    cnt[c] = cnt[k]
-                    log_cnt[c] = log_cnt[k]
-                    cache[c] = cache[k]
-                    z = [c if v == k else v for v in z]
-                stats[k] = 0.0
-                cnt[k] = 0
-                cache[k] = 0.0
+        draws = [rng.random(n).tolist() for rng, n in zip(rngs, sizes)]
+        for i in range(n_max):
+            width = 0
+            for c in live[i]:
+                # take point i out of its cluster; swap-delete the cluster if it empties
+                cn, lc, ca, rw = cnt_c[c], log_cnt_c[c], cache_c[c], rows[c]
+                s = z[c][i]
+                rw[s] -= x_rows[c][i]
+                left = int(cn[s]) - 1
+                cn[s] = left
+                kc = k[c]
+                if left == 0:
+                    kc -= 1
+                    if s != kc:
+                        rw[s][...] = rw[kc]
+                        cn[s] = cn[kc]
+                        lc[s] = lc[kc]
+                        ca[s] = ca[kc]
+                        z[c] = [s if v == kc else v for v in z[c]]
+                    rw[kc][...] = 0.0
+                    cn[kc] = 0
+                    lc[kc] = -np.inf
+                    ca[kc] = 0.0
+                    k[c] = kc
+                else:
+                    lc[s] = log_n[left]
+                lefts[c] = left
+                seats[c] = s
+                if kc >= width:
+                    width = kc + 1
+
+            # the batch: each chain's clusters with the point added, and at
+            # column k the cluster it left; columns past k are padding
+            a = len(live[i])
+            work = np.add(stats[:a, :width], x_live[i])
+            ix = np.add(cnt[:a, :width], plus_one[:a])
+            for c in live[i]:
+                if lefts[c]:
+                    work[c, k[c]] = rows[c][seats[c]]
+                    ix[c, k[c]] = offset[c] + lefts[c]
+            plus = _logml_stats(table.take(ix, axis=1), work[:, :, 0], work[:, :, 1])
+            pl = plus.tolist()
+            for c in live[i]:
+                if lefts[c]:
+                    cache_c[c][seats[c]] = pl[c][k[c]]
+            logw = np.add(log_cnt[:a, :width], plus)
+            logw -= cache[:a, :width]
+            for c in live[i]:
+                logw[c, k[c]] = new_w[c][i]
+            if a > 1 and width <= _ROWS_MAX_WIDTH:
+                probs = np.exp(logw - _logsumexp_rows(logw)[:, None]).tolist()
             else:
-                log_cnt[c] = log_n[left]
-                work[k] = rows[c]
-                idx[k] = left
-            r = k + 1 if left else k
-            np.add(stats[:k], x, out=work[:k])
-            np.add(cnt[:k], 1, out=idx[:k])
-            plus = _logml_stats(terms[idx[:r]], work[:r, :d], work[:r, d:], base)
-            if left:
-                cache[c] = plus[k]
-            np.add(log_cnt[:k], plus[:k], out=logw[:k])
-            np.subtract(logw[:k], cache[:k], out=logw[:k])
-            logw[k] = new_w[i]
-            w = logw[: k + 1]
-            probs = np.exp(w - _logsumexp(w)).tolist()
-            # first cumulative probability at or above the draw (inverse CDF)
-            u = draws[i]
-            choice = k
-            acc = 0.0
-            for j, p in enumerate(probs):
-                acc += p
-                if u <= acc:
-                    choice = j
-                    break
-            z[i] = choice
-            if choice == k:
-                k += 1
-                cache[choice] = pred0[i]
-            else:
-                cache[choice] = plus[choice]
-            rows[choice] += x
-            cnt[choice] += 1
-            log_cnt[choice] = log_n[cnt[choice]]
+                probs = []
+                for c in live[i]:
+                    w = logw[c, : k[c] + 1]
+                    probs.append(np.exp(w - _logsumexp(w)).tolist())
+
+            for c in live[i]:
+                # first cumulative probability at or above the draw (inverse CDF)
+                kc = k[c]
+                u = draws[c][i]
+                choice = kc
+                acc = 0.0
+                for j, p in enumerate(probs[c][: kc + 1]):
+                    acc += p
+                    if u <= acc:
+                        choice = j
+                        break
+                z[c][i] = choice
+                if choice == kc:
+                    k[c] = kc + 1
+                    cache_c[c][choice] = pred0[c][i]
+                else:
+                    cache_c[c][choice] = pl[c][choice]
+                rows[c][choice] += x_rows[c][i]
+                cn = cnt_c[c]
+                m = int(cn[choice]) + 1
+                cn[choice] = m
+                log_cnt_c[c][choice] = log_n[m]
         if sweep >= cfg.burn_in:
-            score = float(np.sum(log_gamma + gammaln(cnt[:k])) + np.sum(cache[:k]))
-            samples.append((Partition.from_assignments(z).assignments, score))
-    return samples
+            for c in range(n_chains):
+                kc = k[c]
+                score = float(np.sum(log_gamma + gammaln(cnt_c[c][:kc])) + np.sum(cache_c[c][:kc]))
+                samples[c].append((Partition.from_assignments(z[c]).assignments, score))
+
+    by_chain = [samples[order.index(c)] for c in range(n_chains)]
+    return by_chain[0] if chains is None else by_chain
+
+
+def _best_partition(samples: _Samples) -> Partition:
+    best_z, _ = max(samples, key=lambda zs: zs[1])
+    return Partition(best_z)
 
 
 def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
@@ -375,10 +489,7 @@ def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
     from the sampler's cached per-cluster marginals, not a fresh evaluation,
     so it can drift from a recomputation by rounding (about 1e-12).
     """
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    samples = sample_partitions(X, cfg)
-    best_z, _ = max(samples, key=lambda zs: zs[1])
-    return Partition(best_z)
+    return _best_partition(sample_partitions(features, cfg))
 
 
 def _small_and_large(p: Partition, small_max: int) -> tuple[list[int], list[int]]:
@@ -527,21 +638,54 @@ def detect_outliers(
 
 
 def recover_poses(
+    pools: Sequence[Sequence[tuple[CandidatePose, np.ndarray]]],
+    cfg: DpmmConfig,
+    seeds: Optional[Sequence[int]] = None,
+) -> list[CandidatePose]:
+    """Cluster each pool's candidate features and keep the trustworthy ones.
+
+    Every pool is projected on its own and clustered by a chain of its own,
+    seeded with seeds[j] (cfg.seed for every pool when seeds is None); the
+    chains of the pools with equal projected dimension run in lockstep in
+    one sample_partitions call, each bit for bit as if run alone. A pool of
+    fewer than 4 candidates has nothing to cluster and recovers nothing.
+    When a pool's outlier screen accepts, small-cluster members are dropped;
+    when it does not, only members of large clusters survive (the cautious
+    fallback). At most one pose per image comes back from each pool
+    (highest score, earliest wins ties). Returns every pool's poses, in pool
+    order.
+    """
+    seeds = [cfg.seed] * len(pools) if seeds is None else list(seeds)
+    if len(seeds) != len(pools):
+        raise ValueError("need one seed per pool")
+    projected = {
+        j: project_features(np.vstack([np.asarray(f, dtype=np.float64) for _, f in pool]), cfg)
+        for j, pool in enumerate(pools)
+        if len(pool) >= 4
+    }
+    by_dim: dict[int, list[int]] = {}
+    for j, X in projected.items():
+        by_dim.setdefault(X.shape[1], []).append(j)
+    best: dict[int, Partition] = {}
+    for group in by_dim.values():
+        X = np.vstack([projected[j] for j in group])
+        chains = sample_partitions(X, cfg, [(len(projected[j]), seeds[j]) for j in group])
+        for j, samples in zip(group, chains):
+            best[j] = _best_partition(samples)
+    out: list[CandidatePose] = []
+    for j, X in projected.items():
+        out.extend(_screen_pool(pools[j], X, best[j], cfg))
+    return out
+
+
+def _screen_pool(
     candidates: Sequence[tuple[CandidatePose, np.ndarray]],
+    X: np.ndarray,
+    p: Partition,
     cfg: DpmmConfig,
 ) -> list[CandidatePose]:
-    """Cluster candidate features and keep the trustworthy ones.
-
-    Fewer than 4 candidates: nothing to cluster, returns []. When the
-    outlier screen accepts, small-cluster members are dropped; when it does
-    not, only members of large clusters survive (the cautious fallback).
-    At most one pose per image comes back (highest score, earliest wins ties).
-    """
-    if len(candidates) < 4:
-        return []
-    X = project_features(np.vstack([np.asarray(f, dtype=np.float64) for _, f in candidates]), cfg)
+    """The poses of one pool that its partition and outlier screen keep."""
     scores = np.array([c.score for c, _ in candidates])
-    p = gibbs_cluster(X, cfg)
     report = detect_outliers(X, scores, p, cfg)
     if report.accepted:
         keep = set(range(len(candidates))) - set(report.outlier_indices)

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .skeleton import LIMBS, N_JOINTS, ActionLabel, CandidatePose, JointId, Skeleton
+from .skeleton import LIMBS, ActionLabel, CandidatePose, JointId, Skeleton
 
 __all__ = [
     "pcp_correct",

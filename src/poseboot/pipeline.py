@@ -12,7 +12,7 @@ Acceptance is append-only within a run and capped at max_iterations
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -272,11 +272,15 @@ def run_iteration(
         by_action: dict[ActionLabel, list[tuple[CandidatePose, np.ndarray]]] = {}
         for i, pool in leftovers.items():
             by_action.setdefault(ws_action[i], []).extend(pool)
-        for ai, action in enumerate(sorted(by_action, key=lambda a: a.value)):
-            seed = int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])
-            dp = replace(cfg.dpmm, seed=seed)
-            for cand in recover_poses(by_action[action], dp):
-                new_accepted.append(AcceptedPose(cand.image_id, cand.skeleton, action, "cluster"))
+        actions = sorted(by_action, key=lambda a: a.value)
+        seeds = [
+            int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])
+            for ai in range(len(actions))
+        ]
+        # one chain per action, all run together; a pose's image names its action
+        for cand in recover_poses([by_action[a] for a in actions], cfg.dpmm, seeds):
+            action = ws_action[cand.image_id]
+            new_accepted.append(AcceptedPose(cand.image_id, cand.skeleton, action, "cluster"))
 
     reports = state.reports
     if gt is not None:

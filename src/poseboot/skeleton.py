@@ -1,9 +1,9 @@
 """Core pose types: joints, skeletons, candidates, actions, dataset splits."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -6,8 +6,7 @@ Ground truth is returned for evaluation only; the pipeline never sees it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

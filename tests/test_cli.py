@@ -102,6 +102,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: line 5: keypoints must be")
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", ["synth", "pipeline", "train-svm", "outliers"])
+    def test_negative_seed_is_usage_error_naming_the_option(self, tmp_path, capsys, command):
+        required = {
+            "synth": ["--out", "c"],
+            "pipeline": ["--corpus", "c", "--exchange", "x", "--scheme", "weak"],
+            "train-svm": ["--positives", "p", "--negatives", "n", "--out", "m"],
+            "outliers": ["--poses", "p", "--out", "o"],
+        }[command]
+        rc = cli.main([command, *required, "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"poseboot {command}: argument --seed: must be a non-negative integer, got -1\n"
+        )
+
+    def test_zero_seed_is_accepted(self, tmp_path):
+        rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--actions", "1",
+                       "--poses", "2", "--backgrounds", "0", "--seed", "0"])
+        assert rc == 0
+
+
 class TestSynth:
     def test_writes_corpus_layout(self, corpus_dir, capsys):
         manifest = json.loads((corpus_dir / "split.json").read_text())
@@ -368,6 +389,20 @@ class TestClusterAndOutliers:
         assert f"error: {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, named",
+        [("cluster", "--gamma", "gamma must be finite, got inf"),
+         ("outliers", "--alpha", "alpha must be finite, got inf")],
+    )
+    def test_infinite_concentration_is_data_error(self, tmp_path, rng, capsys, command, flag, named):
+        poses = tmp_path / "p.jsonl"
+        write_template_poses(poses, rng, 12)
+        out = tmp_path / "out.txt"
+        rc = cli.main([command, "--poses", str(poses), "--out", str(out), flag, "inf"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
     def test_too_few_records_is_data_error(self, tmp_path, rng, capsys):
         poses = tmp_path / "p.jsonl"
         write_template_poses(poses, rng, 3)
@@ -495,6 +530,16 @@ class TestConfigFile:
         rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: config key 'seed': ")
+        assert not (tmp_path / "c").exists()
+
+    def test_negative_seed_in_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=-1\n")
+        rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'seed': --seed must be a non-negative integer, got -1\n"
+        )
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("command, key", [("features", "raw"), ("pipeline", "audit")])

@@ -1,4 +1,6 @@
 """Infinite-mixture clustering: priors, marginals, Gibbs, outlier pruning."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy
@@ -299,6 +301,121 @@ class TestSamplerAgainstReference:
         assert dpmm._logsumexp(a) == logsumexp(a)
 
 
+@st.composite
+def chain_cases(draw):
+    """1-5 chains of unequal lengths over rows of one dimension (with exact
+    duplicates), a seed per chain, and the config they share."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+    blocks = []
+    for n in sizes:
+        n_distinct = int(rng.integers(1, n + 1))
+        distinct = rng.normal(size=(n_distinct, d)) * float(rng.choice([0.05, 1.0, 20.0]))
+        blocks.append(distinct[rng.integers(0, n_distinct, n)])
+    base = draw(st.sampled_from(["derived", "scalar", "vector"]))
+    if base == "scalar":
+        base = NigBase(mu0=0.3, kappa0=0.2, a0=1.5, b0=0.7)
+    elif base == "vector":
+        base = NigBase(mu0=rng.normal(size=d), kappa0=1.0, a0=0.8, b0=rng.uniform(0.1, 3.0, d))
+    else:
+        base = None
+    iters = draw(st.integers(1, 10))
+    cfg = DpmmConfig(
+        gamma=draw(st.sampled_from([0.1, 1.0, 3.0, 20.0])),
+        base=base,
+        gibbs_iters=iters,
+        burn_in=draw(st.integers(0, iters - 1)),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(sizes), max_size=len(sizes)))
+    return blocks, seeds, cfg
+
+
+def run_chains(blocks, seeds, cfg):
+    X = np.vstack(blocks)
+    return sample_partitions(X, cfg, [(len(b), s) for b, s in zip(blocks, seeds)])
+
+
+@needs_scipy_1_17
+class TestLockstepChains:
+    """Chains run together give each chain's samples as if it ran alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_cases())
+    def test_every_chain_equals_the_reference_bit_for_bit(self, case):
+        blocks, seeds, cfg = case
+        got = run_chains(blocks, seeds, cfg)
+        assert len(got) == len(blocks)
+        for block, seed, samples in zip(blocks, seeds, got):
+            assert samples == reference_samples(block, replace(cfg, seed=seed))
+
+    def test_wide_normalizer_and_emptied_clusters(self, monkeypatch):
+        """Three chains of equal length, so all three are in every step: a
+        spread-out chain opens many clusters and pads the others' rows to 8
+        or more, where each chain is normalized alone; narrower steps are
+        normalized together. Clusters also empty and get swap-deleted."""
+        rng = np.random.default_rng(2)
+        blocks = [
+            rng.normal(size=(20, 2)) * 30.0,
+            np.repeat(np.array([[0.0, 0.0], [0.5, 0.1], [4.0, 4.0], [4.2, 3.9]]), 5, axis=0),
+            rng.normal(size=(20, 2)),
+        ]
+        seeds = [5, 6, 7]
+        cfg = DpmmConfig(gamma=3.0, gibbs_iters=40, burn_in=0)
+        together, alone = [], []
+        rows, single = dpmm._logsumexp_rows, dpmm._logsumexp
+
+        def batched(w):
+            together.append(w.shape)
+            return rows(w)
+
+        def per_chain(a):
+            alone.append(len(a))
+            return single(a)
+
+        monkeypatch.setattr(dpmm, "_logsumexp_rows", batched)
+        monkeypatch.setattr(dpmm, "_logsumexp", per_chain)
+        got = run_chains(blocks, seeds, cfg)
+        assert together and max(width for _, width in together) <= 7
+        assert {n for n, _ in together} == {3}
+        # per-chain normalization happens only in steps padded to 8 or more,
+        # and there some chain's own row is narrower than the padding
+        assert len(alone) % 3 == 0 and max(alone) >= 8 and min(alone) < 8
+        for block, seed, samples in zip(blocks, seeds, got):
+            assert samples == reference_samples(block, replace(cfg, seed=seed))
+        emptied = [
+            any(b < a for a, b in zip(sizes, sizes[1:]))
+            for sizes in ([max(z) + 1 for z, _ in samples] for samples in got)
+        ]
+        assert any(emptied)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([-3.0, 0.0, 0.5, 2.0]) | st.floats(-700.0, 700.0),
+                     min_size=1, max_size=7),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_row_normalizer_equals_the_single_one(self, rows):
+        width = max(len(r) for r in rows)
+        w = np.full((len(rows), width), -np.inf)
+        for i, r in enumerate(rows):
+            w[i, : len(r)] = r
+        got = dpmm._logsumexp_rows(w)
+        assert got.tolist() == [dpmm._logsumexp(np.array(r)) for r in rows]
+
+    def test_one_chain_returns_its_samples_alone(self, rng):
+        X = rng.normal(size=(9, 2))
+        cfg = DpmmConfig(gibbs_iters=8, burn_in=2, seed=4)
+        assert run_chains([X], [4], cfg) == [sample_partitions(X, cfg)]
+
+    @pytest.mark.parametrize("chains", [[], [(3, 0)], [(4, 0), (3, 1)], [(6, 0), (0, 1)]])
+    def test_chain_sizes_must_cover_the_rows(self, chains):
+        with pytest.raises(ValueError, match="chain sizes"):
+            sample_partitions(np.zeros((6, 1)), DpmmConfig(gibbs_iters=2, burn_in=0), chains)
+
+
 class TestMergeSet:
     def _partition(self):
         # clusters: 0 has 5 members, 1 has 2, 2 has 1  -> 1 and 2 are small
@@ -434,7 +551,7 @@ class TestRecoverPoses:
 
     def test_too_few_candidates_recovers_nothing(self, rng):
         cands = self._cands(rng, [[0.0], [1.0], [2.0]])
-        assert recover_poses(cands, DpmmConfig()) == []
+        assert recover_poses([cands], DpmmConfig()) == []
 
     def test_keeps_cluster_members_drops_far_outliers(self, rng):
         centers = (
@@ -444,7 +561,7 @@ class TestRecoverPoses:
         )
         cands = self._cands(rng, centers)
         cfg = DpmmConfig(alpha=1 / 3, gibbs_iters=150, burn_in=50, seed=4)
-        kept = recover_poses(cands, cfg)
+        kept = recover_poses([cands], cfg)
         kept_ids = {c.image_id for c in kept}
         assert f"img_40" not in kept_ids and f"img_41" not in kept_ids
         assert len(kept) == 40
@@ -458,5 +575,34 @@ class TestRecoverPoses:
             for c, f in cands
         ]
         cfg = DpmmConfig(gibbs_iters=100, burn_in=30, seed=4)
-        kept = recover_poses(cands, cfg)
+        kept = recover_poses([cands], cfg)
         assert len(kept) <= 1
+
+    def test_pools_equal_recovering_each_alone(self, rng, monkeypatch):
+        """Pools projected to equal dimensions share one sampler call; each
+        pool's poses are those of recovering it alone with its seed."""
+        sizes = [20, 6, 3, 22]  # projected to 8, 6, (too few), 8 dimensions
+        pools = [
+            self._cands(rng, rng.normal(size=(n, 10)) + 4.0 * rng.integers(0, 2, (n, 1)), f"p{j}")
+            for j, n in enumerate(sizes)
+        ]
+        seeds = [3, 1, 4, 1]
+        cfg = DpmmConfig(gibbs_iters=30, burn_in=10)
+        alone = [recover_poses([pool], replace(cfg, seed=s)) for pool, s in zip(pools, seeds)]
+        calls = []
+        sampler = dpmm.sample_partitions
+
+        def counting(features, cfg, chains=None):
+            calls.append([n for n, _ in chains])
+            return sampler(features, cfg, chains)
+
+        monkeypatch.setattr(dpmm, "sample_partitions", counting)
+        together = recover_poses(pools, cfg, seeds)
+        assert calls == [[20, 22], [6]]
+        assert together == [pose for poses in alone for pose in poses]
+        assert alone[2] == [] and all(alone[j] for j in (0, 1, 3))
+
+    def test_one_seed_per_pool(self, rng):
+        pools = [self._cands(rng, [[v] for v in range(5)])] * 2
+        with pytest.raises(ValueError, match="one seed per pool"):
+            recover_poses(pools, DpmmConfig(), [1])

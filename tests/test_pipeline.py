@@ -25,8 +25,6 @@ from poseboot.pipeline import (
 from poseboot.skeleton import (
     ActionLabel,
     CandidatePose,
-    DatasetSplit,
-    FsExample,
     Skeleton,
     WsExample,
 )
@@ -377,6 +375,36 @@ class TestRunPipeline:
         )
         assert "extra_0000" not in {a.image_id for a in states[1].accepted}
         assert "extra_0000" in {a.image_id for a in states[-1].accepted}
+
+    def test_weakc_recovers_as_one_chain_per_action_alone(self, monkeypatch):
+        """Every action's pool goes to recover_poses in one call; the cluster
+        poses, in order, equal those of recovering each pool alone with its
+        action's seed."""
+        corpus, cands = tiny_corpus(n_actions=3, poses_per_action=12)
+        cfg = fast_cfg(scheme=Scheme.WEAKC, margin=10.0)  # every selector abstains
+        calls = []
+        recover = pipeline.recover_poses
+
+        def spy(pools, dp, seeds):
+            calls.append((pools, dp, seeds))
+            return recover(pools, dp, seeds)
+
+        monkeypatch.setattr(pipeline, "recover_poses", spy)
+        state = run_iteration(IterationState(), corpus.split, cands, cfg)
+        assert len(calls) == 1
+        pools, dp, seeds = calls[0]
+        assert dp == cfg.dpmm and len(pools) == 3 and all(len(pool) >= 4 for pool in pools)
+        expected = []
+        for ai, pool in enumerate(pools):
+            seed = int(np.random.SeedSequence([cfg.seed, 1, ai]).generate_state(1)[0])
+            assert seeds[ai] == seed
+            expected += recover([pool], replace(cfg.dpmm, seed=seed))
+        got = [a for a in state.accepted if a.provenance == "cluster"]
+        assert len({a.action for a in got}) == 3
+        assert [a.image_id for a in got] == [c.image_id for c in expected]
+        for a, c in zip(got, expected):
+            assert a.skeleton is c.skeleton
+            assert a.action is corpus.split.ws_actions()[a.image_id]
 
     def test_weakc_runs_and_respects_append_only(self, tmp_path):
         corpus, cands = tiny_corpus()

@@ -7,7 +7,7 @@ import pytest
 from poseboot import svm
 from poseboot.features import relational_feature
 from poseboot.metrics import pcp_correct
-from poseboot.skeleton import ActionLabel, CandidatePose, Skeleton
+from poseboot.skeleton import CandidatePose, Skeleton
 from poseboot.svm import (
     SvmModel,
     TrainSet,
