@@ -40,10 +40,11 @@ assemblies = beam_assemble(per_joint, cfg.beam)
 print(f"\n{n_combos} raw peak combinations, beam kept {len(assemblies)}")
 print(f"best total {assemblies[0][1]:.2f}, worst kept {assemblies[-1][1]:.2f}")
 
+# the whole image at once: one set of (m, 14, 2) keypoints and (m,) scores
 cands = enumerate_candidates(maps, cfg, image_id=image_id)
 print(f"\n{len(cands)} candidates, scores "
-      f"{cands[0].score:.2f} down to {cands[-1].score:.2f}")
+      f"{cands.scores[0]:.2f} down to {cands.scores[-1]:.2f}")
 for rank in (0, len(cands) // 2, len(cands) - 1):
-    ok = pcp_correct(truth, cands[rank].skeleton, eps=0.7)[1]
-    print(f"  rank {rank}: score {cands[rank].score:.2f}, "
+    ok = pcp_correct(truth, cands.pose(rank).skeleton, eps=0.7)[1]
+    print(f"  rank {rank}: score {cands.scores[rank]:.2f}, "
           f"true pose: {'yes' if ok else 'no'}")

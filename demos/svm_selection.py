@@ -9,7 +9,7 @@ recall for precision.
 import numpy as np
 
 from poseboot.features import relational_feature, relational_features
-from poseboot.skeleton import CandidatePose, Skeleton
+from poseboot.skeleton import CandidateSet, Skeleton
 from poseboot.svm import TrainSet, select, synthesize_positives, train
 from poseboot.synth import action_template
 
@@ -35,13 +35,9 @@ print(f"trained on {len(positives)} positives / {len(negatives)} negatives, "
 
 # a fresh "image": one good pose hidden among junk candidates
 truth = Skeleton(action_template(0).keypoints + rng.normal(0, 2.0, (14, 2)))
-cands = [CandidatePose(skeleton=truth, score=0.8, image_id="img")]
-for k in range(4):
-    junk = Skeleton(rng.uniform(10, 150, (14, 2)))
-    cands.append(CandidatePose(skeleton=junk, score=0.9, image_id="img"))
-feats = relational_features(
-    np.stack([c.skeleton.keypoints for c in cands]), normalize=True
-)
+junk = [rng.uniform(10, 150, (14, 2)) for _ in range(4)]
+cands = CandidateSet("img", [truth.keypoints, *junk], [0.8] + [0.9] * 4)
+feats = relational_features(cands.keypoints, normalize=True)
 
 scored = model.decisions(feats)
 print("\ndecision values (candidate 0 is the true pose):")
@@ -50,5 +46,10 @@ for i, s in enumerate(scored):
 
 for margin in (0.0, 0.5, 2.0, 8.0):
     pick = select(model, cands, feats, margin=margin)
-    verdict = "abstains" if pick is None else f"picks candidate {cands.index(pick)}"
+    if pick is None:
+        verdict = "abstains"
+    else:
+        row = next(j for j, kp in enumerate(cands.keypoints)
+                   if np.array_equal(kp, pick.skeleton.keypoints))
+        verdict = f"picks candidate {row}"
     print(f"margin {margin:>4}: selector {verdict}")

@@ -24,7 +24,7 @@ from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
 from .pipeline import PipelineConfig, Scheme, run_pipeline
-from .skeleton import ActionLabel, DatasetSplit, FsExample, JointId, WsExample
+from .skeleton import ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample
 from .svm import TrainSet, select, synthesize_positives, train
 from .synth import SynthConfig, synth_corpus
 
@@ -212,8 +212,9 @@ def _save_corpus(out: Path, corpus) -> None:
 
 
 def _load_corpus(corpus_dir: Path):
+    """The split, the true skeletons by image, and each image's .hm file."""
     manifest = json.loads((corpus_dir / "split.json").read_text())
-    records = {r.image_id: r for r in fileio.read_pose_records(corpus_dir / "truth.jsonl")}
+    records = fileio.read_pose_index(corpus_dir / "truth.jsonl")
     fs = []
     for i in manifest["fs"]:
         rec = records[i]
@@ -229,11 +230,18 @@ def _load_corpus(corpus_dir: Path):
         us=tuple(manifest.get("us", ())),
         backgrounds=tuple(manifest.get("backgrounds", ())),
     )
-    heatmaps = {}
-    for f in sorted((corpus_dir / "heatmaps").glob("*.hm")):
-        heatmaps[f.stem] = {h.joint: h for h in fileio.read_heatmaps(f)}
+    heatmaps = {f.stem: f for f in sorted((corpus_dir / "heatmaps").glob("*.hm"))}
     truth = {i: r.skeleton() for i, r in records.items()}
     return split, truth, heatmaps
+
+
+def _image_candidates(path: Path, cfg: CandidateGenConfig) -> CandidateSet:
+    """The candidates of the image whose maps are in one .hm file; every
+    heatmap error names the file."""
+    try:
+        return enumerate_candidates(fileio.read_heatmaps(path), cfg, image_id=path.stem)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # --- subcommands --------------------------------------------------------------
@@ -322,13 +330,11 @@ def _cmd_candidates(a: dict) -> int:
         raise ValueError(f"no heatmap files under {src}")
     records = []
     for f in files:
-        maps = {h.joint: h for h in fileio.read_heatmaps(f)}
-        for cand in enumerate_candidates(maps, cfg, image_id=f.stem):
-            records.append(
-                fileio.PoseRecord(
-                    cand.image_id, cand.skeleton.keypoints, score=cand.score
-                )
-            )
+        cands = _image_candidates(f, cfg)
+        records.extend(
+            fileio.PoseRecord(cands.image_id, kp, score=score)
+            for kp, score in zip(cands.keypoints, cands.scores.tolist())
+        )
     fileio.write_pose_records(a["out"], records)
     print(f"wrote {len(records)} candidates from {len(files)} images -> {a['out']}")
     return 0
@@ -345,8 +351,8 @@ def _cmd_select(a: dict) -> int:
         by_image.setdefault(r.image_id, []).append(r)
     out = []
     for image_id, recs in by_image.items():
-        cands = [r.candidate(image_id) for r in recs]
-        feats = relational_features(_keypoints(recs), normalize=True)
+        cands = fileio.candidate_set(image_id, recs)
+        feats = relational_features(cands.keypoints, normalize=True)
         pick = select(model, cands, feats, margin=margin)
         if pick is not None:
             out.append(
@@ -433,9 +439,10 @@ def _cmd_pipeline(a: dict) -> int:
     split, truth, heatmaps = _load_corpus(a["corpus"])
     gen = CandidateGenConfig()
     annotated = set(split.fs_ids())  # run_iteration never reads their candidates
+    # one image's maps at a time: read, enumerated, dropped
     candidates = {
-        image_id: enumerate_candidates(maps, gen, image_id=image_id)
-        for image_id, maps in heatmaps.items()
+        image_id: _image_candidates(path, gen)
+        for image_id, path in heatmaps.items()
         if image_id not in annotated
     }
     gt = truth if a["audit"] else None
@@ -454,8 +461,8 @@ def _cmd_pipeline(a: dict) -> int:
 
 
 def _cmd_eval(a: dict) -> int:
-    gt = {r.image_id: r for r in fileio.read_pose_records(a["gt"])}
-    est = {r.image_id: r for r in fileio.read_pose_records(a["est"])}
+    gt = fileio.read_pose_index(a["gt"])
+    est = fileio.read_pose_index(a["est"])
     shared = [i for i in est if i in gt]
     if not shared:
         raise ValueError("no shared image ids between gt and est")

@@ -25,13 +25,15 @@ import numpy as np
 
 from .dpmm import OutlierReport, format_outlier_report
 from .heatmaps import Heatmap
-from .skeleton import N_JOINTS, ActionLabel, CandidatePose, JointId, Skeleton
+from .skeleton import N_JOINTS, ActionLabel, CandidateSet, JointId, Skeleton
 from .svm import SvmModel
 
 __all__ = [
     "PoseRecord",
     "read_pose_records",
+    "read_pose_index",
     "write_pose_records",
+    "candidate_set",
     "atomic_write",
     "read_heatmaps",
     "write_heatmaps",
@@ -92,15 +94,6 @@ class PoseRecord:
 
     def skeleton(self) -> Skeleton:
         return Skeleton(self.keypoints)
-
-    def candidate(self, image_id: str) -> CandidatePose:
-        """This pose as a candidate for image_id; a missing score counts as 0."""
-        return CandidatePose(
-            skeleton=self.skeleton(),
-            score=self.score if self.score is not None else 0.0,
-            image_id=image_id,
-            action=self.action,
-        )
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -164,8 +157,39 @@ def _record_from_dict(d: dict, where: str) -> PoseRecord:
     return PoseRecord(image_id, kp, action, score, provenance)
 
 
+def candidate_set(image_id: str, records: Sequence[PoseRecord]) -> CandidateSet:
+    """Pose records as the candidates of image_id, in file order; a missing
+    score counts as 0."""
+    actions = tuple(r.action for r in records)
+    return CandidateSet(
+        image_id,
+        np.array([r.keypoints for r in records]).reshape(len(records), N_JOINTS, 2),
+        [0.0 if r.score is None else r.score for r in records],
+        actions if any(a is not None for a in actions) else None,
+    )
+
+
 def read_pose_records(path: Union[str, Path]) -> list[PoseRecord]:
     """Parse a line-delimited pose file; errors name the offending line."""
+    return [r for _, r in _numbered_pose_records(path)]
+
+
+def read_pose_index(path: Union[str, Path]) -> dict[str, PoseRecord]:
+    """The records of a pose file by image id; an id on two lines is an
+    error that names the file and both lines."""
+    out: dict[str, PoseRecord] = {}
+    line_of: dict[str, int] = {}
+    for lineno, r in _numbered_pose_records(path):
+        if r.image_id in out:
+            raise ValueError(
+                f"{path}: line {lineno}: image_id {r.image_id!r} repeats line {line_of[r.image_id]}"
+            )
+        out[r.image_id] = r
+        line_of[r.image_id] = lineno
+    return out
+
+
+def _numbered_pose_records(path: Union[str, Path]) -> list[tuple[int, PoseRecord]]:
     out = []
     with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
         for lineno, raw in enumerate(f, start=1):
@@ -179,7 +203,7 @@ def read_pose_records(path: Union[str, Path]) -> list[PoseRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"line {lineno}: invalid JSON ({e.msg})") from None
-            out.append(_record_from_dict(obj, f"line {lineno}"))
+            out.append((lineno, _record_from_dict(obj, f"line {lineno}")))
     return out
 
 

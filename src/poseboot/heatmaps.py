@@ -2,7 +2,8 @@
 
 Each heatmap is a coarse grid of likelihoods; candidates are built by
 taking strict local maxima per joint and beam-searching over the joint
-order by cumulative likelihood.
+order by cumulative likelihood. An image's candidates come back as one
+CandidateSet of arrays.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .skeleton import N_JOINTS, CandidatePose, JointId, Skeleton
+from .skeleton import N_JOINTS, CandidateSet, JointId
 
 __all__ = [
     "Heatmap",
@@ -74,54 +75,116 @@ class Peak:
     col: int
 
 
-def _strict_maxima_mask(g: np.ndarray) -> np.ndarray:
-    padded = np.full((g.shape[0] + 2, g.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = g
-    mask = np.ones_like(g, dtype=bool)
+def _joint_peaks(maps: Sequence[Heatmap], cfg: CandidateGenConfig):
+    """The kept peaks of every map, as flat arrays (joint, row, col, xy,
+    value), ordered by map and, within a map, best first.
+
+    A map's peaks are its cells at or above the threshold and above all 8
+    neighbours (off-grid neighbours count as -inf), taken in (-value, row,
+    col) order by a greedy NMS that keeps at most top_k. The maps are padded
+    into one -inf stack, so maps of different shapes share each comparison,
+    and only the cells that clear the threshold are compared. The pixel
+    position is origin + (cell + sub-cell offset) * stride, where the offset
+    is the vertex of the parabola through the cell and its two neighbours
+    along that axis, clipped to half a cell (0 on the border).
+    """
+    shapes = np.array([h.grid.shape for h in maps])
+    height, width = shapes.max(axis=0)
+    padded = np.full((len(maps), height + 2, width + 2), -np.inf)
+    for j, h in enumerate(maps):
+        padded[j, 1 : h.grid.shape[0] + 1, 1 : h.grid.shape[1] + 1] = h.grid
+    # cells by flat index into the stack; the -inf frame of each map keeps
+    # a cell's 8 neighbours inside its own map
+    flat = padded.ravel()
+    pitch = width + 2
+    cell = np.flatnonzero(flat >= cfg.threshold)
+    value = flat[cell]
+    strict = np.ones(len(cell), dtype=bool)
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            mask &= g > padded[1 + dr : 1 + dr + g.shape[0], 1 + dc : 1 + dc + g.shape[1]]
-    return mask
+            if dr or dc:
+                strict &= value > flat[cell + dr * pitch + dc]
+    cell, value = cell[strict], value[strict]
+    joint, rest = np.divmod(cell, (height + 2) * pitch)
+    row, col = np.divmod(rest, pitch)
+    order = np.lexsort((col, row, -value, joint))
+
+    # greedy NMS, one map at a time, in rank order
+    bounds = np.searchsorted(joint[order], np.arange(len(maps) + 1)).tolist()
+    rows, cols = row[order].tolist(), col[order].tolist()
+    r2 = cfg.nms_radius ** 2
+    keep: list[int] = []
+    for j in range(len(maps)):
+        kept: list[tuple[int, int]] = []
+        for n in range(bounds[j], bounds[j + 1]):
+            r, c = rows[n], cols[n]
+            if all((r - kr) ** 2 + (c - kc) ** 2 > r2 for kr, kc in kept):
+                kept.append((r, c))
+                keep.append(n)
+                if len(kept) == cfg.top_k:
+                    break
+    sel = order[keep]
+    cell, value, joint = cell[sel], value[sel], joint[sel]
+    row, col = row[sel] - 1, col[sel] - 1  # grid coordinates
+    dr = _subcell_offsets(flat[cell - pitch], value, flat[cell + pitch],
+                          (row > 0) & (row < shapes[joint, 0] - 1))
+    dc = _subcell_offsets(flat[cell - 1], value, flat[cell + 1],
+                          (col > 0) & (col < shapes[joint, 1] - 1))
+    stride = np.array([h.stride for h in maps])[joint]
+    origin = np.array([h.origin for h in maps], dtype=np.float64)[joint]
+    xy = np.stack(
+        [origin[:, 0] + (col + dc) * stride, origin[:, 1] + (row + dr) * stride], axis=1
+    )
+    return joint, row, col, xy, value
 
 
-def _subcell_offset(v_lo: float, v0: float, v_hi: float) -> float:
-    # parabola through the three samples; denominator < 0 at a strict max
-    denom = v_lo - 2.0 * v0 + v_hi
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (v_lo - v_hi) / denom, -0.5, 0.5))
+def _subcell_offsets(
+    lo: np.ndarray, mid: np.ndarray, hi: np.ndarray, inside: np.ndarray
+) -> np.ndarray:
+    """Parabola vertex offsets where inside, else 0; a zero denominator gives 0
+    (it is negative at a strict maximum)."""
+    out = np.zeros(len(mid))
+    lo, mid, hi = lo[inside], mid[inside], hi[inside]
+    denom = lo - 2.0 * mid + hi
+    ok = denom != 0.0
+    vertex = np.zeros(len(mid))
+    vertex[ok] = np.clip(0.5 * (lo[ok] - hi[ok]) / denom[ok], -0.5, 0.5)
+    out[inside] = vertex
+    return out
+
+
+def _beam(per_joint: Sequence[np.ndarray], beam: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices (m, joints), totals (m,)) of the best assemblies, best first.
+
+    The partials are kept in lexicographic index order, so the expansion of
+    a step is in that order too, and a stable argsort of the negated totals
+    ranks by (-total, index tuple), as sorting Python tuples on that key
+    would. A total is summed joint by joint, as Python's float adds would.
+    """
+    idx = np.zeros((1, 0), dtype=np.intp)
+    total = np.zeros(1)
+    last = len(per_joint) - 1
+    for j, scores in enumerate(per_joint):
+        k = len(scores)
+        if k == 0:
+            return np.zeros((0, len(per_joint)), dtype=np.intp), np.zeros(0)
+        grown = (total[:, None] + scores[None, :]).ravel()
+        best = np.argsort(-grown, kind="stable")[:beam]
+        if j < last:
+            best.sort()  # back to lexicographic order for the next expansion
+        idx = np.column_stack((idx[best // k], best % k))
+        total = grown[best]
+    return idx, total
 
 
 def local_maxima(h: Heatmap, cfg: CandidateGenConfig) -> list[Peak]:
     """Strict 8-neighborhood maxima at or above the threshold, NMS-pruned,
     best top_k, with quadratic sub-cell refinement of the pixel position."""
-    g = h.grid
-    mask = _strict_maxima_mask(g) & (g >= cfg.threshold)
-    rows, cols = np.nonzero(mask)
-    order = sorted(range(len(rows)), key=lambda i: (-g[rows[i], cols[i]], rows[i], cols[i]))
-    kept: list[tuple[int, int]] = []
-    for i in order:
-        r, c = int(rows[i]), int(cols[i])
-        if all((r - kr) ** 2 + (c - kc) ** 2 > cfg.nms_radius ** 2 for kr, kc in kept):
-            kept.append((r, c))
-        if len(kept) == cfg.top_k:
-            break
-    out = []
-    for r, c in kept:
-        dr = _subcell_offset(g[r - 1, c], g[r, c], g[r + 1, c]) if 0 < r < g.shape[0] - 1 else 0.0
-        dc = _subcell_offset(g[r, c - 1], g[r, c], g[r, c + 1]) if 0 < c < g.shape[1] - 1 else 0.0
-        out.append(
-            Peak(
-                x=h.origin[0] + (c + dc) * h.stride,
-                y=h.origin[1] + (r + dr) * h.stride,
-                value=float(g[r, c]),
-                row=r,
-                col=c,
-            )
-        )
-    return out
+    _, row, col, xy, value = _joint_peaks([h], cfg)
+    return [
+        Peak(x=x, y=y, value=v, row=r, col=c)
+        for (x, y), v, r, c in zip(xy.tolist(), value.tolist(), row.tolist(), col.tolist())
+    ]
 
 
 def beam_assemble(
@@ -134,29 +197,25 @@ def beam_assemble(
     lexicographically smallest index tuple. With beam >= the product of the
     per-joint counts this is exhaustive.
     """
-    partials: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
-    for scores in per_joint:
-        if len(scores) == 0:
-            return []
-        nxt = [
-            (total + float(v), idx + (i,))
-            for total, idx in partials
-            for i, v in enumerate(scores)
-        ]
-        nxt.sort(key=lambda t: (-t[0], t[1]))
-        partials = nxt[:beam]
-    return [(idx, total) for total, idx in partials]
+    idx, total = _beam([np.asarray(s, dtype=np.float64) for s in per_joint], beam)
+    return [(tuple(i), t) for i, t in zip(idx.tolist(), total.tolist())]
 
 
 def enumerate_candidates(
     maps: Mapping[JointId, Heatmap] | Sequence[Heatmap],
     cfg: CandidateGenConfig,
     image_id: str = "",
-) -> list[CandidatePose]:
-    """Candidates for one image from its 14 joint heatmaps, best first.
+) -> CandidateSet:
+    """The candidate set of one image from its 14 joint heatmaps, best first.
 
-    Every joint must have a map; a joint with no surviving local maximum
-    makes the whole result empty.
+    Every joint must have exactly one map; a joint with no surviving local
+    maximum makes the set empty. The whole image is array code: one padded
+    stack for the peaks of all 14 maps, a beam over arrays of partial
+    totals, and one gather of the keypoints; no object is made per
+    candidate. It makes the comparisons and float steps of a cell-by-cell
+    peak search per map and a beam over (total, index tuple) pairs, so
+    keypoints, scores and order are bit for bit theirs (the tests keep that
+    search as the reference); there is no knob.
     """
     if isinstance(maps, Mapping):
         by_joint = dict(maps)
@@ -169,11 +228,8 @@ def enumerate_candidates(
     for j in JointId:
         if j not in by_joint:
             raise ValueError(f"missing joint map for {j.name}")
-    per_joint = [local_maxima(by_joint[j], cfg) for j in JointId]
-    assemblies = beam_assemble([[p.value for p in pks] for pks in per_joint], cfg.beam)
-    out = []
-    for idx, total in assemblies:
-        kp = np.array([[per_joint[j][idx[j]].x, per_joint[j][idx[j]].y] for j in range(N_JOINTS)])
-        out.append(CandidatePose(skeleton=Skeleton(kp), score=float(total), image_id=image_id))
-    return out
-
+    joint, _, _, xy, value = _joint_peaks([by_joint[j] for j in JointId], cfg)
+    counts = np.bincount(joint, minlength=N_JOINTS)
+    starts = np.cumsum(counts) - counts
+    idx, total = _beam(np.split(value, starts[1:]), cfg.beam)
+    return CandidateSet(image_id, xy[starts + idx], total)

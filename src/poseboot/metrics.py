@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .skeleton import LIMBS, ActionLabel, CandidatePose, JointId, Skeleton
+from .skeleton import LIMBS, ActionLabel, CandidatePose, CandidateSet, JointId, Skeleton
 
 __all__ = [
     "pcp_correct",
@@ -28,15 +28,24 @@ def pcp_correct(gt: Skeleton, est: Skeleton, eps: float) -> tuple[np.ndarray, bo
     ground-truth limb counts as correct only when both endpoint errors are
     exactly zero.
     """
+    flags = _pcp_flags(gt, est.keypoints, eps)
+    return flags, bool(flags.all())
+
+
+_LIMB_A = [int(i) for i, _ in LIMBS]
+_LIMB_B = [int(j) for _, j in LIMBS]
+
+
+def _pcp_flags(gt: Skeleton, keypoints: np.ndarray, eps: float) -> np.ndarray:
+    """Per-limb PCP flags, shape (..., 13), of a (..., 14, 2) stack of
+    estimates against one ground truth."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    err = np.linalg.norm(est.keypoints - gt.keypoints, axis=1)  # (14,)
-    flags = np.empty(len(LIMBS), dtype=bool)
-    for li, (i, j) in enumerate(LIMBS):
-        length = float(np.linalg.norm(gt.keypoints[int(i)] - gt.keypoints[int(j)]))
-        tol = eps * length
-        flags[li] = err[int(i)] <= tol and err[int(j)] <= tol
-    return flags, bool(flags.all())
+    err = np.linalg.norm(keypoints - gt.keypoints, axis=-1)  # (..., 14)
+    tol = eps * np.array(
+        [float(np.linalg.norm(gt.keypoints[i] - gt.keypoints[j])) for i, j in zip(_LIMB_A, _LIMB_B)]
+    )
+    return (err[..., _LIMB_A] <= tol) & (err[..., _LIMB_B] <= tol)
 
 
 class ReferenceLength(Enum):
@@ -85,7 +94,7 @@ class MetricsReport:
 
 def selection_stats(
     ws_truth: Sequence[tuple[str, Optional[Skeleton]]],
-    candidates: dict[str, Sequence[CandidatePose]],
+    candidates: dict[str, CandidateSet],
     selected: dict[str, CandidatePose],
     eps: float,
     actions: Optional[dict[str, ActionLabel]] = None,
@@ -111,12 +120,17 @@ def selection_stats(
         has_truth = gt is not None
         if has_truth:
             atp += 1
-        detected = False
-        if has_truth:
-            for cand in candidates.get(image_id, ()):
-                if pcp_correct(gt, cand.skeleton, eps)[1]:
-                    detected = True
-                    break
+        cands = candidates.get(image_id)
+        # batched PCP tests: the first row alone, as it is usually the true
+        # pose, then the rest
+        detected = (
+            has_truth
+            and cands is not None
+            and any(
+                _pcp_flags(gt, kp, eps).all(axis=1).any()
+                for kp in (cands.keypoints[:1], cands.keypoints[1:])
+            )
+        )
         if detected:
             cp_atp += 1
         sel = selected.get(image_id)

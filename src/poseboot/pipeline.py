@@ -24,8 +24,16 @@ from .dpmm import DpmmConfig, recover_poses
 # because bench/tests/test_bench.py checks that the tracer restores it
 from .features import relational_feature, relational_features  # noqa: F401
 from .metrics import MetricsReport, selection_stats
-from .skeleton import N_JOINTS, ActionLabel, CandidatePose, DatasetSplit, Skeleton, validate_split
-from .svm import SvmModel, TrainSet, mine_negatives, select, synthesize_positives, train
+from .skeleton import (
+    N_JOINTS,
+    ActionLabel,
+    CandidatePose,
+    CandidateSet,
+    DatasetSplit,
+    Skeleton,
+    validate_split,
+)
+from .svm import SvmModel, TrainSet, select, synthesize_positives, train
 
 __all__ = [
     "Scheme",
@@ -162,7 +170,7 @@ def _features(skels: Sequence[Skeleton]) -> np.ndarray:
 def _train_selectors(
     state: IterationState,
     split: DatasetSplit,
-    candidates_in: dict[str, Sequence[CandidatePose]],
+    candidates_in: dict[str, CandidateSet],
     cfg: PipelineConfig,
     scored: Sequence[str],
 ) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
@@ -182,13 +190,16 @@ def _train_selectors(
     positives_by_action = {a: _features(p) for a, p in poses_by_action.items()}
     del poses_by_action  # the jittered skeletons are not needed past here
 
-    bg_cands = [c for i in split.backgrounds for c in candidates_in.get(i, ())]
-    mined = mine_negatives(bg_cands, split.backgrounds)
+    # detections on background images are false by definition
+    mined = np.concatenate(
+        [np.empty((0, N_JOINTS, 2))]
+        + [candidates_in[i].keypoints for i in split.backgrounds if i in candidates_in]
+    )
     if len(mined) > cfg.max_negatives:
         # even thinning keeps coverage across background images deterministic
         idx = np.linspace(0, len(mined) - 1, cfg.max_negatives).round().astype(int)
-        mined = [mined[i] for i in idx]
-    negatives = _features(mined)
+        mined = mined[idx]
+    negatives = relational_features(mined, normalize=True)
 
     if cfg.scheme is Scheme.SEMI:
         pooled = [f for feats in positives_by_action.values() for f in feats]
@@ -209,15 +220,21 @@ def _train_selectors(
 def run_iteration(
     state: IterationState,
     split: DatasetSplit,
-    candidates_in: dict[str, Sequence[CandidatePose]],
+    candidates_in: dict[str, CandidateSet],
     cfg: PipelineConfig,
     gt: Optional[dict[str, Skeleton]] = None,
 ) -> IterationState:
     """One training-selection round; returns the successor state.
 
-    candidates_in maps image ids to candidate lists and must cover the
-    background images (their detections are the negative pool); every
-    candidate in candidates_in[i] must carry image_id == i. Target images
+    candidates_in maps image ids to candidate sets and must cover the
+    background images (their detections are the negative pool); the set of
+    image i must carry image_id == i. The round reads each set's arrays: its
+    keypoints are featurized in one call, the pick and the recovery pool
+    (the recover_per_image best scores, by stable sort) are array
+    operations, and the negatives are the concatenated background keypoints,
+    thinned by index. Only a pick or a pool row becomes a CandidatePose.
+    Every step is the float arithmetic of per-candidate code, so the round
+    is bit for bit the same; there is no knob. Target images
     are the non-background, non-annotated ids; under weak/weakC each
     target must carry an action label in the split. Only open targets,
     those with no accepted pose yet, are scored: a pick is accepted at
@@ -226,6 +243,9 @@ def run_iteration(
     (general_model None, no models). The report scores every target by
     its accepted pose.
     """
+    for i, cands in candidates_in.items():
+        if cands.image_id != i:
+            raise ValueError(f"candidates for image {i!r} carry image_id {cands.image_id!r}")
     ws_action = split.ws_actions()
     excluded = set(split.fs_ids()) | set(split.backgrounds)
     targets = [i for i in sorted(candidates_in) if i not in excluded]
@@ -247,20 +267,20 @@ def run_iteration(
     new_accepted = list(state.accepted)
     leftovers: dict[str, list[tuple[CandidatePose, np.ndarray]]] = {}
     for i in open_ids:
-        cands = list(candidates_in[i])
+        cands = candidates_in[i]
         pool: list[tuple[CandidatePose, np.ndarray]] = []
         if cands:
             # semi has no per-action models, so every image gets the general one
             model = models.get(ws_action.get(i), general)
-            feats = _features([c.skeleton for c in cands])
+            feats = relational_features(cands.keypoints, normalize=True)
             pick = select(model, cands, feats, cfg.margin)
             if pick is not None:
                 action = ws_action.get(i, pick.action or ActionLabel.GENERAL)
                 new_accepted.append(AcceptedPose(i, pick.skeleton, action, "svm"))
                 continue
             if recover:
-                best = sorted(range(len(cands)), key=lambda j: -cands[j].score)
-                pool = [(cands[j], feats[j].copy()) for j in best[: cfg.recover_per_image]]
+                best = np.argsort(-cands.scores, kind="stable")[: cfg.recover_per_image]
+                pool = [(cands.pose(j), feats[j].copy()) for j in best]
         if recover:
             # images without candidates stay, so each action keeps its seed index
             leftovers[i] = pool
@@ -356,19 +376,20 @@ def write_iteration_files(
     atomic_write(exchange_dir / f"report_iter{t}.txt", "\n".join(lines) + "\n")
 
 
-def read_candidate_dir(path: Path) -> dict[str, list[CandidatePose]]:
-    """Ingest refreshed candidates: one <image_id>.jsonl per image."""
-    from .fileio import read_pose_records
+def read_candidate_dir(path: Path) -> dict[str, CandidateSet]:
+    """Ingest refreshed candidates: one <image_id>.jsonl per image, whose
+    records become that image's set in file order."""
+    from .fileio import candidate_set, read_pose_records
 
     return {
-        f.stem: [r.candidate(f.stem) for r in read_pose_records(f)]
+        f.stem: candidate_set(f.stem, read_pose_records(f))
         for f in sorted(path.glob("*.jsonl"))
     }
 
 
 def run_pipeline(
     split: DatasetSplit,
-    candidates_in: dict[str, Sequence[CandidatePose]],
+    candidates_in: dict[str, CandidateSet],
     cfg: PipelineConfig,
     exchange_dir: Optional[Path] = None,
     gt: Optional[dict[str, Skeleton]] = None,

@@ -14,6 +14,7 @@ __all__ = [
     "N_LIMBS",
     "Skeleton",
     "CandidatePose",
+    "CandidateSet",
     "ActionLabel",
     "FsExample",
     "WsExample",
@@ -112,6 +113,55 @@ class CandidatePose:
     def __post_init__(self) -> None:
         if not np.isfinite(self.score):
             raise ValueError("candidate score must be finite")
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    """Every candidate pose of one image, held as arrays: row j of the
+    read-only keypoints (m, 14, 2) and scores (m,) is candidate j.
+
+    heatmaps.enumerate_candidates builds one per image, best first, and the
+    selector, the pick rule, the recovery pool, negative mining and the audit
+    read the rows directly. A CandidatePose is made only for a row that
+    leaves the set (pose(j)): a pick or a recovery-pool member. The array
+    code takes the same float steps as the per-candidate code it replaced,
+    so keypoints, scores and order are bit for bit the same; there is no
+    knob. actions, when not None, holds one optional label per row (pose
+    files may carry them).
+    """
+
+    image_id: str
+    keypoints: np.ndarray  # (m, 14, 2) float64
+    scores: np.ndarray  # (m,) float64, finite
+    actions: Optional[tuple[Optional["ActionLabel"], ...]] = None
+
+    def __post_init__(self) -> None:
+        kp = np.array(self.keypoints, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)
+        if scores.ndim != 1 or kp.shape != (len(scores), N_JOINTS, 2):
+            raise ValueError(
+                f"need (m, {N_JOINTS}, 2) keypoints and (m,) scores, "
+                f"got {kp.shape} and {scores.shape}"
+            )
+        if not np.isfinite(scores).all():
+            raise ValueError("candidate score must be finite")
+        if self.actions is not None and len(self.actions) != len(scores):
+            raise ValueError(f"{len(self.actions)} actions for {len(scores)} candidates")
+        for name, arr in (("keypoints", kp), ("scores", scores)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def pose(self, j: int) -> CandidatePose:
+        """Row j as a CandidatePose of this image."""
+        return CandidatePose(
+            skeleton=Skeleton(self.keypoints[j]),
+            score=float(self.scores[j]),
+            image_id=self.image_id,
+            action=None if self.actions is None else self.actions[j],
+        )
 
 
 class ActionLabel(Enum):

@@ -1,6 +1,6 @@
 """Linear pose selector: L2-regularized hinge loss trained by dual
-coordinate descent, plus training-set construction from annotations
-(jittered positives) and background detections (negatives).
+coordinate descent, plus jittered positives from annotations and the
+pick of at most one candidate per image.
 
 Objective: 0.5*||w||^2 + reg * sum_i max(0, 1 - y_i (w.x_i + b)).
 The bias is carried as a constant-1 feature, so it shares the
@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .skeleton import LIMBS, N_JOINTS, CandidatePose, Skeleton
+from .skeleton import LIMBS, N_JOINTS, CandidatePose, CandidateSet, Skeleton
 
 __all__ = [
     "TrainSet",
     "SvmModel",
     "synthesize_positives",
-    "mine_negatives",
     "train",
     "select",
 ]
@@ -127,23 +126,6 @@ def synthesize_positives(
         r = radii * np.sqrt(rng.random(N_JOINTS))
         delta = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         out.append(Skeleton(annotation.keypoints + delta))
-    return out
-
-
-def mine_negatives(
-    candidates: Sequence[CandidatePose],
-    background_ids: Iterable[str],
-) -> list[Skeleton]:
-    """Negatives are detections on background images: false by definition.
-
-    Raises when any candidate comes from an image outside background_ids.
-    """
-    allowed = set(background_ids)
-    out = []
-    for cand in candidates:
-        if cand.image_id not in allowed:
-            raise ValueError(f"non-background source: image {cand.image_id!r}")
-        out.append(cand.skeleton)
     return out
 
 
@@ -261,23 +243,23 @@ def train(
 
 def select(
     model: SvmModel,
-    candidates: Sequence[CandidatePose],
+    candidates: CandidateSet,
     features: np.ndarray,
     margin: float = 0.0,
 ) -> Optional[CandidatePose]:
     """Pick at most one candidate: decision strictly above margin, best score.
 
-    Row j of features is the feature of candidates[j]. Ties on score keep
-    the earliest candidate. Returns None when nothing clears the margin.
+    Row j of features is the feature of candidate j of the set. Among the
+    rows whose decision clears the margin, the first with the highest
+    candidate score is picked, as a scan keeping the first strict
+    improvement would; only that row becomes a CandidatePose. Returns None
+    when nothing clears the margin. There is no knob.
     """
     if not candidates:
         return None
     if len(features) != len(candidates):
         raise ValueError(f"{len(candidates)} candidates but {len(features)} feature rows")
-    scores = model.decisions(features)
-    best: Optional[CandidatePose] = None
-    for cand, score in zip(candidates, scores):
-        if score > margin:
-            if best is None or cand.score > best.score:
-                best = cand
-    return best
+    above = model.decisions(features) > margin
+    if not above.any():
+        return None
+    return candidates.pose(int(np.argmax(np.where(above, candidates.scores, -np.inf))))

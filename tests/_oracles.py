@@ -211,6 +211,87 @@ def exhaustive_assemblies(per_joint: list[list[float]]) -> list[tuple[tuple[int,
     return combos
 
 
+def _strict_maxima_mask(g: np.ndarray) -> np.ndarray:
+    padded = np.full((g.shape[0] + 2, g.shape[1] + 2), -np.inf)
+    padded[1:-1, 1:-1] = g
+    mask = np.ones_like(g, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            mask &= g > padded[1 + dr : 1 + dr + g.shape[0], 1 + dc : 1 + dc + g.shape[1]]
+    return mask
+
+
+def _subcell_offset(v_lo: float, v0: float, v_hi: float) -> float:
+    # parabola through the three samples; denominator < 0 at a strict max
+    denom = v_lo - 2.0 * v0 + v_hi
+    if denom == 0.0:
+        return 0.0
+    return float(np.clip(0.5 * (v_lo - v_hi) / denom, -0.5, 0.5))
+
+
+def local_maxima_reference(h, cfg) -> list[SimpleNamespace]:
+    """One map's peaks, searched cell by cell: strict 8-neighborhood maxima
+    at or above cfg.threshold, sorted by (-value, row, col), greedily
+    NMS-pruned to cfg.top_k, each with quadratic sub-cell refinement.
+    Each peak has x, y, value, row and col."""
+    g = h.grid
+    mask = _strict_maxima_mask(g) & (g >= cfg.threshold)
+    rows, cols = np.nonzero(mask)
+    order = sorted(range(len(rows)), key=lambda i: (-g[rows[i], cols[i]], rows[i], cols[i]))
+    kept: list[tuple[int, int]] = []
+    for i in order:
+        r, c = int(rows[i]), int(cols[i])
+        if all((r - kr) ** 2 + (c - kc) ** 2 > cfg.nms_radius ** 2 for kr, kc in kept):
+            kept.append((r, c))
+        if len(kept) == cfg.top_k:
+            break
+    out = []
+    for r, c in kept:
+        dr = _subcell_offset(g[r - 1, c], g[r, c], g[r + 1, c]) if 0 < r < g.shape[0] - 1 else 0.0
+        dc = _subcell_offset(g[r, c - 1], g[r, c], g[r, c + 1]) if 0 < c < g.shape[1] - 1 else 0.0
+        out.append(
+            SimpleNamespace(
+                x=h.origin[0] + (c + dc) * h.stride,
+                y=h.origin[1] + (r + dr) * h.stride,
+                value=float(g[r, c]),
+                row=r,
+                col=c,
+            )
+        )
+    return out
+
+
+def beam_assemble_reference(per_joint, beam: int) -> list[tuple[tuple[int, ...], float]]:
+    """Beam search over Python (total, index tuple) pairs, sorted by
+    (-total, indices) and cut to beam after each joint."""
+    partials: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    for scores in per_joint:
+        if len(scores) == 0:
+            return []
+        nxt = [
+            (total + float(v), idx + (i,))
+            for total, idx in partials
+            for i, v in enumerate(scores)
+        ]
+        nxt.sort(key=lambda t: (-t[0], t[1]))
+        partials = nxt[:beam]
+    return [(idx, total) for total, idx in partials]
+
+
+def enumerate_candidates_reference(maps, cfg) -> list[tuple[np.ndarray, float]]:
+    """(keypoints (14, 2), score) per candidate, best first, from one map per
+    joint (maps[j] for j = 0..13): the peaks map by map, then the beam."""
+    per_joint = [local_maxima_reference(maps[j], cfg) for j in range(len(maps))]
+    assemblies = beam_assemble_reference([[p.value for p in pks] for pks in per_joint], cfg.beam)
+    out = []
+    for idx, total in assemblies:
+        kp = np.array([[per_joint[j][idx[j]].x, per_joint[j][idx[j]].y] for j in range(len(maps))])
+        out.append((kp, float(total)))
+    return out
+
+
 def _inner_angle(at: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     u = p - at
     v = q - at

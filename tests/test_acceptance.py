@@ -45,7 +45,7 @@ from poseboot.metrics import (
     selection_stats,
 )
 from poseboot.pipeline import PipelineConfig, Scheme, run_pipeline
-from poseboot.skeleton import LIMBS, CandidatePose, JointId, Skeleton
+from poseboot.skeleton import LIMBS, CandidateSet, JointId, Skeleton
 from poseboot.svm import TrainSet, synthesize_positives, train
 from poseboot.synth import SynthConfig, synth_corpus
 
@@ -352,19 +352,16 @@ def test_criterion_11(criterion):
         truth = {f"i{k}": random_skeleton(gen) for k in range(10)}
         candidates, selected = {}, {}
         for k, i in enumerate(sorted(truth)):
-            good = CandidatePose(skeleton=truth[i], score=1.0, image_id=i)
-            junk = CandidatePose(
-                skeleton=Skeleton(truth[i].keypoints + 1e5), score=2.0, image_id=i
-            )
-            candidates[i] = [good, junk]
-            selected[i] = junk if k < 2 else good
+            junk = truth[i].keypoints + 1e5
+            candidates[i] = CandidateSet(i, [truth[i].keypoints, junk], [1.0, 2.0])
+            selected[i] = candidates[i].pose(1 if k < 2 else 0)
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.counts == (10, 10, 8, 10)
         assert r.precision == 8 / 10 and r.recall == 8 / 10
 
-        perfect = {i: candidates[i][:1] for i in truth}
+        perfect = {i: CandidateSet(i, [truth[i].keypoints], [1.0]) for i in truth}
         r = selection_stats(
-            list(truth.items()), perfect, {i: perfect[i][0] for i in truth}, eps=0.7
+            list(truth.items()), perfect, {i: perfect[i].pose(0) for i in truth}, eps=0.7
         )
         assert (
             r.detected_tp_rate == r.selected_tp_rate == r.precision == r.recall == 1.0

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, subcommand flows, config merging."""
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -339,6 +340,91 @@ class TestSelectionFlow:
         )
         assert rc == 2
         assert "no shared image ids" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Two lines for one image, or two maps for one joint, are data errors
+    that name where they are; so is every heatmap error."""
+
+    @pytest.fixture
+    def truth(self, corpus_dir):
+        return fileio.read_pose_records(corpus_dir / "truth.jsonl")
+
+    @pytest.mark.parametrize("true_first", [True, False])
+    def test_eval_duplicate_est_id_is_data_error(self, corpus_dir, tmp_path, truth, capsys, true_first):
+        r = truth[0]
+        zeroed = fileio.PoseRecord(r.image_id, np.zeros((14, 2)))
+        est = tmp_path / "est.jsonl"
+        fileio.write_pose_records(est, [r, zeroed] if true_first else [zeroed, r])
+        est.write_text("\n" + est.read_text())  # a blank first line still counts
+        rc = cli.main(["eval", "--gt", str(corpus_dir / "truth.jsonl"), "--est", str(est)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {est}: line 3: image_id {r.image_id!r} repeats line 2\n"
+        assert "mean" not in captured.out
+
+    def test_eval_duplicate_gt_id_is_data_error(self, tmp_path, truth, capsys):
+        gt = tmp_path / "gt.jsonl"
+        fileio.write_pose_records(gt, truth[:3] + truth[1:2])
+        rc = cli.main(["eval", "--gt", str(gt), "--est", str(gt)])
+        assert rc == 2
+        assert f"error: {gt}: line 4: image_id {truth[1].image_id!r} repeats line 2" in capsys.readouterr().err
+
+    def _maps(self, corpus_dir):
+        hm = sorted((corpus_dir / "heatmaps").glob("*.hm"))[0]
+        return fileio.read_heatmaps(hm)
+
+    def test_duplicate_joint_map_is_data_error(self, corpus_dir, tmp_path, capsys):
+        maps = self._maps(corpus_dir)
+        hm = tmp_path / "a.hm"
+        fileio.write_heatmaps(hm, maps + maps[:1])
+        out = tmp_path / "c.jsonl"
+        rc = cli.main(["candidates", "--heatmaps", str(hm), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {hm}: duplicate map for joint HEAD\n"
+        assert not out.exists()
+
+    def test_missing_joint_map_names_the_file(self, corpus_dir, tmp_path, capsys):
+        maps = self._maps(corpus_dir)
+        fileio.write_heatmaps(tmp_path / "a.hm", maps)
+        fileio.write_heatmaps(tmp_path / "b.hm", maps[1:])
+        rc = cli.main(["candidates", "--heatmaps", str(tmp_path), "--out", str(tmp_path / "c.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'b.hm'}: missing joint map for HEAD\n"
+
+    def test_truncated_heatmap_names_the_file(self, corpus_dir, tmp_path, capsys):
+        maps = self._maps(corpus_dir)
+        fileio.write_heatmaps(tmp_path / "a.hm", maps)
+        data = (tmp_path / "a.hm").read_bytes()
+        (tmp_path / "b.hm").write_bytes(data[:-4])
+        rc = cli.main(["candidates", "--heatmaps", str(tmp_path), "--out", str(tmp_path / "c.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'b.hm'}: truncated heatmap grid at offset ")
+
+    def test_pipeline_heatmap_error_names_the_file(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        ws = sorted(json.loads((corpus / "split.json").read_text())["ws"])[0]
+        hm = corpus / "heatmaps" / f"{ws}.hm"
+        maps = fileio.read_heatmaps(hm)
+        fileio.write_heatmaps(hm, maps + maps[3:4])
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {hm}: duplicate map for joint R_SHOULDER\n"
+
+    def test_pipeline_duplicate_truth_id_is_data_error(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        truth = corpus / "truth.jsonl"
+        lines = truth.read_text().splitlines(keepends=True)
+        truth.write_text("".join(lines + lines[:1]))
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        first = json.loads(lines[0])["image_id"]
+        assert f"line {len(lines) + 1}: image_id {first!r} repeats line 1" in capsys.readouterr().err
 
 
 class TestClusterAndOutliers:

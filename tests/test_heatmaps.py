@@ -11,9 +11,14 @@ from poseboot.heatmaps import (
     enumerate_candidates,
     local_maxima,
 )
-from poseboot.skeleton import JointId
+from poseboot.skeleton import N_JOINTS, JointId
 
-from _oracles import exhaustive_assemblies
+from _oracles import (
+    beam_assemble_reference,
+    enumerate_candidates_reference,
+    exhaustive_assemblies,
+    local_maxima_reference,
+)
 
 
 def grid_map(values, joint=JointId.HEAD, stride=1.0, origin=(0.0, 0.0)):
@@ -133,14 +138,16 @@ class TestEnumerateCandidates:
     def test_single_peak_per_joint_gives_one_candidate(self):
         cands = enumerate_candidates(self._maps({}), CandidateGenConfig(), "img")
         assert len(cands) == 1
-        assert cands[0].image_id == "img"
-        assert cands[0].score == pytest.approx(0.8 * 14)
+        assert cands.image_id == "img"
+        assert cands.scores[0] == pytest.approx(0.8 * 14)
+        assert cands.keypoints.shape == (1, 14, 2)
+        assert not cands.keypoints.flags.writeable and not cands.scores.flags.writeable
 
     def test_best_first_ordering(self):
         maps = self._maps({JointId.HEAD: [(2, 0.9), (6, 0.5)]})
         cands = enumerate_candidates(maps, CandidateGenConfig(), "img")
         assert len(cands) == 2
-        assert cands[0].score > cands[1].score
+        assert cands.scores[0] > cands.scores[1]
 
     def test_missing_joint_rejected(self):
         maps = self._maps({})
@@ -159,6 +166,80 @@ class TestEnumerateCandidates:
         cfg = CandidateGenConfig(threshold=0.1, top_k=3, beam=500)
         cands = enumerate_candidates(maps, cfg, "img")
         assert len(cands) == 500
-        scores = [c.score for c in cands]
+        scores = cands.scores.tolist()
         assert scores == sorted(scores, reverse=True)
+
+    def test_joint_without_peak_gives_empty_set(self):
+        maps = self._maps({JointId.R_ANKLE: []})
+        cands = enumerate_candidates(maps, CandidateGenConfig(), "img")
+        assert len(cands) == 0 and cands.image_id == "img"
+        assert cands.keypoints.shape == (0, 14, 2) and cands.scores.shape == (0,)
+
+
+# levels of a coarse grid: equal neighbours make ties and plateaus
+_LEVELS = (0.0, 0.05, 0.1, 0.25, 0.5, 0.5, 0.75, 0.9, 1.0)
+
+
+@st.composite
+def joint_maps(draw):
+    """14 maps of assorted shapes, strides and origins. Each is a low
+    background of a few levels with up to four raised cells drawn from a few
+    more, so peaks tie in value, sit on the border or merge into plateaus;
+    sometimes one joint has no peak at all (a flat map)."""
+    maps = []
+    flat = draw(st.sampled_from(range(-5 * N_JOINTS, N_JOINTS)))  # a joint about one time in six
+    for j in JointId:
+        rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        n = rows * cols
+        cells = draw(st.lists(st.sampled_from(_LEVELS[:4]), min_size=n, max_size=n))
+        grid = np.array(cells).reshape(rows, cols)
+        for k in range(draw(st.integers(1, 4))):
+            r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            # the first raised cell is mostly the top one; the others tie often
+            grid[r, c] = draw(st.sampled_from(_LEVELS[7:] if k == 0 else _LEVELS[5:8]))
+        if int(j) == flat:
+            grid = np.full((rows + 1, cols), draw(st.sampled_from(_LEVELS)))
+        stride = draw(st.sampled_from([1.0, 0.5, 3.0, 2.75, 4.0]))
+        origin = (
+            draw(st.sampled_from([0.0, -3.5, 10.25])),
+            draw(st.sampled_from([0.0, 7.0, -1.125])),
+        )
+        maps.append(Heatmap(j, grid, stride=stride, origin=origin))
+    return maps
+
+
+class TestBatchedAgainstReference:
+    """The array code is the per-map, per-tuple search, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        joint_maps(),
+        st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.5]),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) | st.floats(0.0, 3.0),
+        st.integers(1, 600),
+    )
+    def test_enumerate_candidates(self, maps, threshold, top_k, nms_radius, beam):
+        cfg = CandidateGenConfig(threshold=threshold, top_k=top_k, nms_radius=nms_radius, beam=beam)
+        got = enumerate_candidates(maps, cfg, "img")
+        want = enumerate_candidates_reference(maps, cfg)
+        assert len(got) == len(want)
+        assert got.scores.tolist() == [score for _, score in want]
+        assert np.array_equal(got.keypoints, np.array([kp for kp, _ in want]).reshape(-1, 14, 2))
+        for h in maps:
+            peaks = local_maxima(h, cfg)
+            ref = local_maxima_reference(h, cfg)
+            assert [(p.x, p.y, p.value, p.row, p.col) for p in peaks] == [
+                (p.x, p.y, p.value, p.row, p.col) for p in ref
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(_LEVELS[1:]), min_size=0, max_size=5), min_size=0, max_size=14
+        ),
+        st.integers(1, 600),
+    )
+    def test_beam_assemble(self, per_joint, beam):
+        assert beam_assemble(per_joint, beam) == beam_assemble_reference(per_joint, beam)
 

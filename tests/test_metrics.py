@@ -13,7 +13,7 @@ from poseboot.metrics import (
 from poseboot.skeleton import (
     LIMBS,
     ActionLabel,
-    CandidatePose,
+    CandidateSet,
     JointId,
     Skeleton,
 )
@@ -143,8 +143,10 @@ class TestPckReport:
         assert lines[2].split() == ["100.0"] * 8
 
 
-def make_candidate(skel, image_id, score=1.0):
-    return CandidatePose(skeleton=skel, score=score, image_id=image_id)
+def make_set(image_id, skels, scores=None):
+    """The candidate set of one image from skeletons, in order."""
+    scores = [1.0] * len(skels) if scores is None else scores
+    return CandidateSet(image_id, [s.keypoints for s in skels], scores)
 
 
 class TestSelectionStats:
@@ -156,8 +158,8 @@ class TestSelectionStats:
 
     def test_perfect_selection(self, rng):
         truth = self._fixture(rng)
-        candidates = {i: [make_candidate(s, i)] for i, s in truth.items()}
-        selected = {i: candidates[i][0] for i in truth}
+        candidates = {i: make_set(i, [s]) for i, s in truth.items()}
+        selected = {i: candidates[i].pose(0) for i in truth}
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.detected_tp_rate == 1.0
         assert r.selected_tp_rate == 1.0
@@ -171,10 +173,9 @@ class TestSelectionStats:
         ids = sorted(truth)
         candidates, selected = {}, {}
         for k, i in enumerate(ids):
-            good = make_candidate(truth[i], i)
-            junk = make_candidate(Skeleton(truth[i].keypoints + 1e5), i, score=2.0)
-            candidates[i] = [good, junk]
-            selected[i] = junk if k < 2 else good
+            junk = Skeleton(truth[i].keypoints + 1e5)
+            candidates[i] = make_set(i, [truth[i], junk], [1.0, 2.0])
+            selected[i] = candidates[i].pose(1 if k < 2 else 0)
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         atp, stp, both, cp_atp = r.counts
         assert (atp, stp, both, cp_atp) == (10, 10, 8, 10)
@@ -183,7 +184,7 @@ class TestSelectionStats:
 
     def test_no_selections_makes_precision_absent(self, rng):
         truth = self._fixture(rng)
-        candidates = {i: [make_candidate(s, i)] for i, s in truth.items()}
+        candidates = {i: make_set(i, [s]) for i, s in truth.items()}
         r = selection_stats(list(truth.items()), candidates, {}, eps=0.7)
         assert r.selected_tp_rate == 0.0
         assert r.precision is None
@@ -195,12 +196,11 @@ class TestSelectionStats:
         ids = sorted(truth)
         candidates, selected = {}, {}
         for k, i in enumerate(ids):
-            junk = make_candidate(Skeleton(truth[i].keypoints + 1e5), i)
-            cands = [junk]
+            skels = [Skeleton(truth[i].keypoints + 1e5)]
             if k % 2 == 0:
-                cands.append(make_candidate(truth[i], i))
-            candidates[i] = cands
-            selected[i] = cands[-1]
+                skels.append(truth[i])
+            candidates[i] = make_set(i, skels)
+            selected[i] = candidates[i].pose(len(skels) - 1)
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.selected_tp_rate <= r.detected_tp_rate
 
@@ -213,10 +213,24 @@ class TestSelectionStats:
             ids[2]: ActionLabel.SOCCER,
             ids[3]: ActionLabel.SOCCER,
         }
-        candidates = {i: [make_candidate(truth[i], i)] for i in ids}
-        selected = {i: candidates[i][0] for i in ids[:3]}  # one soccer image missed
+        candidates = {i: make_set(i, [truth[i]]) for i in ids}
+        selected = {i: candidates[i].pose(0) for i in ids[:3]}  # one soccer image missed
         r = selection_stats(
             list(truth.items()), candidates, selected, eps=0.7, actions=actions
         )
         assert r.per_action[ActionLabel.TENNIS] == 1.0
         assert r.per_action[ActionLabel.SOCCER] == pytest.approx(0.5)
+
+    def test_detection_equals_pcp_of_each_candidate(self, rng):
+        """The batched coverage test agrees with pcp_correct row by row,
+        including candidates on the tolerance boundary."""
+        gt = random_skeleton(rng)
+        rows = [gt.keypoints + rng.normal(0.0, s, (14, 2)) for s in (0.5, 2.0, 5.0, 20.0)]
+        edge = gt.keypoints.copy()
+        limb = LIMBS.index((JointId.L_ELBOW, JointId.L_WRIST))
+        edge[int(JointId.L_WRIST), 0] += 0.7 * gt.limb_lengths()[limb]
+        rows.append(edge)
+        for k in range(len(rows)):
+            one = CandidateSet("i", rows[k : k + 1], [1.0])
+            r = selection_stats([("i", gt)], {"i": one}, {}, eps=0.7)
+            assert r.counts[3] == int(pcp_correct(gt, Skeleton(rows[k]), 0.7)[1])

@@ -24,7 +24,7 @@ from poseboot.pipeline import (
 )
 from poseboot.skeleton import (
     ActionLabel,
-    CandidatePose,
+    CandidateSet,
     Skeleton,
     WsExample,
 )
@@ -157,18 +157,14 @@ class TestRunIteration:
     def test_weak_requires_action_grouping(self):
         corpus, cands = tiny_corpus()
         skel = corpus.truth[corpus.split.ws[0].image_id][0]
-        cands["mystery_0001"] = [
-            CandidatePose(skeleton=skel, score=1.0, image_id="mystery_0001")
-        ]
+        cands["mystery_0001"] = CandidateSet("mystery_0001", [skel.keypoints], [1.0])
         with pytest.raises(ValueError, match="missing action grouping for image"):
             run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 
     def test_semi_needs_no_action_grouping(self):
         corpus, cands = tiny_corpus()
         skel = corpus.truth[corpus.split.ws[0].image_id][0]
-        cands["mystery_0001"] = [
-            CandidatePose(skeleton=skel, score=1.0, image_id="mystery_0001")
-        ]
+        cands["mystery_0001"] = CandidateSet("mystery_0001", [skel.keypoints], [1.0])
         state = run_iteration(
             IterationState(), corpus.split, cands, fast_cfg(scheme=Scheme.SEMI)
         )
@@ -235,7 +231,7 @@ class TestRunIteration:
         truth = gt[ws.image_id]
         wrong = Skeleton(truth.keypoints[::-1].copy())
         assert not pcp_correct(truth, wrong, cfg.eps)[1]
-        cands[ws.image_id] = [CandidatePose(truth, score=1.0, image_id=ws.image_id)]
+        cands[ws.image_id] = CandidateSet(ws.image_id, [truth.keypoints], [1.0])
         state = IterationState(
             iteration=1, accepted=(AcceptedPose(ws.image_id, wrong, ws.action, "svm"),)
         )
@@ -248,6 +244,51 @@ class TestRunIteration:
         assert stp == len(s2.accepted)
         correct = sum(pcp_correct(gt[a.image_id], a.skeleton, cfg.eps)[1] for a in s2.accepted)
         assert atp_stp == correct <= stp - 1
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_hand_built_sets(self, scheme):
+        """Each target's set holds a junk pose above its true pose on score:
+        the selector takes the true row, by value. Under weakC at a margin no
+        pose clears, every target goes to recovery with its top two rows."""
+        corpus, _ = tiny_corpus()
+        rng = np.random.default_rng(7)
+        split = corpus.split
+        cands = {
+            i: CandidateSet(i, rng.uniform(10, 150, (3, 14, 2)), [0.5, 0.4, 0.3])
+            for i in split.backgrounds
+        }
+        for e in split.ws:
+            junk = rng.uniform(10, 150, (14, 2))
+            truth = corpus.truth[e.image_id][0].keypoints
+            cands[e.image_id] = CandidateSet(e.image_id, [junk, truth], [0.9, 0.6])
+        state = run_iteration(IterationState(), split, cands, fast_cfg(scheme=scheme))
+        assert state.accepted
+        for a in state.accepted:
+            assert a.provenance == "svm" and a.action is split.ws_actions()[a.image_id]
+            np.testing.assert_array_equal(a.skeleton.keypoints, cands[a.image_id].keypoints[1])
+
+        if scheme is not Scheme.WEAKC:
+            return
+        pools = []
+        real = pipeline.recover_poses
+        cfg = fast_cfg(scheme=scheme, margin=1e9, recover_per_image=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "recover_poses", lambda p, *rest: pools.extend(p) or real(p, *rest))
+            state = run_iteration(IterationState(), split, cands, cfg)
+        rows = [(c.image_id, c.score, c.skeleton.keypoints) for pool in pools for c, _ in pool]
+        assert sorted((i, s) for i, s, _ in rows) == sorted(
+            (e.image_id, s) for e in split.ws for s in (0.9, 0.6)
+        )
+        for i, s, kp in rows:
+            np.testing.assert_array_equal(kp, cands[i].keypoints[[0.9, 0.6].index(s)])
+        assert all(a.provenance == "cluster" for a in state.accepted)
+
+    def test_set_must_carry_its_image_id(self):
+        corpus, cands = tiny_corpus()
+        i = corpus.split.ws[0].image_id
+        cands[i] = CandidateSet("other", cands[i].keypoints, cands[i].scores)
+        with pytest.raises(ValueError, match=f"candidates for image '{i}' carry image_id 'other'"):
+            run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_no_open_image_trains_and_selects_nothing(self, tmp_path, monkeypatch, scheme):
@@ -327,8 +368,8 @@ class TestExchangeFiles:
             [PoseRecord("ignored", skel.keypoints, action, score=0.75)],
         )
         out = read_candidate_dir(tmp_path)
-        assert list(out) == [image_id]
-        cand = out[image_id][0]
+        assert list(out) == [image_id] and len(out[image_id]) == 1
+        cand = out[image_id].pose(0)
         assert cand.image_id == image_id  # file name wins over the record id
         assert cand.score == 0.75 and cand.action == action
 
@@ -403,7 +444,7 @@ class TestRunPipeline:
         assert len({a.action for a in got}) == 3
         assert [a.image_id for a in got] == [c.image_id for c in expected]
         for a, c in zip(got, expected):
-            assert a.skeleton is c.skeleton
+            np.testing.assert_array_equal(a.skeleton.keypoints, c.skeleton.keypoints)
             assert a.action is corpus.split.ws_actions()[a.image_id]
 
     def test_weakc_runs_and_respects_append_only(self, tmp_path):

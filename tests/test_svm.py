@@ -1,5 +1,6 @@
 """Max-margin pose selector: training, solver quality, selection rules."""
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ import pytest
 from poseboot import svm
 from poseboot.features import relational_feature
 from poseboot.metrics import pcp_correct
-from poseboot.skeleton import CandidatePose, Skeleton
+from poseboot.skeleton import ActionLabel, CandidateSet, Skeleton
 from poseboot.svm import (
     SvmModel,
     TrainSet,
-    mine_negatives,
     select,
     synthesize_positives,
     train,
@@ -224,16 +224,6 @@ class TestSynthesizePositives:
             assert np.all(d < radii)
 
 
-class TestMineNegatives:
-    def test_accepts_background_sources_only(self, rng):
-        bg = CandidatePose(skeleton=random_skeleton(rng), score=0.1, image_id="bg_1")
-        ws = CandidatePose(skeleton=random_skeleton(rng), score=0.1, image_id="ws_1")
-        out = mine_negatives([bg], {"bg_1"})
-        assert len(out) == 1
-        with pytest.raises(ValueError, match="non-background source"):
-            mine_negatives([bg, ws], {"bg_1"})
-
-
 class TestSelect:
     def _model_preferring_positive_x(self):
         X = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
@@ -241,23 +231,32 @@ class TestSelect:
         return train(TrainSet(X, y), tol=1e-8, standardize=False)
 
     def _cands(self, rng, image_id, scored_xs):
-        """Candidates with the given scores and their (x, 0) feature rows."""
-        cands = [
-            CandidatePose(skeleton=random_skeleton(rng), score=score, image_id=image_id)
-            for score, _ in scored_xs
-        ]
+        """A set with the given scores and their (x, 0) feature rows."""
+        cands = CandidateSet(
+            image_id,
+            [random_skeleton(rng).keypoints for _ in scored_xs],
+            [score for score, _ in scored_xs],
+        )
         return cands, np.array([[x, 0.0] for _, x in scored_xs])
+
+    @staticmethod
+    def _is_row(pick, cands, j):
+        return (
+            np.array_equal(pick.skeleton.keypoints, cands.keypoints[j])
+            and pick.score == cands.scores[j]
+            and pick.image_id == cands.image_id
+        )
 
     def test_picks_highest_score_among_accepted(self, rng):
         m = self._model_preferring_positive_x()
         # the third has the best score but is rejected by the margin
         cands, feats = self._cands(rng, "a", [(0.3, 5.0), (0.9, 4.0), (2.0, -5.0)])
         pick = select(m, cands, feats)
-        assert pick is cands[1]
+        assert self._is_row(pick, cands, 1)
 
     def test_none_when_all_below_margin(self, rng):
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(rng, "a", [(1.0, -3.0)])
+        cands, feats = self._cands(rng, "a", [(1.0, -3.0), (2.0, -1.0)])
         assert select(m, cands, feats) is None
 
     def test_margin_raises_the_bar(self, rng):
@@ -270,7 +269,28 @@ class TestSelect:
     def test_score_tie_keeps_first(self, rng):
         m = self._model_preferring_positive_x()
         cands, feats = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
-        assert select(m, cands, feats) is cands[0]
+        assert self._is_row(select(m, cands, feats), cands, 0)
+
+    def test_score_tie_keeps_first_row_above_margin(self, rng):
+        # rows 0 and 3 tie with 1 and 2 on score, but their decisions do not
+        # clear the margin; of the two that do, the earlier row wins
+        m = self._model_preferring_positive_x()
+        cands, feats = self._cands(
+            rng, "a", [(1.0, -3.0), (1.0, 3.0), (1.0, 4.0), (1.0, -4.0), (0.5, 9.0)]
+        )
+        assert self._is_row(select(m, cands, feats), cands, 1)
+
+    def test_pick_carries_the_row_action(self, rng):
+        m = self._model_preferring_positive_x()
+        cands, feats = self._cands(rng, "a", [(1.0, 3.0), (2.0, 4.0)])
+        labelled = replace(cands, actions=(None, ActionLabel.SOCCER))
+        assert select(m, labelled, feats).action is ActionLabel.SOCCER
+        assert select(m, cands, feats).action is None
+
+    def test_empty_set_gives_none(self):
+        m = self._model_preferring_positive_x()
+        empty = CandidateSet("a", np.zeros((0, 14, 2)), np.zeros(0))
+        assert select(m, empty, np.zeros((0, 2))) is None
 
     def test_rows_must_match_candidates(self, rng):
         m = self._model_preferring_positive_x()
