@@ -45,7 +45,7 @@ for i, s in enumerate(scored):
     print(f"  candidate {i}: {s:+.3f}")
 
 for margin in (0.0, 0.5, 2.0, 8.0):
-    pick = select(model, cands, feats, margin=margin)
+    pick = select(model, cands, margin=margin)
     if pick is None:
         verdict = "abstains"
     else:

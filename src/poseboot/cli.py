@@ -214,10 +214,13 @@ def _save_corpus(out: Path, corpus) -> None:
 def _load_corpus(corpus_dir: Path):
     """The split, the true skeletons by image, and each image's .hm file."""
     manifest = json.loads((corpus_dir / "split.json").read_text())
-    records = fileio.read_pose_index(corpus_dir / "truth.jsonl")
+    truth_path = corpus_dir / "truth.jsonl"
+    records = fileio.read_pose_index(truth_path)
     fs = []
     for i in manifest["fs"]:
-        rec = records[i]
+        rec = records.get(i)
+        if rec is None:
+            raise ValueError(f"{truth_path}: no record for annotated image {i!r}")
         if rec.action is None:
             raise ValueError(f"truth record for {i!r} lacks an action")
         fs.append(FsExample(i, rec.skeleton(), rec.action))
@@ -352,8 +355,7 @@ def _cmd_select(a: dict) -> int:
     out = []
     for image_id, recs in by_image.items():
         cands = fileio.candidate_set(image_id, recs)
-        feats = relational_features(cands.keypoints, normalize=True)
-        pick = select(model, cands, feats, margin=margin)
+        pick = select(model, cands, margin=margin)
         if pick is not None:
             out.append(
                 fileio.PoseRecord(

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .skeleton import N_JOINTS, JointId, Skeleton
+from .skeleton import N_JOINTS, Skeleton, torso_lengths
 
 __all__ = [
     "relational_features",
@@ -89,16 +89,6 @@ def _fill_rows(pts: np.ndarray, scale: Optional[np.ndarray], out: np.ndarray) ->
     ang[(ux * ux + uy * uy == 0.0) | (vx * vx + vy * vy == 0.0)] = 0.0
 
 
-def _torso_lengths(pts: np.ndarray) -> np.ndarray:
-    """Neck to hip-midpoint length per row of (m, 14, 2) points.
-
-    The stacked matmul is a dot product per row, so each length equals
-    Skeleton.torso_length() to the last bit.
-    """
-    t = pts[:, JointId.NECK] - 0.5 * (pts[:, JointId.L_HIP] + pts[:, JointId.R_HIP])
-    return np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
-
-
 def relational_features(points: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Relational vectors for an (m, n, 2) stack of point sets, shape (m, L).
 
@@ -113,7 +103,7 @@ def relational_features(points: np.ndarray, normalize: bool = False) -> np.ndarr
     if normalize:
         if pts.shape[1] != N_JOINTS:
             raise ValueError(f"torso normalization needs {N_JOINTS} joints, got {pts.shape[1]}")
-        scale = _torso_lengths(pts)
+        scale = torso_lengths(pts)
         bad = np.flatnonzero(~(scale > 0.0))
         if bad.size:
             raise ValueError(f"cannot normalize: degenerate torso in row {bad[0]}")

@@ -228,13 +228,14 @@ def run_iteration(
 
     candidates_in maps image ids to candidate sets and must cover the
     background images (their detections are the negative pool); the set of
-    image i must carry image_id == i. The round reads each set's arrays: its
-    keypoints are featurized in one call, the pick and the recovery pool
-    (the recover_per_image best scores, by stable sort) are array
-    operations, and the negatives are the concatenated background keypoints,
-    thinned by index. Only a pick or a pool row becomes a CandidatePose.
-    Every step is the float arithmetic of per-candidate code, so the round
-    is bit for bit the same; there is no knob. Target images
+    image i must carry image_id == i. The round reads each set's arrays:
+    select featurizes its rows best first and stops at the pick (usually
+    the first row), the recovery pool (the recover_per_image best scores,
+    by stable sort) featurizes just its own rows, and the negatives are the
+    concatenated background keypoints, thinned by index. Only a pick or a
+    pool row becomes a CandidatePose. A row's feature does not depend on
+    the rows it is computed with, so the round is bit for bit that of
+    featurizing every row; there is no knob. Target images
     are the non-background, non-annotated ids; under weak/weakC each
     target must carry an action label in the split. Only open targets,
     those with no accepted pose yet, are scored: a pick is accepted at
@@ -261,8 +262,8 @@ def run_iteration(
         _train_selectors(state, split, candidates_in, cfg, scored) if scored else (None, {})
     )
 
-    # one image's candidates are featurized at a time and dropped after
-    # scoring; weakC keeps copies of the rows its cluster stage needs
+    # select featurizes an image's rows best first and stops at its pick;
+    # weakC featurizes only the pool rows of an image without one
     recover = cfg.scheme is Scheme.WEAKC
     new_accepted = list(state.accepted)
     leftovers: dict[str, list[tuple[CandidatePose, np.ndarray]]] = {}
@@ -272,15 +273,15 @@ def run_iteration(
         if cands:
             # semi has no per-action models, so every image gets the general one
             model = models.get(ws_action.get(i), general)
-            feats = relational_features(cands.keypoints, normalize=True)
-            pick = select(model, cands, feats, cfg.margin)
+            pick = select(model, cands, cfg.margin)
             if pick is not None:
                 action = ws_action.get(i, pick.action or ActionLabel.GENERAL)
                 new_accepted.append(AcceptedPose(i, pick.skeleton, action, "svm"))
                 continue
             if recover:
                 best = np.argsort(-cands.scores, kind="stable")[: cfg.recover_per_image]
-                pool = [(cands.pose(j), feats[j].copy()) for j in best]
+                feats = relational_features(cands.keypoints[best], normalize=True)
+                pool = [(cands.pose(j), f) for j, f in zip(best, feats)]
         if recover:
             # images without candidates stay, so each action keeps its seed index
             leftovers[i] = pool

@@ -13,6 +13,7 @@ __all__ = [
     "LIMBS",
     "N_LIMBS",
     "Skeleton",
+    "torso_lengths",
     "CandidatePose",
     "CandidateSet",
     "ActionLabel",
@@ -101,6 +102,17 @@ class Skeleton:
         return float(np.linalg.norm(self.joint(JointId.NECK) - hip_mid))
 
 
+def torso_lengths(keypoints: np.ndarray) -> np.ndarray:
+    """Neck to hip-midpoint length per row of (m, 14, 2) keypoints.
+
+    The stacked matmul is a dot product per row, so each length equals
+    Skeleton.torso_length() to the last bit.
+    """
+    hip_mid = 0.5 * (keypoints[:, JointId.L_HIP] + keypoints[:, JointId.R_HIP])
+    t = keypoints[:, JointId.NECK] - hip_mid
+    return np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class CandidatePose:
     """One pose hypothesis for one image."""
@@ -121,13 +133,14 @@ class CandidateSet:
     read-only keypoints (m, 14, 2) and scores (m,) is candidate j.
 
     heatmaps.enumerate_candidates builds one per image, best first, and the
-    selector, the pick rule, the recovery pool, negative mining and the audit
-    read the rows directly. A CandidatePose is made only for a row that
-    leaves the set (pose(j)): a pick or a recovery-pool member. The array
-    code takes the same float steps as the per-candidate code it replaced,
-    so keypoints, scores and order are bit for bit the same; there is no
-    knob. actions, when not None, holds one optional label per row (pose
-    files may carry them).
+    selector, the recovery pool, negative mining and the audit read the rows
+    directly. svm.select featurizes and scores the rows best first, in
+    stable (-score, row) order, and stops at the first that clears the
+    margin: that row is the pick the full scan would make, because a row's
+    feature and decision do not depend on the rows computed with it; there
+    is no knob. A CandidatePose is made only for a row that leaves the set
+    (pose(j)): a pick or a recovery-pool member. actions, when not None,
+    holds one optional label per row (pose files may carry them).
     """
 
     image_id: str

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .skeleton import LIMBS, N_JOINTS, CandidatePose, CandidateSet, Skeleton
+from .features import relational_features
+from .skeleton import LIMBS, N_JOINTS, CandidatePose, CandidateSet, Skeleton, torso_lengths
 
 __all__ = [
     "TrainSet",
@@ -244,22 +245,33 @@ def train(
 def select(
     model: SvmModel,
     candidates: CandidateSet,
-    features: np.ndarray,
     margin: float = 0.0,
 ) -> Optional[CandidatePose]:
     """Pick at most one candidate: decision strictly above margin, best score.
 
-    Row j of features is the feature of candidate j of the set. Among the
-    rows whose decision clears the margin, the first with the highest
-    candidate score is picked, as a scan keeping the first strict
-    improvement would; only that row becomes a CandidatePose. Returns None
-    when nothing clears the margin. There is no knob.
+    Rows are featurized and scored best first, in stable (-score, row)
+    order (row order for an enumerated set): the first row alone, then, only
+    if it falls short, the rest in one call. The first row in that order
+    that clears the margin is the first with the highest score among all
+    rows that do, so it is the pick a full scan would make: a row's feature
+    and decision do not depend on the rows computed with it. There is no
+    knob. Every row's torso is checked first, so a degenerate one raises,
+    naming the image and the row, wherever the pick falls. Only the pick
+    becomes a CandidatePose; None when no row clears the margin.
     """
     if not candidates:
         return None
-    if len(features) != len(candidates):
-        raise ValueError(f"{len(candidates)} candidates but {len(features)} feature rows")
-    above = model.decisions(features) > margin
-    if not above.any():
-        return None
-    return candidates.pose(int(np.argmax(np.where(above, candidates.scores, -np.inf))))
+    bad = np.flatnonzero(~(torso_lengths(candidates.keypoints) > 0.0))
+    if bad.size:
+        raise ValueError(
+            f"image {candidates.image_id!r}: cannot normalize: degenerate torso in row {bad[0]}"
+        )
+    order = np.argsort(-candidates.scores, kind="stable")
+    for rows in (order[:1], order[1:]):
+        if not rows.size:
+            break
+        feats = relational_features(candidates.keypoints[rows], normalize=True)
+        above = np.flatnonzero(model.decisions(feats) > margin)
+        if above.size:
+            return candidates.pose(int(rows[above[0]]))
+    return None

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles — exhaustive
 enumeration, brute-force grids, numerical quadrature — and shares no code
-with the package internals it checks.
+with the package internals it checks. select_reference checks only the
+order in which svm.select scores rows, so it calls the featurizer and the
+decision values that select uses.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
+
+from poseboot.features import relational_features
 
 
 def set_partitions(n: int) -> list[tuple[int, ...]]:
@@ -485,3 +489,16 @@ def gibbs_samples_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,
             )
             samples.append((_canonical(z), score))
     return samples
+
+
+def select_reference(model, candidates, margin):
+    """svm.select by full scan: featurize and score every row, then pick
+    the first row with the highest score among those whose decision is
+    strictly above margin; None when no row is."""
+    if not len(candidates):
+        return None
+    feats = relational_features(candidates.keypoints, normalize=True)
+    above = model.decisions(feats) > margin
+    if not above.any():
+        return None
+    return candidates.pose(int(np.argmax(np.where(above, candidates.scores, -np.inf))))

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, subcommand flows, config merging."""
 import json
+import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from poseboot import cli, fileio
-from poseboot.skeleton import ActionLabel
+from poseboot.skeleton import ActionLabel, JointId
 from poseboot.svm import SvmModel
 from poseboot.synth import action_template
 
@@ -425,6 +427,43 @@ class TestInputErrors:
         assert rc == 2
         first = json.loads(lines[0])["image_id"]
         assert f"line {len(lines) + 1}: image_id {first!r} repeats line 1" in capsys.readouterr().err
+
+    def test_pipeline_missing_truth_record_is_data_error(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        truth = corpus / "truth.jsonl"
+        fs = json.loads((corpus / "split.json").read_text())["fs"]
+        lines = truth.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if json.loads(line)["image_id"] != fs[0]]
+        assert len(kept) == len(lines) - 1
+        truth.write_text("".join(kept))
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {truth}: no record for annotated image {fs[0]!r}\n"
+        )
+
+    def test_pipeline_degenerate_torso_names_the_image(self, corpus_dir, tmp_path, capsys):
+        # the hip maps copy the neck map, so a candidate's neck and hips can
+        # fall on one point and leave it without a torso
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        ws = sorted(json.loads((corpus / "split.json").read_text())["ws"])[0]
+        hm = corpus / "heatmaps" / f"{ws}.hm"
+        maps = fileio.read_heatmaps(hm)
+        neck = next(m for m in maps if m.joint is JointId.NECK)
+        hips = (JointId.L_HIP, JointId.R_HIP)
+        fileio.write_heatmaps(
+            hm, [replace(neck, joint=m.joint) if m.joint in hips else m for m in maps]
+        )
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            f"error: image {ws!r}: cannot normalize: degenerate torso in row \\d+\n", err
+        ), err
 
 
 class TestClusterAndOutliers:

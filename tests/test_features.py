@@ -1,7 +1,7 @@
 """Relational pose configuration features."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poseboot.features import relational_feature, relational_features, relational_length
@@ -179,6 +179,22 @@ class TestBatched:
         for row, p in zip(F, pts):
             ref = relational_config_per_pose(p, torso_length_per_pose(p) if normalize else None)
             assert same_bits(row, ref)
+
+    @given(m=st.integers(1, 200), k=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=64, k=64, seed=0)
+    @example(m=65, k=65, seed=1)
+    @example(m=200, k=1, seed=2)
+    @example(m=129, k=70, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_do_not_depend_on_their_batch(self, m, k, seed):
+        """Any rows, in any order, featurized together are those rows of the
+        whole stack, bit for bit, across the internal block edges too."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, 40.0, size=(m, N_JOINTS, 2))
+        pts[::3, 4] = pts[::3, 5]  # zero-length segments and rays
+        idx = rng.choice(m, size=min(k, m), replace=False)
+        whole = relational_features(pts, normalize=True)
+        assert same_bits(relational_features(pts[idx], normalize=True), whole[idx])
 
     def test_large_batch_matches_reference(self, rng):
         # more poses than one internal block, so block edges are crossed

@@ -6,7 +6,7 @@ import pytest
 
 import poseboot.pipeline as pipeline
 from poseboot.dpmm import DpmmConfig
-from poseboot.features import relational_feature
+from poseboot.features import relational_feature, relational_features
 from poseboot.fileio import PoseRecord, read_pose_records, write_pose_records
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
 from poseboot.metrics import pcp_correct
@@ -237,8 +237,7 @@ class TestRunIteration:
         )
         s2 = run_iteration(state, corpus.split, cands, cfg, gt=gt)
         model = s2.models.get(ws.action, s2.general_model)
-        feats = relational_feature(truth, normalize=True)[None, :]
-        assert select(model, cands[ws.image_id], feats, cfg.margin) is not None
+        assert select(model, cands[ws.image_id], cfg.margin) is not None
 
         atp, stp, atp_stp, _ = s2.reports[-1].counts
         assert stp == len(s2.accepted)
@@ -282,6 +281,27 @@ class TestRunIteration:
         for i, s, kp in rows:
             np.testing.assert_array_equal(kp, cands[i].keypoints[[0.9, 0.6].index(s)])
         assert all(a.provenance == "cluster" for a in state.accepted)
+
+    def test_weakc_pool_rows_are_full_set_feature_rows(self):
+        """With every selector abstaining, each pool holds an image's three
+        best rows, whose features equal those rows of featurizing the whole
+        set at once."""
+        corpus, cands = tiny_corpus()
+        pools = []
+        real = pipeline.recover_poses
+        cfg = fast_cfg(scheme=Scheme.WEAKC, margin=1e9, recover_per_image=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "recover_poses", lambda p, *rest: pools.extend(p) or real(p, *rest))
+            run_iteration(IterationState(), corpus.split, cands, cfg)
+        members = [member for pool in pools for member in pool]
+        assert len(members) == sum(min(len(cands[e.image_id]), 3) for e in corpus.split.ws)
+        full = {e.image_id: relational_features(cands[e.image_id].keypoints, normalize=True)
+                for e in corpus.split.ws}
+        for cand, feature in members:
+            # enumerated sets are best first, so the pool is rows 0, 1 and 2
+            row = next(j for j in range(3)
+                       if np.array_equal(cands[cand.image_id].keypoints[j], cand.skeleton.keypoints))
+            assert np.array_equal(feature, full[cand.image_id][row])
 
     def test_set_must_carry_its_image_id(self):
         corpus, cands = tiny_corpus()

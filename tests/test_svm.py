@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poseboot import svm
-from poseboot.features import relational_feature
+from poseboot.features import relational_feature, relational_features, relational_length
 from poseboot.metrics import pcp_correct
-from poseboot.skeleton import ActionLabel, CandidateSet, Skeleton
+from poseboot.skeleton import N_JOINTS, ActionLabel, CandidateSet, JointId, Skeleton
 from poseboot.svm import (
     SvmModel,
     TrainSet,
@@ -20,6 +22,7 @@ from poseboot.svm import (
 from _oracles import (
     effective_bias,
     effective_weights,
+    select_reference,
     svm_grid_minimum,
     svm_objective,
     svm_train_reference,
@@ -225,19 +228,27 @@ class TestSynthesizePositives:
 
 
 class TestSelect:
+    """The pick rule on two-entry rows: a stand-in featurizer reads row j's
+    feature from its head joint, which no torso length involves."""
+
+    @pytest.fixture(autouse=True)
+    def head_features(self, monkeypatch):
+        def featurize(points, normalize):
+            assert normalize
+            return points[:, JointId.HEAD].copy()
+
+        monkeypatch.setattr(svm, "relational_features", featurize)
+
     def _model_preferring_positive_x(self):
         X = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         return train(TrainSet(X, y), tol=1e-8, standardize=False)
 
     def _cands(self, rng, image_id, scored_xs):
-        """A set with the given scores and their (x, 0) feature rows."""
-        cands = CandidateSet(
-            image_id,
-            [random_skeleton(rng).keypoints for _ in scored_xs],
-            [score for score, _ in scored_xs],
-        )
-        return cands, np.array([[x, 0.0] for _, x in scored_xs])
+        """A set with the given scores whose row j has feature (x_j, 0)."""
+        kp = np.array([random_skeleton(rng).keypoints for _ in scored_xs])
+        kp[:, JointId.HEAD] = [(x, 0.0) for _, x in scored_xs]
+        return CandidateSet(image_id, kp, [score for score, _ in scored_xs])
 
     @staticmethod
     def _is_row(pick, cands, j):
@@ -250,53 +261,155 @@ class TestSelect:
     def test_picks_highest_score_among_accepted(self, rng):
         m = self._model_preferring_positive_x()
         # the third has the best score but is rejected by the margin
-        cands, feats = self._cands(rng, "a", [(0.3, 5.0), (0.9, 4.0), (2.0, -5.0)])
-        pick = select(m, cands, feats)
+        cands = self._cands(rng, "a", [(0.3, 5.0), (0.9, 4.0), (2.0, -5.0)])
+        pick = select(m, cands)
         assert self._is_row(pick, cands, 1)
 
     def test_none_when_all_below_margin(self, rng):
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(rng, "a", [(1.0, -3.0), (2.0, -1.0)])
-        assert select(m, cands, feats) is None
+        cands = self._cands(rng, "a", [(1.0, -3.0), (2.0, -1.0)])
+        assert select(m, cands) is None
 
     def test_margin_raises_the_bar(self, rng):
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(rng, "a", [(1.0, 0.5)])
+        cands = self._cands(rng, "a", [(1.0, 0.5)])
         d = m.decision(np.array([0.5, 0.0]))
-        assert select(m, cands, feats, margin=0.0) is not None
-        assert select(m, cands, feats, margin=d + 1.0) is None
+        assert select(m, cands, margin=0.0) is not None
+        assert select(m, cands, margin=d + 1.0) is None
 
     def test_score_tie_keeps_first(self, rng):
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
-        assert self._is_row(select(m, cands, feats), cands, 0)
+        cands = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
+        assert self._is_row(select(m, cands), cands, 0)
 
     def test_score_tie_keeps_first_row_above_margin(self, rng):
         # rows 0 and 3 tie with 1 and 2 on score, but their decisions do not
         # clear the margin; of the two that do, the earlier row wins
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(
+        cands = self._cands(
             rng, "a", [(1.0, -3.0), (1.0, 3.0), (1.0, 4.0), (1.0, -4.0), (0.5, 9.0)]
         )
-        assert self._is_row(select(m, cands, feats), cands, 1)
+        assert self._is_row(select(m, cands), cands, 1)
 
     def test_pick_carries_the_row_action(self, rng):
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(rng, "a", [(1.0, 3.0), (2.0, 4.0)])
+        cands = self._cands(rng, "a", [(1.0, 3.0), (2.0, 4.0)])
         labelled = replace(cands, actions=(None, ActionLabel.SOCCER))
-        assert select(m, labelled, feats).action is ActionLabel.SOCCER
-        assert select(m, cands, feats).action is None
+        assert select(m, labelled).action is ActionLabel.SOCCER
+        assert select(m, cands).action is None
 
     def test_empty_set_gives_none(self):
         m = self._model_preferring_positive_x()
         empty = CandidateSet("a", np.zeros((0, 14, 2)), np.zeros(0))
-        assert select(m, empty, np.zeros((0, 2))) is None
+        assert select(m, empty) is None
 
-    def test_rows_must_match_candidates(self, rng):
+    def test_degenerate_torso_after_the_pick_names_the_image(self, rng):
+        # row 0 is the pick, and no row after it is scored, but its torso
+        # check still covers row 2
         m = self._model_preferring_positive_x()
-        cands, feats = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
-        with pytest.raises(ValueError, match="2 candidates but 1 feature rows"):
-            select(m, cands, feats[:1])
+        cands = self._cands(rng, "img_7", [(0.9, 4.0), (0.5, 3.0), (0.2, -1.0)])
+        kp = cands.keypoints.copy()
+        kp[2, JointId.NECK] = 0.5 * (kp[2, JointId.L_HIP] + kp[2, JointId.R_HIP])
+        bad = CandidateSet("img_7", kp, cands.scores)
+        with pytest.raises(
+            ValueError, match="image 'img_7': cannot normalize: degenerate torso in row 2"
+        ):
+            select(m, bad)
+
+
+def _random_model(rng, d):
+    return SvmModel(
+        mean=rng.normal(0.0, 1.0, d),
+        std=rng.uniform(0.5, 2.0, d),
+        weights=rng.normal(0.0, 1.0, d) / np.sqrt(d),
+        bias=float(rng.normal()),
+        reg=1.0,
+    )
+
+
+@given(m=st.integers(1, 200), k=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+@example(m=64, k=64, seed=0)
+@example(m=65, k=65, seed=1)
+@example(m=200, k=1, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_decisions_do_not_depend_on_their_batch(m, k, seed):
+    """Any rows, in any order, scored together get the decision values
+    those rows get in the whole matrix, bit for bit."""
+    rng = np.random.default_rng(seed)
+    d = relational_length(N_JOINTS)
+    model = _random_model(rng, d)
+    X = rng.normal(0.0, 2.0, size=(m, d))
+    idx = rng.choice(m, size=min(k, m), replace=False)
+    whole = model.decisions(X)
+    assert np.array_equal(model.decisions(X[idx]).view(np.uint64), whole[idx].view(np.uint64))
+
+
+class TestBestFirst:
+    """select featurizes best first and stops at the pick; the pick is the
+    one of the full scan in _oracles.select_reference."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 12),
+        sorted_set=st.booleans(),
+        cut=st.sampled_from(["below_all", "at_value", "above_all"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pick_matches_full_scan(self, seed, m, sorted_set, cut, data):
+        rng = np.random.default_rng(seed)
+        kp = np.array([random_skeleton(rng).keypoints for _ in range(m)])
+        # few distinct scores, so ties fall on both sides of the margin
+        scores = rng.integers(0, 3, m).astype(float)
+        if sorted_set:
+            scores = -np.sort(-scores)
+        cands = CandidateSet("img", kp, scores)
+        model = _random_model(rng, relational_length(N_JOINTS))
+        d = np.sort(model.decisions(relational_features(kp, normalize=True)))
+        if cut == "below_all":
+            margin = float(d[0]) - 1.0
+        elif cut == "above_all":
+            margin = float(d[-1])
+        else:  # rows above the k-th smallest decision clear it
+            margin = float(d[data.draw(st.integers(0, m - 1))])
+        got = select(model, cands, margin)
+        want = select_reference(model, cands, margin)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert np.array_equal(got.skeleton.keypoints, want.skeleton.keypoints)
+            assert (got.score, got.image_id, got.action) == (want.score, want.image_id, want.action)
+
+    def _count_rows(self, monkeypatch):
+        rows = []
+        real = svm.relational_features
+
+        def counting(points, normalize=False):
+            rows.append(len(points))
+            return real(points, normalize)
+
+        monkeypatch.setattr(svm, "relational_features", counting)
+        return rows
+
+    def test_first_row_clearing_the_margin_is_the_only_row_featurized(self, rng, monkeypatch):
+        rows = self._count_rows(monkeypatch)
+        kp = np.array([random_skeleton(rng).keypoints for _ in range(50)])
+        cands = CandidateSet("img", kp, np.linspace(1.0, 0.0, 50))
+        d = relational_length(N_JOINTS)
+        accept_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), 1.0, 1.0)
+        pick = select(accept_all, cands)
+        assert rows == [1]
+        np.testing.assert_array_equal(pick.skeleton.keypoints, kp[0])
+
+    def test_rest_is_one_call_when_the_first_row_falls_short(self, rng, monkeypatch):
+        rows = self._count_rows(monkeypatch)
+        kp = np.array([random_skeleton(rng).keypoints for _ in range(150)])
+        cands = CandidateSet("img", kp, rng.random(150))
+        d = relational_length(N_JOINTS)
+        reject_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), -1.0, 1.0)
+        assert select(reject_all, cands) is None
+        assert rows == [1, 149]
 
 
 class TestEndToEndSeparation:
