@@ -19,11 +19,11 @@ annotations = [
     Skeleton(action_template(0).keypoints + rng.normal(0, 2.0, (14, 2)))
     for _ in range(6)
 ]
-positives = []
+# each annotation's keypoints, then its jittered copies
+poses = []
 for skel in annotations:
-    positives.append(relational_feature(skel, normalize=True))
-    for jittered in synthesize_positives(skel, 10, 0.7, rng):
-        positives.append(relational_feature(jittered, normalize=True))
+    poses += [skel.keypoints[None], synthesize_positives(skel, 10, 0.7, rng)]
+positives = relational_features(np.concatenate(poses), normalize=True)
 negatives = [
     relational_feature(Skeleton(rng.uniform(10, 150, (14, 2))), normalize=True)
     for _ in range(40)
@@ -45,11 +45,6 @@ for i, s in enumerate(scored):
     print(f"  candidate {i}: {s:+.3f}")
 
 for margin in (0.0, 0.5, 2.0, 8.0):
-    pick = select(model, cands, margin=margin)
-    if pick is None:
-        verdict = "abstains"
-    else:
-        row = next(j for j, kp in enumerate(cands.keypoints)
-                   if np.array_equal(kp, pick.skeleton.keypoints))
-        verdict = f"picks candidate {row}"
+    pick, _ = select(model, cands, margin=margin)
+    verdict = "abstains" if pick is None else f"picks candidate {pick}"
     print(f"margin {margin:>4}: selector {verdict}")

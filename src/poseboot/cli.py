@@ -296,7 +296,7 @@ def _cmd_train_svm(a: dict) -> int:
     poses = []
     for r in pos_records:
         poses.append(r.keypoints)
-        poses.extend(s.keypoints for s in synthesize_positives(r.skeleton(), n_synth, eps, rng))
+        poses.extend(synthesize_positives(r.skeleton(), n_synth, eps, rng))
     n_pos = len(poses)
     poses.extend(r.keypoints for r in neg_records)
     # featurized straight into the training matrix, so no second copy is held
@@ -355,14 +355,14 @@ def _cmd_select(a: dict) -> int:
     out = []
     for image_id, recs in by_image.items():
         cands = fileio.candidate_set(image_id, recs)
-        pick = select(model, cands, margin=margin)
+        pick, _ = select(model, cands, margin=margin)
         if pick is not None:
             out.append(
                 fileio.PoseRecord(
                     image_id,
-                    pick.skeleton.keypoints,
-                    pick.action,
-                    score=pick.score,
+                    cands.keypoints[pick],
+                    None if cands.actions is None else cands.actions[pick],
+                    score=cands.scores[pick],
                     provenance="svm",
                 )
             )

@@ -17,15 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .skeleton import CandidatePose
-
 __all__ = [
     "Partition",
     "NigBase",
     "DpmmConfig",
     "project",
     "project_features",
-    "crp_log_prior",
     "cluster_log_marginal",
     "sample_partitions",
     "gibbs_cluster",
@@ -172,20 +169,6 @@ def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
     if cfg.pca_dim is not None and cfg.pca_dim < X.shape[1]:
         X = project(X, min(cfg.pca_dim, X.shape[0], X.shape[1]))
     return X
-
-
-def crp_log_prior(p: Partition, alpha: float) -> float:
-    """Log probability of a partition under the Polya-urn seating prior.
-
-    p(z) = prod_k alpha * Gamma(N_k) / (alpha)_n with (alpha)_n the rising
-    factorial Gamma(alpha + n) / Gamma(alpha); sums to one over all set
-    partitions of n items.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    sizes = p.sizes()
-    log_norm = gammaln(alpha + p.n_items) - gammaln(alpha)
-    return float(np.sum(np.log(alpha) + gammaln(sizes)) - log_norm)
 
 
 # the planes of a _count_planes table, in the order _logml_stats reads them
@@ -484,10 +467,11 @@ def _best_partition(samples: _Samples) -> Partition:
 def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
     """Highest-scoring partition among the post-burn-in samples.
 
-    The score is crp_log_prior(z, cfg.gamma) plus the sum of cluster log
-    marginals, i.e. the unnormalized log posterior. Each sample's score comes
-    from the sampler's cached per-cluster marginals, not a fresh evaluation,
-    so it can drift from a recomputation by rounding (about 1e-12).
+    The score is the unnormalized log posterior: the sum over clusters k of
+    log(cfg.gamma) + log Gamma(N_k) and the cluster's log marginal. Each
+    sample's score comes from the sampler's cached per-cluster marginals,
+    not a fresh evaluation, so it can drift from a recomputation by rounding
+    (about 1e-12).
     """
     return _best_partition(sample_partitions(features, cfg))
 
@@ -638,30 +622,31 @@ def detect_outliers(
 
 
 def recover_poses(
-    pools: Sequence[Sequence[tuple[CandidatePose, np.ndarray]]],
+    pools: Sequence[tuple[np.ndarray, np.ndarray, Sequence[str]]],
     cfg: DpmmConfig,
     seeds: Optional[Sequence[int]] = None,
-) -> list[CandidatePose]:
+) -> list[tuple[int, int]]:
     """Cluster each pool's candidate features and keep the trustworthy ones.
 
-    Every pool is projected on its own and clustered by a chain of its own,
-    seeded with seeds[j] (cfg.seed for every pool when seeds is None); the
-    chains of the pools with equal projected dimension run in lockstep in
-    one sample_partitions call, each bit for bit as if run alone. A pool of
-    fewer than 4 candidates has nothing to cluster and recovers nothing.
-    When a pool's outlier screen accepts, small-cluster members are dropped;
-    when it does not, only members of large clusters survive (the cautious
-    fallback). At most one pose per image comes back from each pool
-    (highest score, earliest wins ties). Returns every pool's poses, in pool
-    order.
+    A pool is (features (n, d), scores (n,), image ids), one row per
+    candidate. Every pool is projected on its own and clustered by a chain
+    of its own, seeded with seeds[j] (cfg.seed for every pool when seeds is
+    None); the chains of the pools with equal projected dimension run in
+    lockstep in one sample_partitions call, each bit for bit as if run
+    alone. A pool of fewer than 4 rows has nothing to cluster and recovers
+    nothing. When a pool's outlier screen accepts, small-cluster members are
+    dropped; when it does not, only members of large clusters survive (the
+    cautious fallback). At most one row per image is kept from each pool
+    (highest score, earliest wins ties). Returns (pool, row) for every kept
+    row, in pool order.
     """
     seeds = [cfg.seed] * len(pools) if seeds is None else list(seeds)
     if len(seeds) != len(pools):
         raise ValueError("need one seed per pool")
     projected = {
-        j: project_features(np.vstack([np.asarray(f, dtype=np.float64) for _, f in pool]), cfg)
-        for j, pool in enumerate(pools)
-        if len(pool) >= 4
+        j: project_features(features, cfg)
+        for j, (features, _, _) in enumerate(pools)
+        if len(features) >= 4
     }
     by_dim: dict[int, list[int]] = {}
     for j, X in projected.items():
@@ -672,38 +657,34 @@ def recover_poses(
         chains = sample_partitions(X, cfg, [(len(projected[j]), seeds[j]) for j in group])
         for j, samples in zip(group, chains):
             best[j] = _best_partition(samples)
-    out: list[CandidatePose] = []
+    out: list[tuple[int, int]] = []
     for j, X in projected.items():
-        out.extend(_screen_pool(pools[j], X, best[j], cfg))
+        _, scores, ids = pools[j]
+        out.extend((j, row) for row in _screen_pool(X, scores, ids, best[j], cfg))
     return out
 
 
 def _screen_pool(
-    candidates: Sequence[tuple[CandidatePose, np.ndarray]],
     X: np.ndarray,
+    scores: np.ndarray,
+    ids: Sequence[str],
     p: Partition,
     cfg: DpmmConfig,
-) -> list[CandidatePose]:
-    """The poses of one pool that its partition and outlier screen keep."""
-    scores = np.array([c.score for c, _ in candidates])
+) -> list[int]:
+    """The rows of one pool that its partition and outlier screen keep, one
+    per image, in order of each image's first kept row."""
     report = detect_outliers(X, scores, p, cfg)
     if report.accepted:
-        keep = set(range(len(candidates))) - set(report.outlier_indices)
+        keep = np.setdiff1d(np.arange(len(ids)), report.outlier_indices)
     else:
         _, large = _small_and_large(p, cfg.small_cluster_max)
-        z = np.asarray(p.assignments)
-        keep = {int(i) for i in np.flatnonzero(np.isin(z, large))}
-    best: dict[str, tuple[int, CandidatePose]] = {}
-    order: list[str] = []
-    for i, (cand, _) in enumerate(candidates):
-        if i not in keep:
-            continue
-        if cand.image_id not in best:
-            best[cand.image_id] = (i, cand)
-            order.append(cand.image_id)
-        elif cand.score > best[cand.image_id][1].score:
-            best[cand.image_id] = (i, cand)
-    return [best[img][1] for img in order]
+        keep = np.flatnonzero(np.isin(p.assignments, large))
+    best: dict[str, int] = {}
+    for row in keep.tolist():
+        image_id = ids[row]
+        if image_id not in best or scores[row] > scores[best[image_id]]:
+            best[image_id] = row
+    return list(best.values())
 
 
 def format_outlier_report(report: OutlierReport) -> str:

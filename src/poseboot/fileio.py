@@ -291,8 +291,8 @@ def load_svm_model(path: Union[str, Path]) -> SvmModel:
     vecs = np.frombuffer(data, dtype="<f8", count=3 * d, offset=20)
     mean, std, weights = vecs[:d].copy(), vecs[d : 2 * d].copy(), vecs[2 * d :].copy()
     (bias,) = struct.unpack_from("<d", data, 20 + 24 * d)
-    if not reg > 0.0:
-        raise ValueError(f"model file: reg is {reg}, must be positive")
+    if not 0.0 < reg < math.inf:
+        raise ValueError(f"model file: reg is {reg}, must be finite and positive")
     for name, v, ok, rule in (
         ("mean", mean, np.isfinite(mean), "finite"),
         ("std", std, np.isfinite(std) & (std > 0.0), "finite and positive"),

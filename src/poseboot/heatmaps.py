@@ -18,9 +18,6 @@ from .skeleton import N_JOINTS, CandidateSet, JointId
 __all__ = [
     "Heatmap",
     "CandidateGenConfig",
-    "Peak",
-    "local_maxima",
-    "beam_assemble",
     "enumerate_candidates",
 ]
 
@@ -64,15 +61,6 @@ class CandidateGenConfig:
             raise ValueError(f"nms_radius must be non-negative, got {self.nms_radius}")
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
-
-
-@dataclass(frozen=True)
-class Peak:
-    x: float  # pixel coords, sub-cell refined
-    y: float
-    value: float  # grid value at the peak cell
-    row: int
-    col: int
 
 
 def _joint_peaks(maps: Sequence[Heatmap], cfg: CandidateGenConfig):
@@ -175,30 +163,6 @@ def _beam(per_joint: Sequence[np.ndarray], beam: int) -> tuple[np.ndarray, np.nd
         idx = np.column_stack((idx[best // k], best % k))
         total = grown[best]
     return idx, total
-
-
-def local_maxima(h: Heatmap, cfg: CandidateGenConfig) -> list[Peak]:
-    """Strict 8-neighborhood maxima at or above the threshold, NMS-pruned,
-    best top_k, with quadratic sub-cell refinement of the pixel position."""
-    _, row, col, xy, value = _joint_peaks([h], cfg)
-    return [
-        Peak(x=x, y=y, value=v, row=r, col=c)
-        for (x, y), v, r, c in zip(xy.tolist(), value.tolist(), row.tolist(), col.tolist())
-    ]
-
-
-def beam_assemble(
-    per_joint: Sequence[Sequence[float]],
-    beam: int,
-) -> list[tuple[tuple[int, ...], float]]:
-    """Beam search over one score choice per joint, ranked by summed score.
-
-    Returns (indices, total) sorted best first; ties resolve to the
-    lexicographically smallest index tuple. With beam >= the product of the
-    per-joint counts this is exhaustive.
-    """
-    idx, total = _beam([np.asarray(s, dtype=np.float64) for s in per_joint], beam)
-    return [(tuple(i), t) for i, t in zip(idx.tolist(), total.tolist())]
 
 
 def enumerate_candidates(

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .skeleton import LIMBS, ActionLabel, CandidatePose, CandidateSet, JointId, Skeleton
+from .skeleton import LIMBS, ActionLabel, CandidateSet, JointId, Skeleton
 
 __all__ = [
     "pcp_correct",
@@ -95,11 +95,12 @@ class MetricsReport:
 def selection_stats(
     ws_truth: Sequence[tuple[str, Optional[Skeleton]]],
     candidates: dict[str, CandidateSet],
-    selected: dict[str, CandidatePose],
+    selected: dict[str, Skeleton],
     eps: float,
     actions: Optional[dict[str, ActionLabel]] = None,
 ) -> MetricsReport:
-    """Per-image selection accounting over a weakly labeled set.
+    """Per-image selection accounting over a weakly labeled set; selected
+    maps an image to the pose chosen for it.
 
     An image counts toward:
       ATP     if it has a ground-truth pose;
@@ -137,7 +138,7 @@ def selection_stats(
         sel_correct = False
         if sel is not None:
             stp += 1
-            if has_truth and pcp_correct(gt, sel.skeleton, eps)[1]:
+            if has_truth and pcp_correct(gt, sel, eps)[1]:
                 atp_stp += 1
                 sel_correct = True
         if actions is not None and image_id in actions:

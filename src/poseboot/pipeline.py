@@ -20,14 +20,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dpmm import DpmmConfig, recover_poses
+from .features import relational_features, relational_length
 # relational_feature is not called here; it stays importable from this module
 # because bench/tests/test_bench.py checks that the tracer restores it
-from .features import relational_feature, relational_features  # noqa: F401
+from .features import relational_feature  # noqa: F401
 from .metrics import MetricsReport, selection_stats
 from .skeleton import (
     N_JOINTS,
     ActionLabel,
-    CandidatePose,
     CandidateSet,
     DatasetSplit,
     Skeleton,
@@ -89,6 +89,12 @@ class PipelineConfig:
             raise ValueError(f"margin must be finite, got {self.margin}")
         if self.max_negatives < 1:
             raise ValueError("max_negatives must be >= 1")
+        for name in ("reg", "tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -161,12 +167,6 @@ def _fit(
     )
 
 
-def _features(skels: Sequence[Skeleton]) -> np.ndarray:
-    """Torso-normalized relational rows of skeletons, in one batched call."""
-    kp = np.array([s.keypoints for s in skels], dtype=np.float64)
-    return relational_features(kp.reshape(len(skels), N_JOINTS, 2), normalize=True)
-
-
 def _train_selectors(
     state: IterationState,
     split: DatasetSplit,
@@ -180,15 +180,19 @@ def _train_selectors(
     annotations: list[tuple[Skeleton, ActionLabel]] = [
         (e.skeleton, e.action) for e in split.fs
     ] + [(a.skeleton, a.action) for a in state.accepted]
-    poses_by_action: dict[ActionLabel, list[Skeleton]] = {}
+    # each annotation's keypoints, then its jitters
+    poses_by_action: dict[ActionLabel, list[np.ndarray]] = {}
     counts: dict[ActionLabel, int] = {}
     for skel, action in annotations:
-        poses = poses_by_action.setdefault(action, [])
         counts[action] = counts.get(action, 0) + 1
-        poses.append(skel)
-        poses.extend(synthesize_positives(skel, cfg.n_synth, cfg.eps, rng))
-    positives_by_action = {a: _features(p) for a, p in poses_by_action.items()}
-    del poses_by_action  # the jittered skeletons are not needed past here
+        poses_by_action.setdefault(action, []).extend(
+            (skel.keypoints[None], synthesize_positives(skel, cfg.n_synth, cfg.eps, rng))
+        )
+    positives_by_action = {
+        a: relational_features(np.concatenate(p), normalize=True)
+        for a, p in poses_by_action.items()
+    }
+    del poses_by_action  # the jittered keypoints are not needed past here
 
     # detections on background images are false by definition
     mined = np.concatenate(
@@ -230,13 +234,13 @@ def run_iteration(
     background images (their detections are the negative pool); the set of
     image i must carry image_id == i. The round reads each set's arrays:
     select featurizes its rows best first and stops at the pick (usually
-    the first row), the recovery pool (the recover_per_image best scores,
-    by stable sort) featurizes just its own rows, and the negatives are the
-    concatenated background keypoints, thinned by index. Only a pick or a
-    pool row becomes a CandidatePose. A row's feature does not depend on
-    the rows it is computed with, so the round is bit for bit that of
-    featurizing every row; there is no knob. Target images
-    are the non-background, non-annotated ids; under weak/weakC each
+    the first row), the recovery pool is the recover_per_image best scores,
+    by stable sort, whose features select has already computed, and the
+    negatives are the concatenated background keypoints, thinned by index.
+    A candidate stays a row of its set until it is accepted. A row's
+    feature does not depend on the rows it is computed with, so the round
+    is bit for bit that of featurizing every row; there is no knob. Target
+    images are the non-background, non-annotated ids; under weak/weakC each
     target must carry an action label in the split. Only open targets,
     those with no accepted pose yet, are scored: a pick is accepted at
     once, and under weakC an open image without one goes to cluster
@@ -262,46 +266,52 @@ def run_iteration(
         _train_selectors(state, split, candidates_in, cfg, scored) if scored else (None, {})
     )
 
-    # select featurizes an image's rows best first and stops at its pick;
-    # weakC featurizes only the pool rows of an image without one
     recover = cfg.scheme is Scheme.WEAKC
     new_accepted = list(state.accepted)
-    leftovers: dict[str, list[tuple[CandidatePose, np.ndarray]]] = {}
+    # per action, the (image id, row) of each pool row and its features
+    pools: dict[ActionLabel, tuple[list[tuple[str, int]], list[np.ndarray]]] = {}
     for i in open_ids:
         cands = candidates_in[i]
-        pool: list[tuple[CandidatePose, np.ndarray]] = []
         if cands:
             # semi has no per-action models, so every image gets the general one
             model = models.get(ws_action.get(i), general)
-            pick = select(model, cands, cfg.margin)
+            pick, feats = select(model, cands, cfg.margin)
             if pick is not None:
-                action = ws_action.get(i, pick.action or ActionLabel.GENERAL)
-                new_accepted.append(AcceptedPose(i, pick.skeleton, action, "svm"))
+                row_action = None if cands.actions is None else cands.actions[pick]
+                action = ws_action.get(i, row_action or ActionLabel.GENERAL)
+                skel = Skeleton(cands.keypoints[pick])
+                new_accepted.append(AcceptedPose(i, skel, action, "svm"))
                 continue
-            if recover:
-                best = np.argsort(-cands.scores, kind="stable")[: cfg.recover_per_image]
-                feats = relational_features(cands.keypoints[best], normalize=True)
-                pool = [(cands.pose(j), f) for j, f in zip(best, feats)]
         if recover:
             # images without candidates stay, so each action keeps its seed index
-            leftovers[i] = pool
+            rows, pool_feats = pools.setdefault(ws_action[i], ([], []))
+            if cands:
+                # select featurized every row best first, so the pool's
+                # features are the first it returned
+                best = np.argsort(-cands.scores, kind="stable")[: cfg.recover_per_image]
+                rows.extend((i, j) for j in best.tolist())
+                pool_feats.append(feats[: len(best)])
 
     it = state.iteration + 1
     if recover:
         # second chance for images the selector left empty: their best few
         # candidates are clustered per action and plausible ones recovered
-        by_action: dict[ActionLabel, list[tuple[CandidatePose, np.ndarray]]] = {}
-        for i, pool in leftovers.items():
-            by_action.setdefault(ws_action[i], []).extend(pool)
-        actions = sorted(by_action, key=lambda a: a.value)
+        actions = sorted(pools, key=lambda a: a.value)
         seeds = [
             int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])
             for ai in range(len(actions))
         ]
-        # one chain per action, all run together; a pose's image names its action
-        for cand in recover_poses([by_action[a] for a in actions], cfg.dpmm, seeds):
-            action = ws_action[cand.image_id]
-            new_accepted.append(AcceptedPose(cand.image_id, cand.skeleton, action, "cluster"))
+        no_rows = np.empty((0, relational_length(N_JOINTS)))
+        arrays = []
+        for a in actions:
+            rows, pool_feats = pools[a]
+            scores = np.array([candidates_in[i].scores[j] for i, j in rows])
+            arrays.append((np.concatenate([no_rows, *pool_feats]), scores, [i for i, _ in rows]))
+        # one chain per action, all run together
+        for pool, row in recover_poses(arrays, cfg.dpmm, seeds):
+            i, j = pools[actions[pool]][0][row]
+            skel = Skeleton(candidates_in[i].keypoints[j])
+            new_accepted.append(AcceptedPose(i, skel, actions[pool], "cluster"))
 
     reports = state.reports
     if gt is not None:
@@ -309,7 +319,7 @@ def run_iteration(
         report = selection_stats(
             [(i, gt.get(i)) for i in targets],
             candidates_in,
-            {a.image_id: a for a in new_accepted if a.image_id in target_set},
+            {a.image_id: a.skeleton for a in new_accepted if a.image_id in target_set},
             cfg.eps,
             actions={i: ws_action[i] for i in targets if i in ws_action},
         )

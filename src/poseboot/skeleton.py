@@ -11,10 +11,8 @@ __all__ = [
     "JointId",
     "N_JOINTS",
     "LIMBS",
-    "N_LIMBS",
     "Skeleton",
     "torso_lengths",
-    "CandidatePose",
     "CandidateSet",
     "ActionLabel",
     "FsExample",
@@ -64,15 +62,13 @@ LIMBS: tuple[tuple[JointId, JointId], ...] = (
     (JointId.R_KNEE, JointId.R_ANKLE),
 )
 
-N_LIMBS = len(LIMBS)
-
 
 @dataclass(frozen=True)
 class Skeleton:
     """A 2-D pose: one (x, y) position per joint.
 
-    Coordinates may be non-finite; validity is checked by validate_split /
-    is_valid, not at construction, so bad data can be loaded and reported.
+    Coordinates may be non-finite; validity is checked by validate_split,
+    not at construction, so bad data can be loaded and reported.
     """
 
     keypoints: np.ndarray  # (14, 2) float64
@@ -85,9 +81,6 @@ class Skeleton:
         kp.setflags(write=False)
         object.__setattr__(self, "keypoints", kp)
 
-    def is_valid(self) -> bool:
-        return bool(np.all(np.isfinite(self.keypoints)))
-
     def joint(self, j: JointId) -> np.ndarray:
         return self.keypoints[int(j)]
 
@@ -97,34 +90,17 @@ class Skeleton:
         b = self.keypoints[[int(j) for _, j in LIMBS]]
         return np.linalg.norm(a - b, axis=1)
 
-    def torso_length(self) -> float:
-        hip_mid = 0.5 * (self.joint(JointId.L_HIP) + self.joint(JointId.R_HIP))
-        return float(np.linalg.norm(self.joint(JointId.NECK) - hip_mid))
-
 
 def torso_lengths(keypoints: np.ndarray) -> np.ndarray:
     """Neck to hip-midpoint length per row of (m, 14, 2) keypoints.
 
-    The stacked matmul is a dot product per row, so each length equals
-    Skeleton.torso_length() to the last bit.
+    The stacked matmul is a dot product per row, the one np.linalg.norm
+    takes of a single vector, so each length is that row's norm to the last
+    bit, whatever rows it is computed with.
     """
     hip_mid = 0.5 * (keypoints[:, JointId.L_HIP] + keypoints[:, JointId.R_HIP])
     t = keypoints[:, JointId.NECK] - hip_mid
     return np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
-
-
-@dataclass(frozen=True)
-class CandidatePose:
-    """One pose hypothesis for one image."""
-
-    skeleton: Skeleton
-    score: float
-    image_id: str
-    action: Optional["ActionLabel"] = None
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.score):
-            raise ValueError("candidate score must be finite")
 
 
 @dataclass(frozen=True)
@@ -138,9 +114,9 @@ class CandidateSet:
     stable (-score, row) order, and stops at the first that clears the
     margin: that row is the pick the full scan would make, because a row's
     feature and decision do not depend on the rows computed with it; there
-    is no knob. A CandidatePose is made only for a row that leaves the set
-    (pose(j)): a pick or a recovery-pool member. actions, when not None,
-    holds one optional label per row (pose files may carry them).
+    is no knob. A candidate is named by its row index until it is accepted
+    as a pose. actions, when not None, holds one optional label per row
+    (pose files may carry them).
     """
 
     image_id: str
@@ -166,15 +142,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def pose(self, j: int) -> CandidatePose:
-        """Row j as a CandidatePose of this image."""
-        return CandidatePose(
-            skeleton=Skeleton(self.keypoints[j]),
-            score=float(self.scores[j]),
-            image_id=self.image_id,
-            action=None if self.actions is None else self.actions[j],
-        )
 
 
 class ActionLabel(Enum):

@@ -6,7 +6,7 @@ Objective: 0.5*||w||^2 + reg * sum_i max(0, 1 - y_i (w.x_i + b)).
 The bias is carried as a constant-1 feature, so it shares the
 regularizer (the usual feature-augmentation approximation). Features are
 standardized per dimension before training; the transform is stored in
-the model and applied inside decision().
+the model and applied inside decisions().
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .features import relational_features
-from .skeleton import LIMBS, N_JOINTS, CandidatePose, CandidateSet, Skeleton, torso_lengths
+from .skeleton import LIMBS, N_JOINTS, CandidateSet, Skeleton, torso_lengths
 
 __all__ = [
     "TrainSet",
@@ -72,12 +72,6 @@ class SvmModel:
     def dim(self) -> int:
         return int(self.mean.shape[0])
 
-    def decision(self, feature: np.ndarray) -> float:
-        x = np.asarray(feature, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"feature has dim {x.shape}, model expects ({self.dim},)")
-        return float(self.decisions(x[None])[0])
-
     def decisions(self, X: np.ndarray) -> np.ndarray:
         """Decision value per row of X.
 
@@ -106,13 +100,14 @@ def synthesize_positives(
     n: int,
     eps: float,
     rng: np.random.Generator,
-) -> list[Skeleton]:
-    """n jittered copies of an annotation, each correct at PCP threshold eps.
+) -> np.ndarray:
+    """Keypoints (n, 14, 2) of n jittered copies of an annotation, each
+    correct at PCP threshold eps.
 
     Every joint moves once, uniformly inside a disk whose radius is eps times
     the shortest annotated limb incident to that joint, so each limb keeps
     both endpoints within eps of its own length. Joints on zero-length limbs
-    stay put.
+    stay put. Copy k draws its 14 angles, then its 14 radii, from rng.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -120,14 +115,11 @@ def synthesize_positives(
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
     radii = eps * _incident_limb_lengths(annotation)
     radii[~np.isfinite(radii)] = 0.0
-    out = []
-    for _ in range(n):
-        theta = rng.random(N_JOINTS) * 2.0 * np.pi
-        # u in [0, 1) keeps the draw strictly inside the disk
-        r = radii * np.sqrt(rng.random(N_JOINTS))
-        delta = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        out.append(Skeleton(annotation.keypoints + delta))
-    return out
+    draws = rng.random((n, 2, N_JOINTS))
+    theta = draws[:, 0] * 2.0 * np.pi
+    # u in [0, 1) keeps the draw strictly inside the disk
+    r = radii * np.sqrt(draws[:, 1])
+    return annotation.keypoints + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 # epochs between resets of the shrunk active set to all samples; without the
@@ -158,10 +150,11 @@ def train(
     max_iter epochs (default 1000). objective_history (primal) and
     gap_history hold one entry per epoch.
     """
-    if not reg > 0:
-        raise ValueError(f"reg must be positive, got {reg}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    for name, value in (("reg", reg), ("tol", tol)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
     y = ts.labels
     n, d = ts.features.shape
     if np.all(y == y[0]):
@@ -246,7 +239,7 @@ def select(
     model: SvmModel,
     candidates: CandidateSet,
     margin: float = 0.0,
-) -> Optional[CandidatePose]:
+) -> tuple[Optional[int], np.ndarray]:
     """Pick at most one candidate: decision strictly above margin, best score.
 
     Rows are featurized and scored best first, in stable (-score, row)
@@ -256,22 +249,26 @@ def select(
     rows that do, so it is the pick a full scan would make: a row's feature
     and decision do not depend on the rows computed with it. There is no
     knob. Every row's torso is checked first, so a degenerate one raises,
-    naming the image and the row, wherever the pick falls. Only the pick
-    becomes a CandidatePose; None when no row clears the margin.
+    naming the image and the row, wherever the pick falls.
+
+    Returns the pick's row index, None when no row clears the margin, and
+    the feature rows scored, in that best-first order: the first row's
+    alone when it is the pick, every row's otherwise.
     """
     if not candidates:
-        return None
+        return None, np.zeros((0, model.dim))
     bad = np.flatnonzero(~(torso_lengths(candidates.keypoints) > 0.0))
     if bad.size:
         raise ValueError(
             f"image {candidates.image_id!r}: cannot normalize: degenerate torso in row {bad[0]}"
         )
     order = np.argsort(-candidates.scores, kind="stable")
+    scored = []
     for rows in (order[:1], order[1:]):
         if not rows.size:
             break
-        feats = relational_features(candidates.keypoints[rows], normalize=True)
-        above = np.flatnonzero(model.decisions(feats) > margin)
+        scored.append(relational_features(candidates.keypoints[rows], normalize=True))
+        above = np.flatnonzero(model.decisions(scored[-1]) > margin)
         if above.size:
-            return candidates.pose(int(rows[above[0]]))
-    return None
+            return int(rows[above[0]]), np.concatenate(scored)
+    return None, np.concatenate(scored)

@@ -54,6 +54,21 @@ def crp_seating_probability(z: tuple[int, ...], alpha: float) -> float:
     return p
 
 
+def crp_log_prior(p, alpha: float) -> float:
+    """Log probability of a partition (anything with sizes() and n_items)
+    under the Polya-urn seating prior, in closed form.
+
+    p(z) = prod_k alpha * Gamma(N_k) / (alpha)_n with (alpha)_n the rising
+    factorial Gamma(alpha + n) / Gamma(alpha); sums to one over all set
+    partitions of n items.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    sizes = p.sizes()
+    log_norm = gammaln(alpha + p.n_items) - gammaln(alpha)
+    return float(np.sum(np.log(alpha) + gammaln(sizes)) - log_norm)
+
+
 def nig_marginal_quadrature(xs: np.ndarray, mu0: float, kappa0: float,
                             a0: float, b0: float) -> float:
     """log p(xs) by nested quadrature over the latent (mean, variance).
@@ -494,11 +509,10 @@ def gibbs_samples_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,
 def select_reference(model, candidates, margin):
     """svm.select by full scan: featurize and score every row, then pick
     the first row with the highest score among those whose decision is
-    strictly above margin; None when no row is."""
-    if not len(candidates):
-        return None
+    strictly above margin. Returns that row, or None when no row is above,
+    and every row's features in row order."""
     feats = relational_features(candidates.keypoints, normalize=True)
     above = model.decisions(feats) > margin
     if not above.any():
-        return None
-    return candidates.pose(int(np.argmax(np.where(above, candidates.scores, -np.inf))))
+        return None, feats
+    return int(np.argmax(np.where(above, candidates.scores, -np.inf))), feats

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import logsumexp
 
 from _oracles import (
+    crp_log_prior,
     crp_seating_probability,
     exhaustive_assemblies,
     nig_marginal_quadrature,
@@ -20,24 +21,18 @@ from _oracles import (
     svm_grid_minimum,
     svm_objective,
 )
-from conftest import random_skeleton
+from conftest import assemble, random_skeleton
 from poseboot.dpmm import (
     DpmmConfig,
     NigBase,
     Partition,
     cluster_log_marginal,
-    crp_log_prior,
     detect_outliers,
     gibbs_cluster,
     sample_partitions,
 )
 from poseboot.features import relational_feature
-from poseboot.heatmaps import (
-    CandidateGenConfig,
-    Heatmap,
-    beam_assemble,
-    enumerate_candidates,
-)
+from poseboot.heatmaps import CandidateGenConfig, Heatmap, enumerate_candidates
 from poseboot.metrics import (
     ReferenceLength,
     pck_correct,
@@ -253,7 +248,7 @@ def test_criterion_07(criterion):
         for _ in range(10):
             gt = random_skeleton(gen)
             for jittered in synthesize_positives(gt, 1000, 0.7, gen):
-                assert pcp_correct(gt, jittered, eps=0.7)[1]
+                assert pcp_correct(gt, Skeleton(jittered), eps=0.7)[1]
                 checked += 1
         assert checked == 10000
         note["detail"] = f"{checked} jitters checked"
@@ -266,7 +261,7 @@ def test_criterion_08(criterion):
         gen = np.random.default_rng(8)
         for _ in range(25):
             per_joint = [list(gen.uniform(0.0, 1.0, 3)) for _ in range(4)]
-            assert beam_assemble(per_joint, beam=500) == exhaustive_assemblies(per_joint)
+            assert assemble(per_joint, beam=500) == exhaustive_assemblies(per_joint)
 
         maps = {}
         for j in JointId:
@@ -354,14 +349,14 @@ def test_criterion_11(criterion):
         for k, i in enumerate(sorted(truth)):
             junk = truth[i].keypoints + 1e5
             candidates[i] = CandidateSet(i, [truth[i].keypoints, junk], [1.0, 2.0])
-            selected[i] = candidates[i].pose(1 if k < 2 else 0)
+            selected[i] = Skeleton(candidates[i].keypoints[1 if k < 2 else 0])
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.counts == (10, 10, 8, 10)
         assert r.precision == 8 / 10 and r.recall == 8 / 10
 
         perfect = {i: CandidateSet(i, [truth[i].keypoints], [1.0]) for i in truth}
         r = selection_stats(
-            list(truth.items()), perfect, {i: perfect[i].pose(0) for i in truth}, eps=0.7
+            list(truth.items()), perfect, dict(truth), eps=0.7
         )
         assert (
             r.detected_tp_rate == r.selected_tp_rate == r.precision == r.recall == 1.0

@@ -240,17 +240,44 @@ class TestSelectionFlow:
         "flag, named",
         [("--reg", "reg must be positive, got nan"),
          ("--tol", "tol must be positive, got nan"),
-         ("--eps", "eps must be finite and non-negative, got nan")],
+         ("--eps", "eps must be finite and non-negative, got nan"),
+         ("--reg", "reg must be finite, got inf"),
+         ("--tol", "tol must be finite, got inf")],
     )
     def test_train_svm_nan_option_is_data_error(self, tmp_path, rng, capsys, flag, named):
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
         write_template_poses(pos, rng, 6)
         write_junk_poses(neg, rng, 10)
+        value = named.rsplit(" ", 1)[1]  # the value the message quotes
         rc = cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
-                       "--out", str(tmp_path / "sel.svm"), "--synth", "1", flag, "nan"])
+                       "--out", str(tmp_path / "sel.svm"), "--synth", "1", flag, value])
         assert rc == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "sel.svm").exists()
+
+    def test_select_writes_the_picked_row(self, tmp_path, rng):
+        """The pick record is the picked row of its image: keypoints, score
+        and action; a higher-scored junk row that the selector rejects is
+        passed over."""
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        model = tmp_path / "sel.svm"
+        assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                         "--out", str(model)]) == 0
+        (junk,) = write_junk_poses(tmp_path / "junk.jsonl", rng, 1, score=0.95, prefix="img")
+        good = fileio.read_pose_records(pos)[0]
+        cands = tmp_path / "cands.jsonl"
+        fileio.write_pose_records(cands, [
+            junk, fileio.PoseRecord("img_000", good.keypoints, ActionLabel.SOCCER, score=0.5),
+        ])
+        picks = tmp_path / "picks.jsonl"
+        assert cli.main(["select", "--model", str(model), "--candidates", str(cands),
+                         "--out", str(picks)]) == 0
+        (pick,) = fileio.read_pose_records(picks)
+        assert pick.image_id == "img_000" and pick.provenance == "svm"
+        np.testing.assert_array_equal(pick.keypoints, good.keypoints)
+        assert pick.score == 0.5 and pick.action is ActionLabel.SOCCER
 
     def test_select_nan_margin_is_data_error(self, tmp_path, rng, capsys):
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
@@ -315,6 +342,7 @@ class TestSelectionFlow:
             ("std", np.inf, "std[7] is inf"),
             ("weights", -np.inf, "weights[7] is -inf"),
             ("bias", np.nan, "bias is nan"),
+            ("reg", np.inf, "reg is inf"),
         ],
     )
     def test_bad_model_field_is_data_error(self, tmp_path, rng, capsys, field, value, named):
@@ -574,12 +602,15 @@ class TestPipelineCommand:
     @pytest.mark.parametrize(
         "flag, named",
         [("--margin", "margin must be finite, got nan"),
-         ("--eps", "eps must be finite and non-negative, got nan")],
+         ("--eps", "eps must be finite and non-negative, got nan"),
+         ("--reg", "reg must be positive, got nan"),
+         ("--reg", "reg must be finite, got inf")],
     )
     def test_nan_option_is_data_error(self, corpus_dir, tmp_path, capsys, flag, named):
         exchange = tmp_path / "x"
+        value = named.rsplit(" ", 1)[1]  # the value the message quotes
         rc = cli.main(["pipeline", "--corpus", str(corpus_dir), "--exchange", str(exchange),
-                       "--scheme", "weak", flag, "nan"])
+                       "--scheme", "weak", flag, value])
         assert rc == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert not exchange.exists()

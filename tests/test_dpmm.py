@@ -13,7 +13,6 @@ from poseboot.dpmm import (
     NigBase,
     Partition,
     cluster_log_marginal,
-    crp_log_prior,
     detect_outliers,
     format_outlier_report,
     gibbs_cluster,
@@ -22,9 +21,9 @@ from poseboot.dpmm import (
     recover_poses,
     sample_partitions,
 )
-from poseboot.skeleton import CandidatePose, Skeleton
 
 from _oracles import (
+    crp_log_prior,
     crp_seating_probability,
     gibbs_samples_reference,
     nig_marginal_quadrature,
@@ -538,20 +537,14 @@ class TestDetectOutliers:
 
 
 class TestRecoverPoses:
-    def _cands(self, rng, centers, image_prefix="img"):
-        out = []
-        for k, c in enumerate(centers):
-            skel = Skeleton(rng.uniform(0, 100, (14, 2)))
-            cand = CandidatePose(
-                skeleton=skel, score=float(rng.uniform(0.4, 1.0)),
-                image_id=f"{image_prefix}_{k}",
-            )
-            out.append((cand, np.asarray(c, dtype=float)))
-        return out
+    def _pool(self, rng, centers, image_prefix="img"):
+        """(features, scores, image ids): row k is image <prefix>_k at centers[k]."""
+        X = np.asarray(centers, dtype=float)
+        return X, rng.uniform(0.4, 1.0, len(X)), [f"{image_prefix}_{k}" for k in range(len(X))]
 
     def test_too_few_candidates_recovers_nothing(self, rng):
-        cands = self._cands(rng, [[0.0], [1.0], [2.0]])
-        assert recover_poses([cands], DpmmConfig()) == []
+        pool = self._pool(rng, [[0.0], [1.0], [2.0]])
+        assert recover_poses([pool], DpmmConfig()) == []
 
     def test_keeps_cluster_members_drops_far_outliers(self, rng):
         centers = (
@@ -559,23 +552,20 @@ class TestRecoverPoses:
             + [[v] for v in rng.normal(10, 0.3, 20)]
             + [[200.0], [200.5]]
         )
-        cands = self._cands(rng, centers)
+        pool = self._pool(rng, centers)
         cfg = DpmmConfig(alpha=1 / 3, gibbs_iters=150, burn_in=50, seed=4)
-        kept = recover_poses([cands], cfg)
-        kept_ids = {c.image_id for c in kept}
-        assert f"img_40" not in kept_ids and f"img_41" not in kept_ids
+        kept = recover_poses([pool], cfg)
+        assert {j for j, _ in kept} == {0}
+        kept_ids = {pool[2][row] for _, row in kept}
+        assert "img_40" not in kept_ids and "img_41" not in kept_ids
         assert len(kept) == 40
 
     def test_one_pose_per_image(self, rng):
         centers = [[v] for v in rng.normal(0, 0.3, 24)]
-        cands = self._cands(rng, centers)
+        X, scores, _ = self._pool(rng, centers)
         # same image for everything: only one winner may come back
-        cands = [
-            (CandidatePose(skeleton=c.skeleton, score=c.score, image_id="same"), f)
-            for c, f in cands
-        ]
         cfg = DpmmConfig(gibbs_iters=100, burn_in=30, seed=4)
-        kept = recover_poses([cands], cfg)
+        kept = recover_poses([(X, scores, ["same"] * len(X))], cfg)
         assert len(kept) <= 1
 
     def test_pools_equal_recovering_each_alone(self, rng, monkeypatch):
@@ -583,7 +573,7 @@ class TestRecoverPoses:
         pool's poses are those of recovering it alone with its seed."""
         sizes = [20, 6, 3, 22]  # projected to 8, 6, (too few), 8 dimensions
         pools = [
-            self._cands(rng, rng.normal(size=(n, 10)) + 4.0 * rng.integers(0, 2, (n, 1)), f"p{j}")
+            self._pool(rng, rng.normal(size=(n, 10)) + 4.0 * rng.integers(0, 2, (n, 1)), f"p{j}")
             for j, n in enumerate(sizes)
         ]
         seeds = [3, 1, 4, 1]
@@ -599,10 +589,11 @@ class TestRecoverPoses:
         monkeypatch.setattr(dpmm, "sample_partitions", counting)
         together = recover_poses(pools, cfg, seeds)
         assert calls == [[20, 22], [6]]
-        assert together == [pose for poses in alone for pose in poses]
+        # each pool's rows, renumbered from pool 0 alone to pool j
+        assert together == [(j, row) for j, kept in enumerate(alone) for _, row in kept]
         assert alone[2] == [] and all(alone[j] for j in (0, 1, 3))
 
     def test_one_seed_per_pool(self, rng):
-        pools = [self._cands(rng, [[v] for v in range(5)])] * 2
+        pools = [self._pool(rng, [[v] for v in range(5)])] * 2
         with pytest.raises(ValueError, match="one seed per pool"):
             recover_poses(pools, DpmmConfig(), [1])

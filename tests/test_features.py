@@ -209,7 +209,7 @@ class TestBatched:
         F = relational_features(pts, normalize=True)
         raw = relational_features(pts)
         for f, r, p in zip(F, raw, pts):
-            assert same_bits(f[DIST], r[DIST] / Skeleton(p).torso_length())
+            assert same_bits(f[DIST], r[DIST] / torso_length_per_pose(p))
 
     def test_single_pose_entry_points_are_rows(self, rng):
         pts = rng.normal(0.0, 40.0, size=(4, N_JOINTS, 2))

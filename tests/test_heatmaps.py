@@ -1,16 +1,12 @@
 """Per-joint score maps: peak finding and assembly."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poseboot.heatmaps import (
-    CandidateGenConfig,
-    Heatmap,
-    beam_assemble,
-    enumerate_candidates,
-    local_maxima,
-)
+from poseboot.heatmaps import CandidateGenConfig, Heatmap, _joint_peaks, enumerate_candidates
 from poseboot.skeleton import N_JOINTS, JointId
 
 from _oracles import (
@@ -19,10 +15,21 @@ from _oracles import (
     exhaustive_assemblies,
     local_maxima_reference,
 )
+from conftest import assemble
 
 
 def grid_map(values, joint=JointId.HEAD, stride=1.0, origin=(0.0, 0.0)):
     return Heatmap(joint, np.asarray(values, dtype=float), stride=stride, origin=origin)
+
+
+def local_maxima(h, cfg):
+    """The peaks heatmaps._joint_peaks keeps on one map, best first, each
+    with x, y, value, row and col as local_maxima_reference gives them."""
+    _, row, col, xy, value = _joint_peaks([h], cfg)
+    return [
+        SimpleNamespace(x=x, y=y, value=v, row=r, col=c)
+        for (x, y), v, r, c in zip(xy.tolist(), value.tolist(), row.tolist(), col.tolist())
+    ]
 
 
 class TestHeatmap:
@@ -112,16 +119,16 @@ class TestBeamAssemble:
         per_joint = [
             list(rng.uniform(0.05, 1.0, size=rng.integers(1, 4))) for _ in range(4)
         ]
-        got = beam_assemble(per_joint, beam)
+        got = assemble(per_joint, beam)
         want = exhaustive_assemblies(per_joint)[:beam]
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose([t for _, t in got], [t for _, t in want])
 
     def test_empty_joint_empties_output(self):
-        assert beam_assemble([[0.5], [], [0.3]], beam=10) == []
+        assert assemble([[0.5], [], [0.3]], beam=10) == []
 
     def test_deterministic_tie_order(self):
-        got = beam_assemble([[0.5, 0.5], [0.2]], beam=10)
+        got = assemble([[0.5, 0.5], [0.2]], beam=10)
         assert [i for i, _ in got] == [(0, 0), (1, 0)]
 
 
@@ -241,5 +248,5 @@ class TestBatchedAgainstReference:
         st.integers(1, 600),
     )
     def test_beam_assemble(self, per_joint, beam):
-        assert beam_assemble(per_joint, beam) == beam_assemble_reference(per_joint, beam)
+        assert assemble(per_joint, beam) == beam_assemble_reference(per_joint, beam)
 

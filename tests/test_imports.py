@@ -1,9 +1,11 @@
-"""Every import in the package, the tests and the demos is used.
+"""Every import in the package, the tests and the demos is used, and every
+name the package exports is used by the package.
 
-No linter runs with the tests, so this check reads each file's syntax tree:
-an imported name that no expression in the file reads, and that the
+No linter runs with the tests, so these checks read each file's syntax
+tree: an imported name that no expression in the file reads, and that the
 module's __all__ does not list, is unused. A line marked `# noqa: F401`
-keeps its imports on purpose.
+keeps its imports on purpose. A name in a module's __all__ that no module
+of the package reads is reached only from tests and demos.
 """
 import ast
 from pathlib import Path
@@ -18,8 +20,26 @@ FILES = sorted(
 )
 
 
+# exported names kept although no module of the package reads them, each
+# with its reason
+KEPT_EXPORTS = {
+    # bench/tests/test_bench.py reads it from poseboot.pipeline, to check that
+    # the benchmark's tracer restores the functions it wraps
+    "features.relational_feature",
+}
+
+
 def _exempt(lines: list[str], node: ast.stmt) -> bool:
     return any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,11 +54,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exports(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -66,3 +82,36 @@ def test_the_only_kept_import_is_in_the_pipeline():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and _exempt(lines, node):
                 marked.append(path)
     assert marked == ["src/poseboot/pipeline.py"]
+
+
+def unreached_exports(sources: dict[str, str]) -> list[str]:
+    """'module.name' for each name in a module's __all__ that no module of
+    sources (module name to source) reads, as a name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _exports(tree)
+        if name not in read
+    ]
+
+
+def test_finds_an_unreached_export():
+    sources = {
+        "a": "__all__ = ['f', 'g', 'h']\ndef f(): return g()\ndef g(): pass\ndef h(): pass\n",
+        "b": "from . import a\nx = a.h\n__all__ = ['k']\nk = 1\n",
+    }
+    assert unreached_exports(sources) == ["a.f", "b.k"]
+
+
+def test_every_export_is_read_by_the_package():
+    package = ROOT / "src" / "poseboot"
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [n for n in unreached_exports(sources) if n not in KEPT_EXPORTS] == []

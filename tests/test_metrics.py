@@ -159,8 +159,7 @@ class TestSelectionStats:
     def test_perfect_selection(self, rng):
         truth = self._fixture(rng)
         candidates = {i: make_set(i, [s]) for i, s in truth.items()}
-        selected = {i: candidates[i].pose(0) for i in truth}
-        r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
+        r = selection_stats(list(truth.items()), candidates, dict(truth), eps=0.7)
         assert r.detected_tp_rate == 1.0
         assert r.selected_tp_rate == 1.0
         assert r.precision == 1.0
@@ -175,7 +174,7 @@ class TestSelectionStats:
         for k, i in enumerate(ids):
             junk = Skeleton(truth[i].keypoints + 1e5)
             candidates[i] = make_set(i, [truth[i], junk], [1.0, 2.0])
-            selected[i] = candidates[i].pose(1 if k < 2 else 0)
+            selected[i] = junk if k < 2 else truth[i]
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         atp, stp, both, cp_atp = r.counts
         assert (atp, stp, both, cp_atp) == (10, 10, 8, 10)
@@ -200,7 +199,7 @@ class TestSelectionStats:
             if k % 2 == 0:
                 skels.append(truth[i])
             candidates[i] = make_set(i, skels)
-            selected[i] = candidates[i].pose(len(skels) - 1)
+            selected[i] = skels[-1]
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.selected_tp_rate <= r.detected_tp_rate
 
@@ -214,7 +213,7 @@ class TestSelectionStats:
             ids[3]: ActionLabel.SOCCER,
         }
         candidates = {i: make_set(i, [truth[i]]) for i in ids}
-        selected = {i: candidates[i].pose(0) for i in ids[:3]}  # one soccer image missed
+        selected = {i: truth[i] for i in ids[:3]}  # one soccer image missed
         r = selection_stats(
             list(truth.items()), candidates, selected, eps=0.7, actions=actions
         )

@@ -1,10 +1,12 @@
 """Self-training driver: model specialization, iteration semantics, files."""
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import poseboot.pipeline as pipeline
+import poseboot.svm as svm
 from poseboot.dpmm import DpmmConfig
 from poseboot.features import relational_feature, relational_features
 from poseboot.fileio import PoseRecord, read_pose_records, write_pose_records
@@ -78,7 +80,9 @@ class TestConfig:
         "kw",
         [dict(max_iterations=0), dict(n_synth=-1), dict(eps=-0.1),
          dict(max_negatives=0), dict(eps=float("nan")), dict(eps=float("inf")),
-         dict(margin=float("nan")), dict(margin=float("inf"))],
+         dict(margin=float("nan")), dict(margin=float("inf")),
+         dict(reg=0.0), dict(reg=float("nan")), dict(reg=float("inf")),
+         dict(tol=0.0), dict(tol=float("nan")), dict(tol=float("inf"))],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -274,13 +278,35 @@ class TestRunIteration:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "recover_poses", lambda p, *rest: pools.extend(p) or real(p, *rest))
             state = run_iteration(IterationState(), split, cands, cfg)
-        rows = [(c.image_id, c.score, c.skeleton.keypoints) for pool in pools for c, _ in pool]
+        rows = [row for X, scores, ids in pools for row in zip(ids, scores.tolist(), X)]
         assert sorted((i, s) for i, s, _ in rows) == sorted(
             (e.image_id, s) for e in split.ws for s in (0.9, 0.6)
         )
-        for i, s, kp in rows:
-            np.testing.assert_array_equal(kp, cands[i].keypoints[[0.9, 0.6].index(s)])
+        for i, s, feature in rows:
+            kp = cands[i].keypoints[[0.9, 0.6].index(s)]
+            assert np.array_equal(feature, relational_features(kp[None], normalize=True)[0])
         assert all(a.provenance == "cluster" for a in state.accepted)
+
+    def test_weakc_featurizes_no_row_twice(self, monkeypatch):
+        """At the margin where every selector abstains, each open image's
+        rows are featurized by select, and its recovery pool reuses those
+        features: no pose is featurized twice in the round."""
+        corpus, cands = tiny_corpus()
+        featurized = Counter()
+        real = pipeline.relational_features
+
+        def counting(points, normalize=False):
+            featurized.update(kp.tobytes() for kp in np.ascontiguousarray(points))
+            return real(points, normalize)
+
+        monkeypatch.setattr(pipeline, "relational_features", counting)
+        monkeypatch.setattr(svm, "relational_features", counting)
+        cfg = fast_cfg(scheme=Scheme.WEAKC, margin=10.0)
+        state = run_iteration(IterationState(), corpus.split, cands, cfg)
+        assert {a.provenance for a in state.accepted} == {"cluster"}
+        rows = [kp.tobytes() for e in corpus.split.ws for kp in cands[e.image_id].keypoints]
+        assert [featurized[kp] for kp in rows] == [1] * len(rows)
+        assert max(featurized.values()) == 1
 
     def test_weakc_pool_rows_are_full_set_feature_rows(self):
         """With every selector abstaining, each pool holds an image's three
@@ -293,15 +319,17 @@ class TestRunIteration:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "recover_poses", lambda p, *rest: pools.extend(p) or real(p, *rest))
             run_iteration(IterationState(), corpus.split, cands, cfg)
-        members = [member for pool in pools for member in pool]
+        members = [member for X, scores, ids in pools for member in zip(ids, scores, X)]
         assert len(members) == sum(min(len(cands[e.image_id]), 3) for e in corpus.split.ws)
         full = {e.image_id: relational_features(cands[e.image_id].keypoints, normalize=True)
                 for e in corpus.split.ws}
-        for cand, feature in members:
-            # enumerated sets are best first, so the pool is rows 0, 1 and 2
-            row = next(j for j in range(3)
-                       if np.array_equal(cands[cand.image_id].keypoints[j], cand.skeleton.keypoints))
-            assert np.array_equal(feature, full[cand.image_id][row])
+        seen: dict[str, int] = {}
+        for image_id, score, feature in members:
+            # enumerated sets are best first, so an image's pool rows are
+            # its rows 0, 1 and 2, in that order
+            row = seen[image_id] = seen.get(image_id, -1) + 1
+            assert score == cands[image_id].scores[row]
+            assert np.array_equal(feature, full[image_id][row])
 
     def test_set_must_carry_its_image_id(self):
         corpus, cands = tiny_corpus()
@@ -389,9 +417,9 @@ class TestExchangeFiles:
         )
         out = read_candidate_dir(tmp_path)
         assert list(out) == [image_id] and len(out[image_id]) == 1
-        cand = out[image_id].pose(0)
-        assert cand.image_id == image_id  # file name wins over the record id
-        assert cand.score == 0.75 and cand.action == action
+        cands = out[image_id]
+        assert cands.image_id == image_id  # file name wins over the record id
+        assert cands.scores.tolist() == [0.75] and cands.actions == (action,)
 
     def test_read_candidate_dir_empty(self, tmp_path):
         assert read_candidate_dir(tmp_path) == {}
@@ -454,17 +482,19 @@ class TestRunPipeline:
         state = run_iteration(IterationState(), corpus.split, cands, cfg)
         assert len(calls) == 1
         pools, dp, seeds = calls[0]
-        assert dp == cfg.dpmm and len(pools) == 3 and all(len(pool) >= 4 for pool in pools)
+        assert dp == cfg.dpmm and len(pools) == 3 and all(len(X) >= 4 for X, _, _ in pools)
         expected = []
         for ai, pool in enumerate(pools):
             seed = int(np.random.SeedSequence([cfg.seed, 1, ai]).generate_state(1)[0])
             assert seeds[ai] == seed
-            expected += recover([pool], replace(cfg.dpmm, seed=seed))
+            expected += [(pool, row) for _, row in recover([pool], replace(cfg.dpmm, seed=seed))]
         got = [a for a in state.accepted if a.provenance == "cluster"]
         assert len({a.action for a in got}) == 3
-        assert [a.image_id for a in got] == [c.image_id for c in expected]
-        for a, c in zip(got, expected):
-            np.testing.assert_array_equal(a.skeleton.keypoints, c.skeleton.keypoints)
+        assert [a.image_id for a in got] == [ids[row] for (_, _, ids), row in expected]
+        for a, ((X, _, _), row) in zip(got, expected):
+            # the accepted keypoints are those of the row clustered
+            feature = relational_features(a.skeleton.keypoints[None], normalize=True)[0]
+            assert np.array_equal(feature, X[row])
             assert a.action is corpus.split.ws_actions()[a.image_id]
 
     def test_weakc_runs_and_respects_append_only(self, tmp_path):

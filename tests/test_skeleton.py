@@ -6,15 +6,17 @@ from poseboot.skeleton import (
     LIMBS,
     N_JOINTS,
     ActionLabel,
-    CandidatePose,
+    CandidateSet,
     DatasetSplit,
     FsExample,
     JointId,
     Skeleton,
     WsExample,
+    torso_lengths,
     validate_split,
 )
 
+from _oracles import torso_length_per_pose
 from conftest import random_skeleton
 
 
@@ -64,18 +66,15 @@ class TestSkeleton:
             expect = np.linalg.norm(s.keypoints[a] - s.keypoints[b])
             assert lengths[k] == pytest.approx(expect)
 
-    def test_torso_length_neck_to_hip_midpoint(self):
+    def test_torso_length_neck_to_hip_midpoint(self, rng):
         pts = np.zeros((14, 2))
         pts[JointId.NECK] = (0.0, 0.0)
         pts[JointId.L_HIP] = (-2.0, 8.0)
         pts[JointId.R_HIP] = (2.0, 8.0)
-        assert Skeleton(pts).torso_length() == pytest.approx(8.0)
-
-    def test_is_valid_rejects_nan(self):
-        pts = np.zeros((14, 2))
-        assert Skeleton(pts).is_valid()
-        pts[3, 1] = np.nan
-        assert not Skeleton(pts).is_valid()
+        assert torso_lengths(pts[None])[0] == pytest.approx(8.0)
+        # each row is its own norm, to the last bit
+        many = rng.normal(0.0, 50.0, size=(300, N_JOINTS, 2))
+        assert torso_lengths(many).tolist() == [torso_length_per_pose(p) for p in many]
 
 
 class TestActionLabel:
@@ -92,11 +91,11 @@ class TestActionLabel:
             ActionLabel.parse("snooker")
 
 
-class TestCandidatePose:
+class TestCandidateSet:
     def test_rejects_non_finite_score(self, rng):
         s = random_skeleton(rng)
-        with pytest.raises(ValueError):
-            CandidatePose(skeleton=s, score=float("nan"), image_id="a")
+        with pytest.raises(ValueError, match="candidate score must be finite"):
+            CandidateSet("a", [s.keypoints, s.keypoints], [1.0, float("nan")])
 
 
 class TestValidateSplit:

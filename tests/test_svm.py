@@ -1,6 +1,5 @@
 """Max-margin pose selector: training, solver quality, selection rules."""
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from poseboot import svm
 from poseboot.features import relational_feature, relational_features, relational_length
 from poseboot.metrics import pcp_correct
-from poseboot.skeleton import N_JOINTS, ActionLabel, CandidateSet, JointId, Skeleton
+from poseboot.skeleton import N_JOINTS, CandidateSet, JointId, Skeleton
 from poseboot.svm import (
     SvmModel,
     TrainSet,
@@ -153,6 +152,11 @@ class TestSolver:
         with pytest.raises(ValueError, match=f"{field} must be positive, got {bad}"):
             train(TrainSet(X_SEP, Y_SEP), **{field: bad})
 
+    @pytest.mark.parametrize("field", ["reg", "tol"])
+    def test_infinite_option_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got inf"):
+            train(TrainSet(X_SEP, Y_SEP), **{field: np.inf})
+
     def test_standardization_stored_and_applied(self, rng):
         X = rng.normal(size=(30, 4)) * np.array([1.0, 10.0, 0.1, 5.0]) + 7.0
         y = np.where(X[:, 1] > 7.0, 1.0, -1.0)
@@ -175,8 +179,8 @@ class TestSolver:
         X = rng.normal(size=(500, d))
         got = m.decisions(X)
         for row, x in zip(got, X):
-            assert row == m.decision(x)
-            # the per-row dot product of a single decision, to the last bit
+            # the dot product of one row alone, to the last bit
+            assert row == m.decisions(x[None])[0]
             assert row == float(m.weights @ ((x - m.mean) / m.std) + m.bias)
         # a row's value does not depend on the rows scored with it
         assert np.array_equal(m.decisions(X[7:9]), got[7:9])
@@ -190,21 +194,21 @@ class TestSolver:
     def test_dimension_mismatch_rejected(self, rng):
         m = train(TrainSet(X_SEP, Y_SEP), tol=1e-6)
         with pytest.raises(ValueError):
-            m.decision(np.zeros(5))
+            m.decisions(np.zeros((1, 5)))
 
 
 class TestSynthesizePositives:
     def test_count_and_pcp(self, rng):
         base = random_skeleton(rng)
         out = synthesize_positives(base, 25, eps=0.7, rng=rng)
-        assert len(out) == 25
-        for s in out:
-            assert pcp_correct(base, s, 0.7)[1]
+        assert out.shape == (25, N_JOINTS, 2)
+        for kp in out:
+            assert pcp_correct(base, Skeleton(kp), 0.7)[1]
 
     def test_zero_eps_reproduces_annotation(self, rng):
         base = random_skeleton(rng)
-        (s,) = synthesize_positives(base, 1, eps=0.0, rng=rng)
-        np.testing.assert_array_equal(s.keypoints, base.keypoints)
+        (kp,) = synthesize_positives(base, 1, eps=0.0, rng=rng)
+        np.testing.assert_array_equal(kp, base.keypoints)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
     def test_eps_must_be_finite_and_non_negative(self, rng, bad):
@@ -222,8 +226,8 @@ class TestSynthesizePositives:
                 for j in range(14)
             ]
         )
-        for s in synthesize_positives(base, 50, eps=0.7, rng=rng):
-            d = np.linalg.norm(s.keypoints - base.keypoints, axis=1)
+        for kp in synthesize_positives(base, 50, eps=0.7, rng=rng):
+            d = np.linalg.norm(kp - base.keypoints, axis=1)
             assert np.all(d < radii)
 
 
@@ -250,37 +254,31 @@ class TestSelect:
         kp[:, JointId.HEAD] = [(x, 0.0) for _, x in scored_xs]
         return CandidateSet(image_id, kp, [score for score, _ in scored_xs])
 
-    @staticmethod
-    def _is_row(pick, cands, j):
-        return (
-            np.array_equal(pick.skeleton.keypoints, cands.keypoints[j])
-            and pick.score == cands.scores[j]
-            and pick.image_id == cands.image_id
-        )
-
     def test_picks_highest_score_among_accepted(self, rng):
         m = self._model_preferring_positive_x()
         # the third has the best score but is rejected by the margin
         cands = self._cands(rng, "a", [(0.3, 5.0), (0.9, 4.0), (2.0, -5.0)])
-        pick = select(m, cands)
-        assert self._is_row(pick, cands, 1)
+        assert select(m, cands)[0] == 1
 
     def test_none_when_all_below_margin(self, rng):
         m = self._model_preferring_positive_x()
         cands = self._cands(rng, "a", [(1.0, -3.0), (2.0, -1.0)])
-        assert select(m, cands) is None
+        pick, feats = select(m, cands)
+        assert pick is None
+        # every row was scored, best first
+        np.testing.assert_array_equal(feats, [[-1.0, 0.0], [-3.0, 0.0]])
 
     def test_margin_raises_the_bar(self, rng):
         m = self._model_preferring_positive_x()
         cands = self._cands(rng, "a", [(1.0, 0.5)])
-        d = m.decision(np.array([0.5, 0.0]))
-        assert select(m, cands, margin=0.0) is not None
-        assert select(m, cands, margin=d + 1.0) is None
+        d = m.decisions(np.array([[0.5, 0.0]]))[0]
+        assert select(m, cands, margin=0.0)[0] == 0
+        assert select(m, cands, margin=d + 1.0)[0] is None
 
     def test_score_tie_keeps_first(self, rng):
         m = self._model_preferring_positive_x()
         cands = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
-        assert self._is_row(select(m, cands), cands, 0)
+        assert select(m, cands)[0] == 0
 
     def test_score_tie_keeps_first_row_above_margin(self, rng):
         # rows 0 and 3 tie with 1 and 2 on score, but their decisions do not
@@ -289,19 +287,13 @@ class TestSelect:
         cands = self._cands(
             rng, "a", [(1.0, -3.0), (1.0, 3.0), (1.0, 4.0), (1.0, -4.0), (0.5, 9.0)]
         )
-        assert self._is_row(select(m, cands), cands, 1)
-
-    def test_pick_carries_the_row_action(self, rng):
-        m = self._model_preferring_positive_x()
-        cands = self._cands(rng, "a", [(1.0, 3.0), (2.0, 4.0)])
-        labelled = replace(cands, actions=(None, ActionLabel.SOCCER))
-        assert select(m, labelled).action is ActionLabel.SOCCER
-        assert select(m, cands).action is None
+        assert select(m, cands)[0] == 1
 
     def test_empty_set_gives_none(self):
         m = self._model_preferring_positive_x()
         empty = CandidateSet("a", np.zeros((0, 14, 2)), np.zeros(0))
-        assert select(m, empty) is None
+        pick, feats = select(m, empty)
+        assert pick is None and feats.shape == (0, 2)
 
     def test_degenerate_torso_after_the_pick_names_the_image(self, rng):
         # row 0 is the pick, and no row after it is scored, but its torso
@@ -372,14 +364,14 @@ class TestBestFirst:
             margin = float(d[-1])
         else:  # rows above the k-th smallest decision clear it
             margin = float(d[data.draw(st.integers(0, m - 1))])
-        got = select(model, cands, margin)
-        want = select_reference(model, cands, margin)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert np.array_equal(got.skeleton.keypoints, want.skeleton.keypoints)
-            assert (got.score, got.image_id, got.action) == (want.score, want.image_id, want.action)
+        got, scored = select(model, cands, margin)
+        want, feats = select_reference(model, cands, margin)
+        assert got == want
+        # the rows scored lead the best-first order: the first alone when it
+        # is the pick, every row otherwise
+        order = np.argsort(-scores, kind="stable")
+        assert len(scored) == (1 if want == order[0] else m)
+        assert np.array_equal(scored, feats[order][: len(scored)])
 
     def _count_rows(self, monkeypatch):
         rows = []
@@ -398,9 +390,8 @@ class TestBestFirst:
         cands = CandidateSet("img", kp, np.linspace(1.0, 0.0, 50))
         d = relational_length(N_JOINTS)
         accept_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), 1.0, 1.0)
-        pick = select(accept_all, cands)
+        assert select(accept_all, cands)[0] == 0
         assert rows == [1]
-        np.testing.assert_array_equal(pick.skeleton.keypoints, kp[0])
 
     def test_rest_is_one_call_when_the_first_row_falls_short(self, rng, monkeypatch):
         rows = self._count_rows(monkeypatch)
@@ -408,7 +399,8 @@ class TestBestFirst:
         cands = CandidateSet("img", kp, rng.random(150))
         d = relational_length(N_JOINTS)
         reject_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), -1.0, 1.0)
-        assert select(reject_all, cands) is None
+        pick, feats = select(reject_all, cands)
+        assert pick is None and len(feats) == 150
         assert rows == [1, 149]
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
 from poseboot.metrics import pcp_correct
-from poseboot.skeleton import JointId, N_JOINTS, validate_split
+from poseboot.skeleton import JointId, N_JOINTS, Skeleton, validate_split
 from poseboot.synth import SynthConfig, SynthCorpus, action_template, synth_corpus
 
 
@@ -86,7 +86,7 @@ class TestSignalQuality:
             cands = enumerate_candidates(maps, cfg, image_id=image_id)
             assert cands, image_id
             truth = corpus.truth[image_id][0]
-            assert pcp_correct(truth, cands.pose(0).skeleton, eps=0.7)[1], image_id
+            assert pcp_correct(truth, Skeleton(cands.keypoints[0]), eps=0.7)[1], image_id
 
     def test_distractor_peak_stays_secondary(self):
         """The true bump outranks any distractor: argmax sits on the joint."""
