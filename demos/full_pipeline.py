@@ -9,7 +9,6 @@ in hand we can audit every selection.
 
 import numpy as np
 
-from poseboot.dpmm import DpmmConfig
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
 from poseboot.pipeline import PipelineConfig, Scheme, run_pipeline
 from poseboot.synth import SynthConfig, synth_corpus
@@ -30,8 +29,7 @@ print(f"candidates: {n_cands} across {len(candidates)} images")
 # abstains, per-action selectors catch some, clustering recovers the rest
 gt = {i: skel for i, (skel, _) in corpus.truth.items()}
 for scheme in (Scheme.SEMI, Scheme.WEAK, Scheme.WEAKC):
-    cfg = PipelineConfig(scheme=scheme, margin=3.0,
-                         dpmm=DpmmConfig(gibbs_iters=200, burn_in=60), seed=0)
+    cfg = PipelineConfig(scheme=scheme, margin=3.0, seed=0)
     states = run_pipeline(split, candidates, cfg, gt=gt)
     print(f"\nscheme {scheme.value}:")
     for st in states[1:]:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fileio
-from .dpmm import DpmmConfig, detect_outliers, gibbs_cluster, project_features
+from .dpmm import RESTARTS, DpmmConfig, detect_outliers, gibbs_cluster, project_features
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
@@ -54,6 +54,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     def common(sp):
         sp.add_argument("--seed", type=seed, default=None, help="RNG seed, >= 0")
         sp.add_argument("--config", type=Path, default=None, help="key=value config file")
+
+    def sweeps(sp, flag):
+        sp.add_argument(flag, type=int, default=None,
+                        help=f"Gibbs sweeps per chain, {RESTARTS} chains per set of poses")
+        sp.add_argument("--burn-in", type=int, default=None,
+                        help="sweeps of each chain before its samples count")
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")
     common(sp)
@@ -103,8 +109,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--out", type=Path, required=True)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--pca-dim", type=int, default=None)
-    sp.add_argument("--iters", type=int, default=None)
-    sp.add_argument("--burn-in", type=int, default=None)
+    sweeps(sp, "--iters")
 
     sp = sub.add_parser("outliers", help="flag implausible poses among records")
     common(sp)
@@ -114,8 +119,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--pca-dim", type=int, default=None)
     sp.add_argument("--small-max", type=int, default=None)
-    sp.add_argument("--iters", type=int, default=None)
-    sp.add_argument("--burn-in", type=int, default=None)
+    sweeps(sp, "--iters")
 
     sp = sub.add_parser("pipeline", help="run the self-training loop on a corpus")
     common(sp)
@@ -127,8 +131,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--reg", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--n-synth", type=int, default=None)
-    sp.add_argument("--gibbs-iters", type=int, default=None)
-    sp.add_argument("--burn-in", type=int, default=None)
+    sweeps(sp, "--gibbs-iters")
     sp.add_argument("--audit", action="store_true", help="score against corpus truth")
 
     sp = sub.add_parser("eval", help="compare estimated poses against ground truth")
@@ -380,12 +383,23 @@ def _features_and_scores(path: Path):
     return records, X, scores
 
 
+def _sweeps(a: dict, flag: str) -> dict:
+    """gibbs_iters from flag and burn_in from --burn-in, DpmmConfig's
+    defaults where unset."""
+    iters = _pick(a, flag[2:].replace("-", "_"), DpmmConfig.gibbs_iters)
+    burn_in = _pick(a, "burn_in", DpmmConfig.burn_in)
+    if not 0 <= burn_in < iters:
+        raise ValueError(
+            f"need 0 <= --burn-in < {flag}, got --burn-in {burn_in} and {flag} {iters}"
+        )
+    return {"gibbs_iters": iters, "burn_in": burn_in}
+
+
 def _dpmm_config(a: dict) -> DpmmConfig:
     return DpmmConfig(
         gamma=_pick(a, "gamma", 1.0),
         alpha=_pick(a, "alpha", 1.0 / 3.0),
-        gibbs_iters=_pick(a, "iters", 2000),
-        burn_in=_pick(a, "burn_in", 500),
+        **_sweeps(a, "--iters"),
         seed=_pick(a, "seed", 0),
         pca_dim=_pick(a, "pca_dim", 8),
         small_cluster_max=_pick(a, "small_max", 3),
@@ -424,10 +438,6 @@ def _cmd_outliers(a: dict) -> int:
 
 
 def _cmd_pipeline(a: dict) -> int:
-    dp = DpmmConfig(
-        gibbs_iters=_pick(a, "gibbs_iters", 400),
-        burn_in=_pick(a, "burn_in", 120),
-    )
     cfg = PipelineConfig(
         scheme=Scheme.parse(a["scheme"]),
         max_iterations=_pick(a, "iterations", 2),
@@ -435,7 +445,7 @@ def _cmd_pipeline(a: dict) -> int:
         n_synth=_pick(a, "n_synth", 10),
         margin=_pick(a, "margin", 0.0),
         reg=_pick(a, "reg", 1.0),
-        dpmm=dp,
+        dpmm=DpmmConfig(**_sweeps(a, "--gibbs-iters")),
         seed=_pick(a, "seed", 0),
     )
     split, truth, heatmaps = _load_corpus(a["corpus"])

@@ -3,9 +3,11 @@ of small clusters.
 
 Partitions are sampled by collapsed Gibbs under a Chinese-restaurant prior
 p(z) proportional to prod_k gamma * Gamma(N_k) with a per-dimension
-Normal-Inverse-Gamma base, so every cluster marginal is closed form. Small
-clusters are then tested against every way of merging them into the large
-ones: they are outliers only when the evidence ratio beats a
+Normal-Inverse-Gamma base, so every cluster marginal is closed form. Each
+set of points gets RESTARTS short chains, each started by seating the
+points one by one, and the highest-scoring sample of any of them is kept.
+Small clusters are then tested against every way of merging them into the
+large ones: they are outliers only when the evidence ratio beats a
 concentration-derived lower bound for ALL merges, with cluster counts
 replaced by score-weighted counts.
 """
@@ -33,9 +35,11 @@ __all__ = [
     "recover_poses",
     "format_outlier_report",
     "MERGE_ENUM_CAP",
+    "RESTARTS",
 ]
 
 MERGE_ENUM_CAP = 12  # at most 2**12 merge partitions are enumerated
+RESTARTS = 4  # seated chains per set of points, each cfg.gibbs_iters sweeps long
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _WEIGHT_FLOOR = 1e-12  # keeps Gamma() finite when a cluster's score mass is 0
@@ -118,11 +122,15 @@ class NigBase:
 
 @dataclass(frozen=True)
 class DpmmConfig:
+    """Sampler and screen settings. gibbs_iters and burn_in count the sweeps
+    of each of the RESTARTS chains that gibbs_cluster and recover_poses run
+    per set of points; these defaults are the only ones."""
+
     gamma: float = 1.0  # concentration of the sampling prior
     alpha: float = 1.0 / 3.0  # concentration in the outlier lower bound
     base: Optional[NigBase] = None  # None: derived from the data
-    gibbs_iters: int = 2000
-    burn_in: int = 500
+    gibbs_iters: int = 50
+    burn_in: int = 10
     seed: int = 0
     pca_dim: Optional[int] = 8
     small_cluster_max: int = 3
@@ -281,25 +289,29 @@ def _logsumexp_rows(w: np.ndarray) -> np.ndarray:
 def sample_partitions(
     features: np.ndarray,
     cfg: DpmmConfig,
-    chains: Optional[Sequence[tuple[int, int]]] = None,
+    chains: Optional[Sequence[tuple[int, int | Sequence[int]]]] = None,
 ) -> _Samples | list[_Samples]:
     """Post-burn-in Gibbs samples as (canonical assignments, log posterior score).
 
-    Collapsed Gibbs sampling (Neal 2000, algorithm 3): every point starts in
-    one cluster, and each sweep reseats the points in order, each in an
-    existing cluster with weight N_k * p(x | cluster k) or in a new one with
-    weight gamma * p(x).
+    Collapsed Gibbs sampling (Neal 2000, algorithm 3). A chain first seats
+    its points in row order, each in an existing cluster with weight
+    N_k * p(x | cluster k) or in a new one with weight gamma * p(x), given
+    the points seated before it. Each of its cfg.gibbs_iters sweeps then
+    reseats the points in order by the same weights, given all the others.
+    The seating pass and every sweep draw one rng.random(n) from the chain's
+    generator, and the samples are taken after the first cfg.burn_in sweeps.
 
     chains splits the rows of features into independent chains, given as
-    (row count, seed) in row order, and a list of samples per chain comes
+    (row count, seed) in row order, where a seed is anything
+    np.random.default_rng takes, and a list of samples per chain comes
     back. Each chain has its own base: cfg.base, or one derived from its own
     rows. Without chains, all rows form one chain seeded with cfg.seed, and
     its samples come back.
 
-    The chains run in lockstep: at each step every chain still in its sweep
-    reseats its i-th point. One marginal evaluation covers, for every such
-    chain, its clusters with the point added and the cluster the point
-    left, and one log-sum-exp normalizes all their weights while the
+    The chains run in lockstep: at each step every chain still in its pass
+    seats or reseats its i-th point. One marginal evaluation covers, for
+    every such chain, its clusters with the point added and the cluster the
+    point left, and one log-sum-exp normalizes all their weights while the
     padded width is at most 7 (each chain alone otherwise). Only
     elementwise operations and row sums of equal length are batched, so
     every chain's samples and scores equal those of the chain run alone,
@@ -314,7 +326,7 @@ def sample_partitions(
     if not blocks or min(sizes) < 1 or sum(sizes) != total:
         raise ValueError("chain sizes must be positive and add up to the rows of features")
     starts = np.cumsum([0] + sizes)
-    # longest first, so the chains still in their sweep at point i are a prefix
+    # longest first, so the chains still in their pass at point i are a prefix
     order = sorted(range(len(blocks)), key=lambda c: -sizes[c])
     sizes = [sizes[c] for c in order]
     n_chains, n_max = len(order), sizes[0]
@@ -349,31 +361,27 @@ def sample_partitions(
         p0 = _logml_stats(planes[:, 1:2], Xc, Xc ** 2)
         new_w.append((log_gamma + p0).tolist())
         pred0.append(p0.tolist())
-        for x in xx[c, :n]:
-            stats[c, 0] += x
-        cnt[c, 0] = n
-        log_cnt[c, 0] = log_n[n]
-        cache[c, 0] = _logml_stats(planes[:, n : n + 1], stats[c, :1, 0], stats[c, :1, 1])[0]
         rngs.append(np.random.default_rng(blocks[src][1]))
         z.append([0] * n)
-        k.append(1)
+        k.append(0)
         samples.append([])
     # row views, made once: a chain's points and clusters, its counts, log
     # counts and cached marginals
     x_rows = [list(v) for v in xx]
     rows = [list(v) for v in stats]
     cnt_c, log_cnt_c, cache_c = list(cnt), list(log_cnt), list(cache)
-    # the chains still in their sweep at point i, and the point's rows
+    # the chains still in their pass at point i, and the point's rows
     live = [range(sum(1 for n in sizes if n > i)) for i in range(n_max)]
     x_live = [xx[: len(live[i]), i, None] for i in range(n_max)]
     lefts = [0] * n_chains
     seats = [0] * n_chains
 
-    for sweep in range(cfg.gibbs_iters):
+    # pass -1 seats the points, none of which has a cluster to leave yet;
+    # passes 0.. are the sweeps
+    for sweep in range(-1, cfg.gibbs_iters):
         draws = [rng.random(n).tolist() for rng, n in zip(rngs, sizes)]
         for i in range(n_max):
-            width = 0
-            for c in live[i]:
+            for c in live[i] if sweep >= 0 else ():
                 # take point i out of its cluster; swap-delete the cluster if it empties
                 cn, lc, ca, rw = cnt_c[c], log_cnt_c[c], cache_c[c], rows[c]
                 s = z[c][i]
@@ -398,12 +406,11 @@ def sample_partitions(
                     lc[s] = log_n[left]
                 lefts[c] = left
                 seats[c] = s
-                if kc >= width:
-                    width = kc + 1
 
             # the batch: each chain's clusters with the point added, and at
             # column k the cluster it left; columns past k are padding
             a = len(live[i])
+            width = max(k[:a]) + 1
             work = np.add(stats[:a, :width], x_live[i])
             ix = np.add(cnt[:a, :width], plus_one[:a])
             for c in live[i]:
@@ -459,13 +466,31 @@ def sample_partitions(
     return by_chain[0] if chains is None else by_chain
 
 
-def _best_partition(samples: _Samples) -> Partition:
-    best_z, _ = max(samples, key=lambda zs: zs[1])
-    return Partition(best_z)
+def _best_of_restarts(
+    sets: Sequence[np.ndarray], seeds: Sequence[int], cfg: DpmmConfig
+) -> list[Partition]:
+    """The best partition of each set of points over its RESTARTS chains.
+
+    Chain r of a set is seeded [seed, r], and all the chains run in one
+    lockstep sample_partitions call. The highest score wins; a tie goes to
+    the lower r, then to the earlier sample (max keeps the first).
+    """
+    chains = sample_partitions(
+        np.vstack([X for X in sets for _ in range(RESTARTS)]),
+        cfg,
+        [(len(X), [seed, r]) for X, seed in zip(sets, seeds) for r in range(RESTARTS)],
+    )
+    best = []
+    for j in range(0, len(chains), RESTARTS):
+        z, _ = max((zs for chain in chains[j : j + RESTARTS] for zs in chain), key=lambda zs: zs[1])
+        best.append(Partition(z))
+    return best
 
 
 def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
-    """Highest-scoring partition among the post-burn-in samples.
+    """Highest-scoring partition among the post-burn-in samples of RESTARTS
+    seated chains, chain r seeded [cfg.seed, r] (ties to the lower r, then
+    to the earlier sample).
 
     The score is the unnormalized log posterior: the sum over clusters k of
     log(cfg.gamma) + log Gamma(N_k) and the cluster's log marginal. Each
@@ -473,7 +498,8 @@ def gibbs_cluster(features: np.ndarray, cfg: DpmmConfig) -> Partition:
     not a fresh evaluation, so it can drift from a recomputation by rounding
     (about 1e-12).
     """
-    return _best_partition(sample_partitions(features, cfg))
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    return _best_of_restarts([X], [cfg.seed], cfg)[0]
 
 
 def _small_and_large(p: Partition, small_max: int) -> tuple[list[int], list[int]]:
@@ -629,9 +655,10 @@ def recover_poses(
     """Cluster each pool's candidate features and keep the trustworthy ones.
 
     A pool is (features (n, d), scores (n,), image ids), one row per
-    candidate. Every pool is projected on its own and clustered by a chain
-    of its own, seeded with seeds[j] (cfg.seed for every pool when seeds is
-    None); the chains of the pools with equal projected dimension run in
+    candidate. Every pool is projected on its own and clustered as
+    gibbs_cluster clusters it, by RESTARTS seated chains of its own seeded
+    [seeds[j], r] (seeds[j] is cfg.seed for every pool when seeds is None).
+    The chains of all the pools with equal projected dimension run in
     lockstep in one sample_partitions call, each bit for bit as if run
     alone. A pool of fewer than 4 rows has nothing to cluster and recovers
     nothing. When a pool's outlier screen accepts, small-cluster members are
@@ -653,10 +680,8 @@ def recover_poses(
         by_dim.setdefault(X.shape[1], []).append(j)
     best: dict[int, Partition] = {}
     for group in by_dim.values():
-        X = np.vstack([projected[j] for j in group])
-        chains = sample_partitions(X, cfg, [(len(projected[j]), seeds[j]) for j in group])
-        for j, samples in zip(group, chains):
-            best[j] = _best_partition(samples)
+        found = _best_of_restarts([projected[j] for j in group], [seeds[j] for j in group], cfg)
+        best.update(zip(group, found))
     out: list[tuple[int, int]] = []
     for j, X in projected.items():
         _, scores, ids = pools[j]

@@ -400,15 +400,8 @@ class _GibbsState:
         self.sqs = np.vstack([self.sqs, np.zeros_like(self.sqs)])
         self.cache = np.concatenate([self.cache, np.zeros_like(self.cache)])
 
-    def _recache(self, k: int) -> None:
-        if self.counts[k] == 0:
-            self.cache[k] = 0.0
-        else:
-            self.cache[k] = float(
-                logml_stats_reference(self.counts[k], self.sums[k], self.sqs[k], self.base)
-            )
-
-    def add(self, i: int, k: int, cached=None) -> None:
+    def add(self, i: int, k: int, cached: float) -> None:
+        """Seat point i in cluster k, whose log marginal with it is cached."""
         x = self.X[i]
         if k == self.k:
             if self.k == len(self.counts):
@@ -417,10 +410,7 @@ class _GibbsState:
         self.counts[k] += 1
         self.sums[k] += x
         self.sqs[k] += x * x
-        if cached is None:
-            self._recache(k)
-        else:
-            self.cache[k] = cached
+        self.cache[k] = cached
 
     def remove(self, i: int, k: int, z: np.ndarray) -> None:
         """Drop point i from cluster k; swap-deletes k if it empties."""
@@ -442,7 +432,9 @@ class _GibbsState:
             self.cache[last] = 0.0
             self.k = last
         else:
-            self._recache(k)
+            self.cache[k] = float(
+                logml_stats_reference(self.counts[k], self.sums[k], self.sqs[k], self.base)
+            )
 
     def with_point(self, i: int) -> np.ndarray:
         """Log marginal of every active cluster with point i appended, (k,)."""
@@ -461,14 +453,17 @@ def _canonical(z) -> tuple[int, ...]:
     return tuple(remap.setdefault(int(v), len(remap)) for v in z)
 
 
-def gibbs_samples_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,
-                            burn_in: int, seed: int) -> list[tuple[tuple[int, ...], float]]:
-    """Collapsed Gibbs over CRP(gamma) x NIG(base), one NumPy call per term.
+def seated_gibbs_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,
+                           burn_in: int, seed) -> list[tuple[tuple[int, ...], float]]:
+    """One collapsed Gibbs chain over CRP(gamma) x NIG(base), one NumPy call per term.
 
-    Every point starts in one cluster; each sweep removes and reseats the
-    points in order, normalizing the weights with scipy.special.logsumexp.
-    Returns the post-burn-in (canonical assignments, score) samples, where
-    the score is the CRP prior term plus the cached cluster marginals.
+    The chain first seats the points in order, each given the points seated
+    before it; each sweep then removes and reseats the points in order,
+    given all the others. Weights are normalized with
+    scipy.special.logsumexp, and every seating draws rng.random() from
+    default_rng(seed). Returns the post-burn-in (canonical assignments,
+    score) samples, where the score is the CRP prior term plus the cached
+    cluster marginals.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, _ = X.shape
@@ -480,23 +475,26 @@ def gibbs_samples_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,
 
     state = _GibbsState(X, base)
     z = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        state.add(i, 0)
 
+    def seat(i: int) -> None:
+        k = state.k
+        plus = state.with_point(i)
+        logw = np.empty(k + 1)
+        logw[:k] = np.log(state.counts[:k]) + plus - state.cache[:k]
+        logw[k] = log_gamma + pred0[i]
+        probs = np.exp(logw - logsumexp(logw))
+        choice = int(np.searchsorted(np.cumsum(probs), rng.random()))
+        choice = min(choice, k)
+        z[i] = choice
+        state.add(i, choice, cached=float(plus[choice]) if choice < k else float(pred0[i]))
+
+    for i in range(n):
+        seat(i)
     samples: list[tuple[tuple[int, ...], float]] = []
     for sweep in range(gibbs_iters):
         for i in range(n):
             state.remove(i, int(z[i]), z)
-            k = state.k
-            plus = state.with_point(i)
-            logw = np.empty(k + 1)
-            logw[:k] = np.log(state.counts[:k]) + plus - state.cache[:k]
-            logw[k] = log_gamma + pred0[i]
-            probs = np.exp(logw - logsumexp(logw))
-            choice = int(np.searchsorted(np.cumsum(probs), rng.random()))
-            choice = min(choice, k)
-            z[i] = choice
-            state.add(i, choice, cached=float(plus[choice]) if choice < k else float(pred0[i]))
+            seat(i)
         if sweep >= burn_in:
             score = float(
                 np.sum(np.log(gamma) + gammaln(state.counts[: state.k]))

@@ -293,9 +293,7 @@ def _full_corpus():
 def _run_scheme(scheme):
     corpus, cands = _full_corpus()
     gt = {i: skel for i, (skel, _) in corpus.truth.items()}
-    cfg = PipelineConfig(
-        scheme=scheme, dpmm=DpmmConfig(gibbs_iters=400, burn_in=120), seed=0
-    )
+    cfg = PipelineConfig(scheme=scheme, dpmm=DpmmConfig(), seed=0)
     return run_pipeline(corpus.split, cands, cfg, gt=gt)
 
 

@@ -565,6 +565,57 @@ class TestClusterAndOutliers:
         assert "too few" in capsys.readouterr().err
 
 
+class TestSweepFlags:
+    """--iters and --gibbs-iters count the sweeps of each chain; --burn-in
+    must stay below them, whichever of the two is left at its default."""
+
+    def _argv(self, command, corpus_dir, tmp_path, rng):
+        if command == "pipeline":
+            return ["pipeline", "--corpus", str(corpus_dir), "--exchange", str(tmp_path / "x"),
+                    "--scheme", "weakC"]
+        poses = tmp_path / "p.jsonl"
+        write_template_poses(poses, rng, 6)
+        return [command, "--poses", str(poses), "--out", str(tmp_path / "x")]
+
+    @pytest.mark.parametrize(
+        "command, flag", [("cluster", "--iters"), ("outliers", "--iters"), ("pipeline", "--gibbs-iters")]
+    )
+    def test_sweeps_at_the_default_burn_in_is_data_error(
+        self, corpus_dir, tmp_path, rng, capsys, command, flag
+    ):
+        burn_in = cli.DpmmConfig.burn_in
+        rc = cli.main(self._argv(command, corpus_dir, tmp_path, rng) + [flag, str(burn_in)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: need 0 <= --burn-in < {flag}, got --burn-in {burn_in} and {flag} {burn_in}\n"
+        )
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flag", [("cluster", "--iters"), ("pipeline", "--gibbs-iters")])
+    def test_burn_in_above_the_default_sweeps_is_data_error(
+        self, corpus_dir, tmp_path, rng, capsys, command, flag
+    ):
+        iters = cli.DpmmConfig.gibbs_iters
+        rc = cli.main(self._argv(command, corpus_dir, tmp_path, rng) + ["--burn-in", str(iters + 1)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: need 0 <= --burn-in < {flag}, got --burn-in {iters + 1} and {flag} {iters}\n"
+        )
+
+    def test_lowering_only_the_sweeps_keeps_the_default_burn_in(self, corpus_dir, tmp_path, rng):
+        argv = self._argv("cluster", corpus_dir, tmp_path, rng)
+        assert cli.main(argv + ["--iters", str(cli.DpmmConfig.burn_in + 1)]) == 0
+
+    @pytest.mark.parametrize("command, flag", [("cluster", "--iters"), ("pipeline", "--gibbs-iters")])
+    def test_help_says_sweeps_per_chain(self, capsys, command, flag):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"{flag} {flag[2:].upper().replace('-', '_')} Gibbs sweeps per chain, " \
+            f"{cli.RESTARTS} chains per set of poses" in text
+        assert "sweeps of each chain before its samples count" in text
+
+
 class TestPipelineCommand:
     def test_annotated_images_are_not_enumerated(self, corpus_dir, tmp_path, monkeypatch):
         seen = []

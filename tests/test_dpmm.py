@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 import poseboot.dpmm as dpmm
 from poseboot.dpmm import (
+    RESTARTS,
     DpmmConfig,
     NigBase,
     Partition,
@@ -25,8 +26,8 @@ from poseboot.dpmm import (
 from _oracles import (
     crp_log_prior,
     crp_seating_probability,
-    gibbs_samples_reference,
     nig_marginal_quadrature,
+    seated_gibbs_reference,
     set_partitions,
 )
 
@@ -196,6 +197,30 @@ class TestGibbs:
         alt[0] = found.n_clusters  # split a singleton off
         assert best > joint_score(alt)
 
+    def test_recovers_three_planted_blobs_at_the_pipeline_dimension(self):
+        """Three blobs of 100 points at d=8, the dimension the pipeline
+        projects its pools to: the seated chains find the planted partition."""
+        gen = np.random.default_rng(0)
+        xs = np.vstack([gen.normal(c, 0.5, (100, 8)) for c in (-5.0, 0.0, 5.0)])
+        base = NigBase.from_data(xs)
+        p = gibbs_cluster(xs, DpmmConfig(base=base, seed=0))
+        assert p.assignments == tuple(np.repeat([0, 1, 2], 100).tolist())
+        score = sum(gammaln(100.0) + cluster_log_marginal(xs[p.members(k)], base) for k in range(3))
+        assert round(score, 1) == -1745.1
+
+    def test_best_sample_ties_go_to_the_lower_restart_then_the_earlier_sample(self, monkeypatch):
+        a, b, c, d = (0, 0, 0, 0), (0, 1, 1, 1), (0, 0, 1, 1), (0, 1, 2, 3)
+        by_restart = [[(a, -3.0), (b, -1.0), (c, -1.0)], [(d, -1.0), (a, -2.0), (c, -1.0)]]
+        by_restart += [[(c, -1.0)] * 3] * (RESTARTS - 2)
+
+        def fake(features, cfg, chains):
+            assert features.shape == (4 * RESTARTS, 1)
+            assert chains == [(4, [9, r]) for r in range(RESTARTS)]
+            return by_restart
+
+        monkeypatch.setattr(dpmm, "sample_partitions", fake)
+        assert gibbs_cluster(np.arange(4.0)[:, None], DpmmConfig(seed=9)).assignments == b
+
     def test_sampler_is_deterministic_per_seed(self, rng):
         xs = rng.normal(size=(12, 1))
         cfg = DpmmConfig(gibbs_iters=60, burn_in=20, seed=11)
@@ -258,7 +283,7 @@ def gibbs_cases(draw):
 
 def reference_samples(X, cfg):
     base = cfg.base if cfg.base is not None else NigBase.from_data(X)
-    return gibbs_samples_reference(X, base, cfg.gamma, cfg.gibbs_iters, cfg.burn_in, cfg.seed)
+    return seated_gibbs_reference(X, base, cfg.gamma, cfg.gibbs_iters, cfg.burn_in, cfg.seed)
 
 
 @needs_scipy_1_17
@@ -270,6 +295,20 @@ class TestSamplerAgainstReference:
     def test_samples_and_scores_equal_bit_for_bit(self, case):
         X, cfg = case
         assert sample_partitions(X, cfg) == reference_samples(X, cfg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(gibbs_cases())
+    def test_gibbs_cluster_takes_the_best_of_its_reference_restarts(self, case):
+        """The best sample over RESTARTS reference chains seeded [seed, r],
+        ties to the lower r, then to the earlier sample (max keeps the first)."""
+        X, cfg = case
+        base = cfg.base if cfg.base is not None else NigBase.from_data(X)
+        chains = [
+            seated_gibbs_reference(X, base, cfg.gamma, cfg.gibbs_iters, cfg.burn_in, [cfg.seed, r])
+            for r in range(RESTARTS)
+        ]
+        best, _ = max((zs for chain in chains for zs in chain), key=lambda zs: zs[1])
+        assert gibbs_cluster(X, cfg).assignments == best
 
     def test_tied_weights_and_emptied_clusters(self, monkeypatch):
         """Copies of three points: clusters holding the same copies tie at
@@ -346,6 +385,18 @@ class TestLockstepChains:
         got = run_chains(blocks, seeds, cfg)
         assert len(got) == len(blocks)
         for block, seed, samples in zip(blocks, seeds, got):
+            assert samples == reference_samples(block, replace(cfg, seed=seed))
+
+    @settings(max_examples=20, deadline=None)
+    @given(chain_cases())
+    def test_restarts_equal_the_reference_bit_for_bit(self, case):
+        """Every block run as RESTARTS chains seeded [seed, r], the way
+        gibbs_cluster and recover_poses run them."""
+        blocks, seeds, cfg = case
+        runs = [(block, [seed, r]) for block, seed in zip(blocks, seeds) for r in range(RESTARTS)]
+        got = run_chains([block for block, _ in runs], [seed for _, seed in runs], cfg)
+        assert len(got) == len(runs)
+        for (block, seed), samples in zip(runs, got):
             assert samples == reference_samples(block, replace(cfg, seed=seed))
 
     def test_wide_normalizer_and_emptied_clusters(self, monkeypatch):
@@ -588,7 +639,7 @@ class TestRecoverPoses:
 
         monkeypatch.setattr(dpmm, "sample_partitions", counting)
         together = recover_poses(pools, cfg, seeds)
-        assert calls == [[20, 22], [6]]
+        assert calls == [[20] * RESTARTS + [22] * RESTARTS, [6] * RESTARTS]
         # each pool's rows, renumbered from pool 0 alone to pool j
         assert together == [(j, row) for j, kept in enumerate(alone) for _, row in kept]
         assert alone[2] == [] and all(alone[j] for j in (0, 1, 3))
