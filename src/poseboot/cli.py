@@ -189,6 +189,12 @@ def _pick(d: dict, key: str, default):
     return default if v is None else v
 
 
+def _given(d: dict, **options: str) -> dict:
+    """{field: value} for each field=option whose option was given; unset
+    options are left out, so the config's own defaults apply."""
+    return {f: d[o] for f, o in options.items() if d.get(o) is not None}
+
+
 # --- corpus layout ------------------------------------------------------------
 
 
@@ -260,13 +266,9 @@ def _keypoints(records: Sequence[fileio.PoseRecord]) -> np.ndarray:
 
 def _cmd_synth(a: dict) -> int:
     cfg = SynthConfig(
-        n_actions=_pick(a, "actions", 8),
-        poses_per_action=_pick(a, "poses", 50),
-        base_noise=_pick(a, "noise", 2.0),
-        outlier_rate=_pick(a, "outlier_rate", 0.1),
-        seed=_pick(a, "seed", 0),
-        ws_fraction=_pick(a, "ws_fraction", 0.5),
-        n_backgrounds=_pick(a, "backgrounds", 20),
+        **_given(a, n_actions="actions", poses_per_action="poses", base_noise="noise",
+                 outlier_rate="outlier_rate", seed="seed", ws_fraction="ws_fraction",
+                 n_backgrounds="backgrounds")
     )
     corpus = synth_corpus(cfg)
     _save_corpus(a["out"], corpus)
@@ -325,10 +327,7 @@ def _cmd_train_svm(a: dict) -> int:
 
 def _cmd_candidates(a: dict) -> int:
     cfg = CandidateGenConfig(
-        threshold=_pick(a, "threshold", 0.1),
-        top_k=_pick(a, "top_k", 3),
-        nms_radius=_pick(a, "nms_radius", 1.0),
-        beam=_pick(a, "beam", 500),
+        **_given(a, threshold="threshold", top_k="top_k", nms_radius="nms_radius", beam="beam")
     )
     src: Path = a["heatmaps"]
     files = sorted(src.glob("*.hm")) if src.is_dir() else [src]
@@ -397,12 +396,9 @@ def _sweeps(a: dict, flag: str) -> dict:
 
 def _dpmm_config(a: dict) -> DpmmConfig:
     return DpmmConfig(
-        gamma=_pick(a, "gamma", 1.0),
-        alpha=_pick(a, "alpha", 1.0 / 3.0),
         **_sweeps(a, "--iters"),
-        seed=_pick(a, "seed", 0),
-        pca_dim=_pick(a, "pca_dim", 8),
-        small_cluster_max=_pick(a, "small_max", 3),
+        **_given(a, gamma="gamma", alpha="alpha", seed="seed", pca_dim="pca_dim",
+                 small_cluster_max="small_max"),
     )
 
 
@@ -440,13 +436,9 @@ def _cmd_outliers(a: dict) -> int:
 def _cmd_pipeline(a: dict) -> int:
     cfg = PipelineConfig(
         scheme=Scheme.parse(a["scheme"]),
-        max_iterations=_pick(a, "iterations", 2),
-        eps=_pick(a, "eps", 0.7),
-        n_synth=_pick(a, "n_synth", 10),
-        margin=_pick(a, "margin", 0.0),
-        reg=_pick(a, "reg", 1.0),
         dpmm=DpmmConfig(**_sweeps(a, "--gibbs-iters")),
-        seed=_pick(a, "seed", 0),
+        **_given(a, max_iterations="iterations", eps="eps", n_synth="n_synth",
+                 margin="margin", reg="reg", seed="seed"),
     )
     split, truth, heatmaps = _load_corpus(a["corpus"])
     gen = CandidateGenConfig()

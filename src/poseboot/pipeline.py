@@ -89,6 +89,8 @@ class PipelineConfig:
             raise ValueError(f"margin must be finite, got {self.margin}")
         if self.max_negatives < 1:
             raise ValueError("max_negatives must be >= 1")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         for name in ("reg", "tol"):
             value = getattr(self, name)
             if not value > 0:

@@ -11,6 +11,7 @@ the model and applied inside decisions().
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -127,6 +128,15 @@ def synthesize_positives(
 _FULL_SWEEP_EVERY = 10
 
 
+def _primal_and_gap(X: np.ndarray, w: np.ndarray, alpha_sum: float, C: float) -> tuple[float, float]:
+    """Primal objective and primal-dual gap at w, over all rows of X (the
+    labels folded in), given the sum of the duals that produced w."""
+    margins = X @ w
+    half_ww = 0.5 * (w @ w)
+    primal = half_ww + C * np.sum(np.maximum(0.0, 1.0 - margins))
+    return float(primal), float(primal - (alpha_sum - half_ww))
+
+
 def train(
     ts: TrainSet,
     reg: float = 1.0,
@@ -145,22 +155,30 @@ def train(
     a minimum >= 0 shrinks nothing on its side). Every 10 epochs
     (_FULL_SWEEP_EVERY) the active set is reset to all samples, so a sample
     shrunk too early is visited again. No step lowers the dual objective;
-    the primal can rise from one epoch to the next. Stops when the
-    primal-dual gap, computed over all samples, falls to tol or after
-    max_iter epochs (default 1000). objective_history (primal) and
-    gap_history hold one entry per epoch.
+    the primal can rise from one epoch to the next.
+
+    Stops when the primal-dual gap, computed over all samples, falls to tol
+    or after max_iter epochs (default 1000, at least 1). Epoch k's gap is
+    computed from a copy of its weights on one worker thread while the main
+    thread runs epoch k+1's sweep (NumPy releases the GIL in the matrix
+    product); a stop returns epoch k's weights, so the result is the one a
+    check before the next sweep would give. The thread is joined before
+    train returns. objective_history (primal) and gap_history hold one
+    entry per epoch checked.
     """
     for name, value in (("reg", reg), ("tol", tol)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
         if value == math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
+    if max_iter is None:
+        max_iter = 1000
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     y = ts.labels
     n, d = ts.features.shape
     if np.all(y == y[0]):
         raise ValueError("degenerate training set: only one class present")
-    if max_iter is None:
-        max_iter = 1000
     if standardize:
         mean = ts.features.mean(axis=0)
         std = ts.features.std(axis=0)
@@ -184,51 +202,55 @@ def train(
     w_dot = w.dot  # bound once; w is only updated in place
     obj_hist: list[float] = []
     gap_hist: list[float] = []
-    for epoch in range(max_iter):
-        if epoch % _FULL_SWEEP_EVERY == 0:  # epoch 0 included
-            active = list(range(n))
-            pg_max, pg_min = math.inf, -math.inf
-        kept = []
-        hi, lo = -math.inf, math.inf
-        for i in active:
-            xi = rows[i]
-            g = w_dot(xi) - 1.0
-            a = alpha[i]
-            if a == 0.0:
-                if g > pg_max:
-                    continue
-                pg = min(g, 0.0)
-            elif a == C:
-                if g < pg_min:
-                    continue
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            kept.append(i)
-            if pg > hi:
-                hi = pg
-            if pg < lo:
-                lo = pg
-            if pg != 0.0:
-                new_a = min(max(a - g / q_diag[i], 0.0), C)
-                if new_a != a:
-                    w += (new_a - a) * xi
-                    alpha[i] = new_a
-        active = kept
-        pg_max = hi if hi > 0.0 else math.inf
-        pg_min = lo if lo < 0.0 else -math.inf
-        margins = X @ w  # the labels are folded into X
-        primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
-        dual = np.sum(alpha) - 0.5 * (w @ w)
-        obj_hist.append(float(primal))
-        gap_hist.append(float(primal - dual))
-        if primal - dual <= tol:
-            break
+    checked = None  # future of the last swept epoch's (primal, gap); w_checked is its w
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(max_iter + 1):
+            if epoch < max_iter:  # the extra pass only collects the last check
+                if epoch % _FULL_SWEEP_EVERY == 0:  # epoch 0 included
+                    active = list(range(n))
+                    pg_max, pg_min = math.inf, -math.inf
+                kept = []
+                hi, lo = -math.inf, math.inf
+                for i in active:
+                    xi = rows[i]
+                    g = w_dot(xi) - 1.0
+                    a = alpha[i]
+                    if a == 0.0:
+                        if g > pg_max:
+                            continue
+                        pg = min(g, 0.0)
+                    elif a == C:
+                        if g < pg_min:
+                            continue
+                        pg = max(g, 0.0)
+                    else:
+                        pg = g
+                    kept.append(i)
+                    if pg > hi:
+                        hi = pg
+                    if pg < lo:
+                        lo = pg
+                    if pg != 0.0:
+                        new_a = min(max(a - g / q_diag[i], 0.0), C)
+                        if new_a != a:
+                            w += (new_a - a) * xi
+                            alpha[i] = new_a
+                active = kept
+                pg_max = hi if hi > 0.0 else math.inf
+                pg_min = lo if lo < 0.0 else -math.inf
+            if checked is not None:
+                primal, gap = checked.result()
+                obj_hist.append(primal)
+                gap_hist.append(gap)
+                if gap <= tol or epoch == max_iter:
+                    break
+            w_checked = w.copy()
+            checked = worker.submit(_primal_and_gap, X, w_checked, np.sum(alpha), C)
     return SvmModel(
         mean=mean,
         std=std,
-        weights=w[:d].copy(),
-        bias=float(w[d]),
+        weights=w_checked[:d].copy(),
+        bias=float(w_checked[d]),
         reg=reg,
         objective_history=tuple(obj_hist),
         gap_history=tuple(gap_hist),

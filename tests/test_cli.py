@@ -675,6 +675,50 @@ class TestPipelineCommand:
         assert "unknown scheme" in capsys.readouterr().err
 
 
+class _Built(Exception):
+    """Raised by a spy with the config a command built, before any work."""
+
+
+class TestDefaults:
+    """Options left unset leave each config's own defaults in place."""
+
+    def _built(self, monkeypatch, target, argv, cls):
+        def spy(*args, **kwargs):
+            raise _Built(next(x for x in args if isinstance(x, cls)))
+
+        monkeypatch.setattr(cli, target, spy)
+        with pytest.raises(_Built) as built:
+            cli.main(argv)
+        return built.value.args[0]
+
+    @pytest.mark.parametrize("seed_flag, seeded", [([], {}), (["--seed", "3"], {"seed": 3})])
+    def test_pipeline(self, corpus_dir, tmp_path, monkeypatch, seed_flag, seeded):
+        argv = ["pipeline", "--corpus", str(corpus_dir), "--exchange", str(tmp_path / "x"),
+                "--scheme", "weakC", *seed_flag]
+        cfg = self._built(monkeypatch, "run_pipeline", argv, cli.PipelineConfig)
+        assert cfg == cli.PipelineConfig(scheme=cli.Scheme.WEAKC, **seeded)
+
+    @pytest.mark.parametrize("command", ["cluster", "outliers"])
+    @pytest.mark.parametrize("seed_flag, seeded", [([], {}), (["--seed", "3"], {"seed": 3})])
+    def test_cluster_and_outliers(self, tmp_path, rng, monkeypatch, command, seed_flag, seeded):
+        poses = tmp_path / "p.jsonl"
+        write_template_poses(poses, rng, 6)
+        argv = [command, "--poses", str(poses), "--out", str(tmp_path / "x"), *seed_flag]
+        cfg = self._built(monkeypatch, "project_features", argv, cli.DpmmConfig)
+        assert cfg == cli.DpmmConfig(**seeded)
+
+    def test_candidates(self, corpus_dir, tmp_path, monkeypatch):
+        argv = ["candidates", "--heatmaps", str(corpus_dir / "heatmaps"),
+                "--out", str(tmp_path / "c.jsonl")]
+        cfg = self._built(monkeypatch, "_image_candidates", argv, cli.CandidateGenConfig)
+        assert cfg == cli.CandidateGenConfig()
+
+    def test_synth(self, tmp_path, monkeypatch):
+        cfg = self._built(monkeypatch, "synth_corpus", ["synth", "--out", str(tmp_path)],
+                          cli.SynthConfig)
+        assert cfg == cli.SynthConfig()
+
+
 class TestConfigFile:
     def test_config_fills_unset_options(self, tmp_path):
         cfg = tmp_path / "c.cfg"

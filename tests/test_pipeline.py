@@ -88,6 +88,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**kw)
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_iter_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {bad}"):
+            PipelineConfig(max_iter=bad)
+
 
 class TestSpecializeModels:
     def test_eight_actions_give_distinct_selectors(self, rng):

@@ -1,4 +1,6 @@
 """Max-margin pose selector: training, solver quality, selection rules."""
+import sys
+import threading
 import types
 
 import numpy as np
@@ -25,6 +27,7 @@ from _oracles import (
     svm_grid_minimum,
     svm_objective,
     svm_train_reference,
+    svm_train_shrinking_reference,
 )
 from conftest import random_skeleton
 
@@ -145,6 +148,47 @@ class TestSolver:
         shrunk = train(TrainSet(X, y), reg=1.0, tol=1e-6, max_iter=200)
         ref = svm_train_reference(X, y, reg=1.0, tol=1e-6, max_iter=200)
         assert not np.array_equal(shrunk.weights, ref.weights)
+
+    @pytest.mark.parametrize(
+        "reg, tol, max_iter, epochs",
+        [(0.1, 1e-6, 1000, 120), (1.0, 1e3, 1000, 1), (1.0, 1e-9, 1, 1), (1.0, 1e-6, 200, 200)],
+        ids=["stop-before-cap", "stop-at-epoch-1", "max-iter-1", "cap"],
+    )
+    def test_overlapped_gap_check_matches_sequential_reference(
+        self, noisy_set, reg, tol, max_iter, epochs
+    ):
+        """Epoch k's gap is computed on a worker thread during epoch k+1's
+        sweep; the result is the sequential solver's, bit for bit, with epoch
+        k's weights on a stop, and the worker is gone when train returns."""
+        X, y = noisy_set
+        threads = threading.active_count()
+        m = train(TrainSet(X, y), reg=reg, tol=tol, max_iter=max_iter)
+        assert threading.active_count() == threads
+        ref = svm_train_shrinking_reference(X, y, reg=reg, tol=tol, max_iter=max_iter)
+        assert len(ref.gap_history) == epochs
+        assert np.array_equal(m.weights, ref.weights)
+        assert m.bias == ref.bias
+        assert m.objective_history == ref.objective_history
+        assert m.gap_history == ref.gap_history
+
+    def test_overlap_does_not_depend_on_thread_switching(self, noisy_set):
+        """The worker reads only its own copy of the weights, so switching
+        threads every few microseconds changes no bit."""
+        X, y = noisy_set
+        ref = svm_train_shrinking_reference(X, y, reg=0.1, tol=1e-6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            m = train(TrainSet(X, y), reg=0.1, tol=1e-6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(m.weights, ref.weights)
+        assert m.gap_history == ref.gap_history
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_iter_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {bad}"):
+            train(TrainSet(X_SEP, Y_SEP), max_iter=bad)
 
     @pytest.mark.parametrize("field", ["reg", "tol"])
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
