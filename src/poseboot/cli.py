@@ -10,6 +10,7 @@ values, which beat defaults.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
 from .pipeline import PipelineConfig, Scheme, run_pipeline
 from .skeleton import ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample
-from .svm import TrainSet, select, synthesize_positives, train
+from .svm import TOL, TrainSet, select, synthesize_positives, train
 from .synth import SynthConfig, synth_corpus
 
 
@@ -285,7 +286,9 @@ def _cmd_features(a: dict) -> int:
         raise ValueError("no pose records")
     feats = relational_features(_keypoints(records), normalize=not a["raw"])
     ids = np.array([r.image_id for r in records])
-    np.savez(a["out"], ids=ids, features=feats)
+    buf = io.BytesIO()  # np.savez on a path would append .npz to it
+    np.savez(buf, ids=ids, features=feats)
+    fileio.atomic_write(a["out"], buf.getvalue())
     print(f"wrote {len(records)} feature vectors of dim {feats.shape[1]} -> {a['out']}")
     return 0
 
@@ -297,7 +300,7 @@ def _cmd_train_svm(a: dict) -> int:
         raise ValueError("need both positive and negative records")
     rng = np.random.default_rng(_pick(a, "seed", 0))
     n_synth = _pick(a, "synth", 0)
-    eps = _pick(a, "eps", 0.7)
+    eps = _pick(a, "eps", PipelineConfig.eps)
     poses = []
     for r in pos_records:
         poses.append(r.keypoints)
@@ -307,8 +310,8 @@ def _cmd_train_svm(a: dict) -> int:
     # featurized straight into the training matrix, so no second copy is held
     X = relational_features(np.stack(poses), normalize=True)
     y = np.concatenate([np.ones(n_pos), -np.ones(len(neg_records))])
-    tol = _pick(a, "tol", 1e-4)
-    model = train(TrainSet(X, y), reg=_pick(a, "reg", 1.0), tol=tol)
+    given = _given(a, reg="reg", tol="tol")
+    model = train(TrainSet(X, y), **given)
     fileio.save_svm_model(a["out"], model)
     epochs = len(model.objective_history)
     print(
@@ -316,6 +319,7 @@ def _cmd_train_svm(a: dict) -> int:
         f"{epochs} epochs, objective "
         f"{model.objective_history[-1]:.6f} -> {a['out']}"
     )
+    tol = given.get("tol", TOL)
     if model.gap_history[-1] > tol:
         print(
             f"warning: not converged after {epochs} epochs: "
@@ -348,7 +352,7 @@ def _cmd_candidates(a: dict) -> int:
 def _cmd_select(a: dict) -> int:
     model = fileio.load_svm_model(a["model"])
     records = fileio.read_pose_records(a["candidates"])
-    margin = _pick(a, "margin", 0.0)
+    margin = _pick(a, "margin", PipelineConfig.margin)
     if not math.isfinite(margin):
         raise ValueError(f"margin must be finite, got {margin}")
     by_image: dict[str, list] = {}

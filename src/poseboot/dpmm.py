@@ -109,15 +109,12 @@ class NigBase:
         object.__setattr__(self, "b0", np.asarray(self.b0, dtype=np.float64))
 
     @classmethod
-    def from_data(cls, X: np.ndarray, kappa0: float = 0.1, a0: float = 1.0) -> "NigBase":
+    def from_data(cls, X: np.ndarray) -> "NigBase":
+        """Centered on the data's mean, b0 its variance; kappa0 and a0 keep
+        their defaults."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        var = X.var(axis=0)
-        return cls(
-            mu0=X.mean(axis=0),
-            kappa0=kappa0,
-            a0=a0,
-            b0=np.maximum(var, 1e-6),  # constant dims would give b0 = 0
-        )
+        # constant dims would give b0 = 0
+        return cls(mu0=X.mean(axis=0), b0=np.maximum(X.var(axis=0), 1e-6))
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ class DpmmConfig:
     gibbs_iters: int = 50
     burn_in: int = 10
     seed: int = 0
-    pca_dim: Optional[int] = 8
+    pca_dim: int = 8
     small_cluster_max: int = 3
 
     def __post_init__(self) -> None:
@@ -144,20 +141,21 @@ class DpmmConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (0 <= self.burn_in < self.gibbs_iters):
             raise ValueError("need 0 <= burn_in < gibbs_iters")
-        if self.pca_dim is not None and self.pca_dim < 1:
+        if self.pca_dim < 1:
             raise ValueError("pca_dim must be >= 1")
         if self.small_cluster_max < 1:
             raise ValueError("small_cluster_max must be >= 1")
 
 
 def project(features: np.ndarray, d: int) -> np.ndarray:
-    """Center and project onto the top-d principal directions."""
+    """Center and project onto the top-d principal directions. Centered,
+    n rows span at most n - 1 directions, so d is at most min(dim, n - 1)."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least 2 features")
     n, dim = X.shape
-    if not (1 <= d <= min(dim, n)):
-        raise ValueError(f"d must be in [1, {min(dim, n)}], got {d}")
+    if not (1 <= d <= min(dim, n - 1)):
+        raise ValueError(f"d must be in [1, {min(dim, n - 1)}], got {d}")
     mean = X.mean(axis=0)
     _, _, vt = np.linalg.svd(X - mean, full_matrices=False)
     basis = vt[:d].T.copy()
@@ -171,11 +169,11 @@ def project(features: np.ndarray, d: int) -> np.ndarray:
 
 def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
     """Features as the sampler sees them: projected onto the top cfg.pca_dim
-    principal directions (at most one per row) when that is fewer than
-    their dimension, unchanged otherwise."""
+    principal directions, and at most n - 1 for n rows (centered rows span
+    no more), when that is fewer than their dimension; unchanged otherwise."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if cfg.pca_dim is not None and cfg.pca_dim < X.shape[1]:
-        X = project(X, min(cfg.pca_dim, X.shape[0], X.shape[1]))
+    if cfg.pca_dim < X.shape[1]:
+        X = project(X, min(cfg.pca_dim, X.shape[0] - 1, X.shape[1]))
     return X
 
 
@@ -289,8 +287,8 @@ def _logsumexp_rows(w: np.ndarray) -> np.ndarray:
 def sample_partitions(
     features: np.ndarray,
     cfg: DpmmConfig,
-    chains: Optional[Sequence[tuple[int, int | Sequence[int]]]] = None,
-) -> _Samples | list[_Samples]:
+    chains: Sequence[tuple[int, int | Sequence[int]]],
+) -> list[_Samples]:
     """Post-burn-in Gibbs samples as (canonical assignments, log posterior score).
 
     Collapsed Gibbs sampling (Neal 2000, algorithm 3). A chain first seats
@@ -305,8 +303,7 @@ def sample_partitions(
     (row count, seed) in row order, where a seed is anything
     np.random.default_rng takes, and a list of samples per chain comes
     back. Each chain has its own base: cfg.base, or one derived from its own
-    rows. Without chains, all rows form one chain seeded with cfg.seed, and
-    its samples come back.
+    rows.
 
     The chains run in lockstep: at each step every chain still in its pass
     seats or reseats its i-th point. One marginal evaluation covers, for
@@ -319,7 +316,7 @@ def sample_partitions(
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     total, d = X.shape
-    blocks = [(total, cfg.seed)] if chains is None else [(int(n), s) for n, s in chains]
+    blocks = [(int(n), s) for n, s in chains]
     sizes = [n for n, _ in blocks]
     if total < 1:
         raise ValueError("no features")
@@ -462,8 +459,7 @@ def sample_partitions(
                 score = float(np.sum(log_gamma + gammaln(cnt_c[c][:kc])) + np.sum(cache_c[c][:kc]))
                 samples[c].append((Partition.from_assignments(z[c]).assignments, score))
 
-    by_chain = [samples[order.index(c)] for c in range(n_chains)]
-    return by_chain[0] if chains is None else by_chain
+    return [samples[order.index(c)] for c in range(n_chains)]
 
 
 def _best_of_restarts(
@@ -650,14 +646,14 @@ def detect_outliers(
 def recover_poses(
     pools: Sequence[tuple[np.ndarray, np.ndarray, Sequence[str]]],
     cfg: DpmmConfig,
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Sequence[int],
 ) -> list[tuple[int, int]]:
     """Cluster each pool's candidate features and keep the trustworthy ones.
 
     A pool is (features (n, d), scores (n,), image ids), one row per
     candidate. Every pool is projected on its own and clustered as
     gibbs_cluster clusters it, by RESTARTS seated chains of its own seeded
-    [seeds[j], r] (seeds[j] is cfg.seed for every pool when seeds is None).
+    [seeds[j], r].
     The chains of all the pools with equal projected dimension run in
     lockstep in one sample_partitions call, each bit for bit as if run
     alone. A pool of fewer than 4 rows has nothing to cluster and recovers
@@ -667,7 +663,6 @@ def recover_poses(
     (highest score, earliest wins ties). Returns (pool, row) for every kept
     row, in pool order.
     """
-    seeds = [cfg.seed] * len(pools) if seeds is None else list(seeds)
     if len(seeds) != len(pools):
         raise ValueError("need one seed per pool")
     projected = {

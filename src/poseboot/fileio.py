@@ -225,9 +225,7 @@ def _pack_heatmap(h: Heatmap) -> bytes:
     return header + h.grid.astype("<f4").tobytes()
 
 
-def write_heatmaps(path: Union[str, Path], maps: Union[Heatmap, Sequence[Heatmap]]) -> None:
-    if isinstance(maps, Heatmap):
-        maps = [maps]
+def write_heatmaps(path: Union[str, Path], maps: Sequence[Heatmap]) -> None:
     atomic_write(path, b"".join(_pack_heatmap(h) for h in maps))
 
 

@@ -71,7 +71,7 @@ class PipelineConfig:
     margin: float = 0.0  # selector acceptance margin
     reg: float = 1.0
     tol: float = 1e-3
-    max_iter: Optional[int] = 100
+    max_iter: int = 100
     max_negatives: int = 256  # evenly thinned mined-negative cap per round
     recover_per_image: int = 3  # best candidates per abstained image fed to clustering
     min_action_annotations: int = 5  # below this an action uses the general model
@@ -89,7 +89,7 @@ class PipelineConfig:
             raise ValueError(f"margin must be finite, got {self.margin}")
         if self.max_negatives < 1:
             raise ValueError("max_negatives must be >= 1")
-        if self.max_iter is not None and self.max_iter < 1:
+        if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         for name in ("reg", "tol"):
             value = getattr(self, name)
@@ -123,10 +123,7 @@ def specialize_models(
     positives_by_action: dict[ActionLabel, Sequence[np.ndarray]],
     negatives: Sequence[np.ndarray],
     annotation_counts: dict[ActionLabel, int],
-    reg: float = 1.0,
-    tol: float = 1e-4,
-    max_iter: Optional[int] = None,
-    min_annotations: int = 5,
+    cfg: PipelineConfig,
     target_actions: Iterable[ActionLabel] = (),
 ) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
     """One selector per action, plus a general one from the pooled positives
@@ -134,9 +131,10 @@ def specialize_models(
 
     An action's selector retrains on its own positives against the shared
     negatives; the general action and actions with fewer than
-    min_annotations annotations reuse the general model. The general model
-    is trained only when such an action exists or one of target_actions
-    has no positives; otherwise it is None.
+    cfg.min_action_annotations annotations reuse the general model. The
+    general model is trained only when such an action exists or one of
+    target_actions has no positives; otherwise it is None. Every model is
+    trained with cfg's reg, tol and max_iter.
     """
     pooled = [f for feats in positives_by_action.values() for f in feats]
     if not pooled:
@@ -144,29 +142,24 @@ def specialize_models(
     own = {
         action
         for action, feats in positives_by_action.items()
-        if annotation_counts.get(action, 0) >= min_annotations
+        if annotation_counts.get(action, 0) >= cfg.min_action_annotations
         and len(feats) > 0
         and action is not ActionLabel.GENERAL
     }
     needs_general = any(a not in own for a in (*positives_by_action, *target_actions))
-    general = _fit(pooled, negatives, reg, tol, max_iter) if needs_general else None
+    general = _fit(pooled, negatives, cfg) if needs_general else None
     models = {
-        action: _fit(feats, negatives, reg, tol, max_iter) if action in own else general
+        action: _fit(feats, negatives, cfg) if action in own else general
         for action, feats in positives_by_action.items()
     }
     return general, models
 
 
 def _fit(
-    positives: Sequence[np.ndarray],
-    negatives: Sequence[np.ndarray],
-    reg: float,
-    tol: float,
-    max_iter: Optional[int],
+    positives: Sequence[np.ndarray], negatives: Sequence[np.ndarray], cfg: PipelineConfig
 ) -> SvmModel:
-    return train(
-        TrainSet.from_parts(positives, list(negatives)), reg=reg, tol=tol, max_iter=max_iter
-    )
+    ts = TrainSet.from_parts(positives, list(negatives))
+    return train(ts, reg=cfg.reg, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _train_selectors(
@@ -209,17 +202,10 @@ def _train_selectors(
 
     if cfg.scheme is Scheme.SEMI:
         pooled = [f for feats in positives_by_action.values() for f in feats]
-        return _fit(pooled, negatives, cfg.reg, cfg.tol, cfg.max_iter), {}
+        return _fit(pooled, negatives, cfg), {}
     ws_action = split.ws_actions()
     return specialize_models(
-        positives_by_action,
-        negatives,
-        counts,
-        reg=cfg.reg,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        min_annotations=cfg.min_action_annotations,
-        target_actions={ws_action[i] for i in scored},
+        positives_by_action, negatives, counts, cfg, target_actions={ws_action[i] for i in scored}
     )
 
 

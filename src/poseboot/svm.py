@@ -26,6 +26,7 @@ __all__ = [
     "synthesize_positives",
     "train",
     "select",
+    "TOL",
 ]
 
 
@@ -43,6 +44,8 @@ class TrainSet:
             raise ValueError("features must be (n, d) aligned with (n,) labels")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        if not (np.any(y == 1.0) and np.any(y == -1.0)):
+            raise ValueError("degenerate training set: only one class present")
         # min and max propagate NaN and reach any infinity without a mask of X's size
         if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
             bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
@@ -123,6 +126,8 @@ def synthesize_positives(
     return annotation.keypoints + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
+TOL = 1e-4  # train's default stopping gap
+
 # epochs between resets of the shrunk active set to all samples; without the
 # reset a sample shrunk too early is never visited again and the gap drifts
 _FULL_SWEEP_EVERY = 10
@@ -140,8 +145,8 @@ def _primal_and_gap(X: np.ndarray, w: np.ndarray, alpha_sum: float, C: float) ->
 def train(
     ts: TrainSet,
     reg: float = 1.0,
-    tol: float = 1e-4,
-    max_iter: Optional[int] = None,
+    tol: float = TOL,
+    max_iter: int = 1000,
     standardize: bool = True,
 ) -> SvmModel:
     """Dual coordinate descent on the box-constrained hinge dual, with
@@ -158,7 +163,7 @@ def train(
     the primal can rise from one epoch to the next.
 
     Stops when the primal-dual gap, computed over all samples, falls to tol
-    or after max_iter epochs (default 1000, at least 1). Epoch k's gap is
+    or after max_iter epochs (at least 1). Epoch k's gap is
     computed from a copy of its weights on one worker thread while the main
     thread runs epoch k+1's sweep (NumPy releases the GIL in the matrix
     product); a stop returns epoch k's weights, so the result is the one a
@@ -171,14 +176,10 @@ def train(
             raise ValueError(f"{name} must be positive, got {value}")
         if value == math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
-    if max_iter is None:
-        max_iter = 1000
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     y = ts.labels
     n, d = ts.features.shape
-    if np.all(y == y[0]):
-        raise ValueError("degenerate training set: only one class present")
     if standardize:
         mean = ts.features.mean(axis=0)
         std = ts.features.std(axis=0)
@@ -260,7 +261,7 @@ def train(
 def select(
     model: SvmModel,
     candidates: CandidateSet,
-    margin: float = 0.0,
+    margin: float,
 ) -> tuple[Optional[int], np.ndarray]:
     """Pick at most one candidate: decision strictly above margin, best score.
 

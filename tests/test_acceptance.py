@@ -153,7 +153,7 @@ def test_criterion_03(criterion):
             logps.append(lp)
         exact = np.exp(np.array(logps) - logsumexp(logps))
         cfg = DpmmConfig(gamma=1.0, base=base, gibbs_iters=20500, burn_in=500, seed=7)
-        samples = sample_partitions(xs, cfg)
+        (samples,) = sample_partitions(xs, cfg, [(len(xs), cfg.seed)])
         assert len(samples) == 20000
         freq: dict[tuple, int] = {}
         for z, _ in samples:

@@ -9,7 +9,8 @@ import pytest
 
 from poseboot import cli, fileio
 from poseboot.skeleton import ActionLabel, JointId
-from poseboot.svm import SvmModel
+from poseboot.pipeline import PipelineConfig
+from poseboot.svm import SvmModel, train
 from poseboot.synth import action_template
 
 
@@ -177,6 +178,16 @@ class TestFeatures:
         assert cli.main(base + ["--out", str(raw), "--raw"]) == 0
         assert not np.allclose(np.load(norm)["features"], np.load(raw)["features"])
 
+    def test_writes_exactly_the_out_path(self, corpus_dir, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "dir" / "feats"
+        rc = cli.main(["features", "--poses", str(corpus_dir / "truth.jsonl"), "--out", str(out)])
+        assert rc == 0
+        data = np.load(out)
+        assert data["features"].shape == (12, 1274) and len(data["ids"]) == 12
+        assert sorted(p.name for p in out.parent.iterdir()) == ["feats"]
+        assert capsys.readouterr().out.endswith(f"-> {out}\n")
+
 
 class TestSelectionFlow:
     def test_candidates_train_select_eval(self, corpus_dir, tmp_path, rng, capsys):
@@ -235,6 +246,29 @@ class TestSelectionFlow:
         assert "tol 1e-300" in err and len(err.splitlines()) == 1
         assert cli.main(args + ["--tol", "1"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_train_svm_defaults_are_those_of_train_and_the_pipeline(
+        self, tmp_path, rng, monkeypatch
+    ):
+        """Unset, --reg and --tol are not passed, so train's defaults apply,
+        and --eps is PipelineConfig's."""
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda ts, **kw: calls.append(kw) or train(ts, **kw))
+        jitter = cli.synthesize_positives
+        monkeypatch.setattr(
+            cli, "synthesize_positives",
+            lambda skel, n, eps, g: calls.append(eps) or jitter(skel, n, eps, g),
+        )
+        args = ["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                "--out", str(tmp_path / "sel.svm"), "--synth", "1"]
+        assert cli.main(args) == 0
+        assert calls == [PipelineConfig.eps] * 6 + [{}]
+        calls.clear()
+        assert cli.main(args + ["--tol", "0.01", "--reg", "2", "--eps", "0.5"]) == 0
+        assert calls == [0.5] * 6 + [{"reg": 2.0, "tol": 0.01}]
 
     @pytest.mark.parametrize(
         "flag, named",

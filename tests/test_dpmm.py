@@ -162,6 +162,19 @@ class TestProjection:
         with pytest.raises(ValueError, match="at least 2"):
             project(np.zeros((1, 4)), 1)
 
+    def test_d_above_the_rank_of_the_centered_rows_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"d must be in \[1, 3\], got 4"):
+            project(rng.normal(size=(4, 10)), 4)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_small_pools_keep_only_directions_with_spread(self, rng, n):
+        """n centered rows span n - 1 directions; a projection onto n would
+        add a column of rounding noise, in which every point agrees."""
+        Z = dpmm.project_features(rng.normal(size=(n, 1275)), DpmmConfig())
+        assert Z.shape == (n, min(8, n - 1))
+        spread = np.ptp(Z, axis=0)
+        assert spread.min() > 1e-6 * spread.max()
+
 
 class TestGibbs:
     def test_recovers_two_well_separated_groups(self, rng):
@@ -224,8 +237,8 @@ class TestGibbs:
     def test_sampler_is_deterministic_per_seed(self, rng):
         xs = rng.normal(size=(12, 1))
         cfg = DpmmConfig(gibbs_iters=60, burn_in=20, seed=11)
-        s1 = sample_partitions(xs, cfg)
-        s2 = sample_partitions(xs, cfg)
+        s1 = sample_partitions(xs, cfg, [(len(xs), cfg.seed)])
+        s2 = sample_partitions(xs, cfg, [(len(xs), cfg.seed)])
         assert s1 == s2
 
     def test_posterior_frequencies_close_on_tiny_instance(self, rng):
@@ -243,7 +256,7 @@ class TestGibbs:
             logps.append(lp)
         exact = np.exp(np.array(logps) - logsumexp(logps))
         cfg = DpmmConfig(gamma=alpha, base=base, gibbs_iters=5200, burn_in=200, seed=5)
-        samples = sample_partitions(xs, cfg)
+        (samples,) = sample_partitions(xs, cfg, [(len(xs), cfg.seed)])
         freq: dict[tuple, int] = {}
         for z, _ in samples:
             freq[z] = freq.get(z, 0) + 1
@@ -294,7 +307,7 @@ class TestSamplerAgainstReference:
     @given(gibbs_cases())
     def test_samples_and_scores_equal_bit_for_bit(self, case):
         X, cfg = case
-        assert sample_partitions(X, cfg) == reference_samples(X, cfg)
+        assert sample_partitions(X, cfg, [(len(X), cfg.seed)]) == [reference_samples(X, cfg)]
 
     @settings(max_examples=30, deadline=None)
     @given(gibbs_cases())
@@ -323,7 +336,7 @@ class TestSamplerAgainstReference:
             return normalizer(a)
 
         monkeypatch.setattr(dpmm, "_logsumexp", counting)
-        samples = sample_partitions(X, cfg)
+        (samples,) = sample_partitions(X, cfg, [(len(X), cfg.seed)])
         assert max(ties) > 1
         sizes = [max(z) + 1 for z, _ in samples]
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
@@ -454,11 +467,6 @@ class TestLockstepChains:
             w[i, : len(r)] = r
         got = dpmm._logsumexp_rows(w)
         assert got.tolist() == [dpmm._logsumexp(np.array(r)) for r in rows]
-
-    def test_one_chain_returns_its_samples_alone(self, rng):
-        X = rng.normal(size=(9, 2))
-        cfg = DpmmConfig(gibbs_iters=8, burn_in=2, seed=4)
-        assert run_chains([X], [4], cfg) == [sample_partitions(X, cfg)]
 
     @pytest.mark.parametrize("chains", [[], [(3, 0)], [(4, 0), (3, 1)], [(6, 0), (0, 1)]])
     def test_chain_sizes_must_cover_the_rows(self, chains):
@@ -595,7 +603,7 @@ class TestRecoverPoses:
 
     def test_too_few_candidates_recovers_nothing(self, rng):
         pool = self._pool(rng, [[0.0], [1.0], [2.0]])
-        assert recover_poses([pool], DpmmConfig()) == []
+        assert recover_poses([pool], DpmmConfig(), [0]) == []
 
     def test_keeps_cluster_members_drops_far_outliers(self, rng):
         centers = (
@@ -605,7 +613,7 @@ class TestRecoverPoses:
         )
         pool = self._pool(rng, centers)
         cfg = DpmmConfig(alpha=1 / 3, gibbs_iters=150, burn_in=50, seed=4)
-        kept = recover_poses([pool], cfg)
+        kept = recover_poses([pool], cfg, [cfg.seed])
         assert {j for j, _ in kept} == {0}
         kept_ids = {pool[2][row] for _, row in kept}
         assert "img_40" not in kept_ids and "img_41" not in kept_ids
@@ -616,24 +624,24 @@ class TestRecoverPoses:
         X, scores, _ = self._pool(rng, centers)
         # same image for everything: only one winner may come back
         cfg = DpmmConfig(gibbs_iters=100, burn_in=30, seed=4)
-        kept = recover_poses([(X, scores, ["same"] * len(X))], cfg)
+        kept = recover_poses([(X, scores, ["same"] * len(X))], cfg, [cfg.seed])
         assert len(kept) <= 1
 
     def test_pools_equal_recovering_each_alone(self, rng, monkeypatch):
         """Pools projected to equal dimensions share one sampler call; each
         pool's poses are those of recovering it alone with its seed."""
-        sizes = [20, 6, 3, 22]  # projected to 8, 6, (too few), 8 dimensions
+        sizes = [20, 6, 3, 22]  # projected to 8, 5, (too few), 8 dimensions
         pools = [
             self._pool(rng, rng.normal(size=(n, 10)) + 4.0 * rng.integers(0, 2, (n, 1)), f"p{j}")
             for j, n in enumerate(sizes)
         ]
         seeds = [3, 1, 4, 1]
         cfg = DpmmConfig(gibbs_iters=30, burn_in=10)
-        alone = [recover_poses([pool], replace(cfg, seed=s)) for pool, s in zip(pools, seeds)]
+        alone = [recover_poses([pool], cfg, [s]) for pool, s in zip(pools, seeds)]
         calls = []
         sampler = dpmm.sample_partitions
 
-        def counting(features, cfg, chains=None):
+        def counting(features, cfg, chains):
             calls.append([n for n, _ in chains])
             return sampler(features, cfg, chains)
 

@@ -99,14 +99,14 @@ class TestHeatmapBlobs:
 
     def test_single_map_accepted(self, tmp_path, rng):
         h = Heatmap(JointId.NECK, rng.uniform(0, 1, (4, 4)))
-        fileio.write_heatmaps(tmp_path / "m.hm", h)
+        fileio.write_heatmaps(tmp_path / "m.hm", [h])
         assert len(fileio.read_heatmaps(tmp_path / "m.hm")) == 1
 
     def test_concatenated_files_stream(self, tmp_path, rng):
         """Two blob files appended byte-wise read back as all their maps."""
         a, b = tmp_path / "a.hm", tmp_path / "b.hm"
-        fileio.write_heatmaps(a, Heatmap(JointId.HEAD, rng.uniform(0, 1, (3, 3))))
-        fileio.write_heatmaps(b, Heatmap(JointId.NECK, rng.uniform(0, 1, (2, 2))))
+        fileio.write_heatmaps(a, [Heatmap(JointId.HEAD, rng.uniform(0, 1, (3, 3)))])
+        fileio.write_heatmaps(b, [Heatmap(JointId.NECK, rng.uniform(0, 1, (2, 2)))])
         cat = tmp_path / "cat.hm"
         cat.write_bytes(a.read_bytes() + b.read_bytes())
         assert [h.joint for h in fileio.read_heatmaps(cat)] == [
@@ -120,7 +120,7 @@ class TestHeatmapBlobs:
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         path = tmp_path / "m.hm"
-        fileio.write_heatmaps(path, Heatmap(JointId.HEAD, rng.uniform(0, 1, (4, 4))))
+        fileio.write_heatmaps(path, [Heatmap(JointId.HEAD, rng.uniform(0, 1, (4, 4)))])
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
@@ -128,7 +128,7 @@ class TestHeatmapBlobs:
 
     def test_unknown_joint_id_rejected(self, tmp_path, rng):
         path = tmp_path / "m.hm"
-        fileio.write_heatmaps(path, Heatmap(JointId.HEAD, rng.uniform(0, 1, (2, 2))))
+        fileio.write_heatmaps(path, [Heatmap(JointId.HEAD, rng.uniform(0, 1, (2, 2)))])
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, 8, 99)  # joint field follows the magic
         path.write_bytes(bytes(data))

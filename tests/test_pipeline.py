@@ -106,9 +106,7 @@ class TestSpecializeModels:
             pos[action] = feats
             counts[action] = 6
         negs = junk_features(rng, 30)
-        general, models = specialize_models(
-            pos, negs, counts, tol=1e-3, max_iter=60, min_annotations=2
-        )
+        general, models = specialize_models(pos, negs, counts, fast_cfg(max_iter=60))
         weights = [models[a].weights for a in pos]
         for i in range(8):
             for k in range(i + 1, 8):
@@ -123,7 +121,7 @@ class TestSpecializeModels:
         }
         negs = junk_features(rng, 10)
         general, models = specialize_models(
-            pos, negs, {rich: 8, sparse: 2}, tol=1e-3, max_iter=40, min_annotations=5
+            pos, negs, {rich: 8, sparse: 2}, fast_cfg(max_iter=40, min_action_annotations=5)
         )
         assert models[sparse] is general
         assert models[rich] is not general
@@ -132,8 +130,7 @@ class TestSpecializeModels:
         pos = {ActionLabel.GENERAL: junk_features(rng, 8)}
         negs = junk_features(rng, 10)
         general, models = specialize_models(
-            pos, negs, {ActionLabel.GENERAL: 8}, tol=1e-3, max_iter=40,
-            min_annotations=2,
+            pos, negs, {ActionLabel.GENERAL: 8}, fast_cfg(max_iter=40)
         )
         assert models[ActionLabel.GENERAL] is general
 
@@ -141,16 +138,16 @@ class TestSpecializeModels:
         rich, unseen = list(ActionLabel)[:2]
         pos = {rich: junk_features(rng, 8)}
         negs = junk_features(rng, 10)
-        kw = dict(tol=1e-3, max_iter=40, min_annotations=5)
-        general, models = specialize_models(pos, negs, {rich: 8}, **kw)
+        cfg = fast_cfg(max_iter=40, min_action_annotations=5)
+        general, models = specialize_models(pos, negs, {rich: 8}, cfg)
         assert general is None and models[rich] is not None
         # a target action without positives of its own needs the general model
-        general, models = specialize_models(pos, negs, {rich: 8}, target_actions=[unseen], **kw)
+        general, models = specialize_models(pos, negs, {rich: 8}, cfg, target_actions=[unseen])
         assert general is not None and models[rich] is not general
 
     def test_no_positives_rejected(self, rng):
         with pytest.raises(ValueError, match="no positive features"):
-            specialize_models({}, junk_features(rng, 4), {})
+            specialize_models({}, junk_features(rng, 4), {}, fast_cfg())
 
 
 class TestRunIteration:
@@ -492,7 +489,7 @@ class TestRunPipeline:
         for ai, pool in enumerate(pools):
             seed = int(np.random.SeedSequence([cfg.seed, 1, ai]).generate_state(1)[0])
             assert seeds[ai] == seed
-            expected += [(pool, row) for _, row in recover([pool], replace(cfg.dpmm, seed=seed))]
+            expected += [(pool, row) for _, row in recover([pool], cfg.dpmm, [seed])]
         got = [a for a in state.accepted if a.provenance == "cluster"]
         assert len({a.action for a in got}) == 3
         assert [a.image_id for a in got] == [ids[row] for (_, _, ids), row in expected]

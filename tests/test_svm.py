@@ -55,6 +55,10 @@ class TestTrainSet:
         with pytest.raises(ValueError, match="one class"):
             train(TrainSet(X, np.ones(4)))
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="one class"):
+            TrainSet(np.zeros((0, 3)), np.zeros(0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_the_row(self, rng, bad):
         X = rng.normal(size=(6, 3))
@@ -302,12 +306,12 @@ class TestSelect:
         m = self._model_preferring_positive_x()
         # the third has the best score but is rejected by the margin
         cands = self._cands(rng, "a", [(0.3, 5.0), (0.9, 4.0), (2.0, -5.0)])
-        assert select(m, cands)[0] == 1
+        assert select(m, cands, 0.0)[0] == 1
 
     def test_none_when_all_below_margin(self, rng):
         m = self._model_preferring_positive_x()
         cands = self._cands(rng, "a", [(1.0, -3.0), (2.0, -1.0)])
-        pick, feats = select(m, cands)
+        pick, feats = select(m, cands, 0.0)
         assert pick is None
         # every row was scored, best first
         np.testing.assert_array_equal(feats, [[-1.0, 0.0], [-3.0, 0.0]])
@@ -322,7 +326,7 @@ class TestSelect:
     def test_score_tie_keeps_first(self, rng):
         m = self._model_preferring_positive_x()
         cands = self._cands(rng, "a", [(1.0, 3.0), (1.0, 4.0)])
-        assert select(m, cands)[0] == 0
+        assert select(m, cands, 0.0)[0] == 0
 
     def test_score_tie_keeps_first_row_above_margin(self, rng):
         # rows 0 and 3 tie with 1 and 2 on score, but their decisions do not
@@ -331,12 +335,12 @@ class TestSelect:
         cands = self._cands(
             rng, "a", [(1.0, -3.0), (1.0, 3.0), (1.0, 4.0), (1.0, -4.0), (0.5, 9.0)]
         )
-        assert select(m, cands)[0] == 1
+        assert select(m, cands, 0.0)[0] == 1
 
     def test_empty_set_gives_none(self):
         m = self._model_preferring_positive_x()
         empty = CandidateSet("a", np.zeros((0, 14, 2)), np.zeros(0))
-        pick, feats = select(m, empty)
+        pick, feats = select(m, empty, 0.0)
         assert pick is None and feats.shape == (0, 2)
 
     def test_degenerate_torso_after_the_pick_names_the_image(self, rng):
@@ -350,7 +354,7 @@ class TestSelect:
         with pytest.raises(
             ValueError, match="image 'img_7': cannot normalize: degenerate torso in row 2"
         ):
-            select(m, bad)
+            select(m, bad, 0.0)
 
 
 def _random_model(rng, d):
@@ -434,7 +438,7 @@ class TestBestFirst:
         cands = CandidateSet("img", kp, np.linspace(1.0, 0.0, 50))
         d = relational_length(N_JOINTS)
         accept_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), 1.0, 1.0)
-        assert select(accept_all, cands)[0] == 0
+        assert select(accept_all, cands, 0.0)[0] == 0
         assert rows == [1]
 
     def test_rest_is_one_call_when_the_first_row_falls_short(self, rng, monkeypatch):
@@ -443,7 +447,7 @@ class TestBestFirst:
         cands = CandidateSet("img", kp, rng.random(150))
         d = relational_length(N_JOINTS)
         reject_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), -1.0, 1.0)
-        pick, feats = select(reject_all, cands)
+        pick, feats = select(reject_all, cands, 0.0)
         assert pick is None and len(feats) == 150
         assert rows == [1, 149]
 
