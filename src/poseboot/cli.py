@@ -20,7 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fileio
-from .dpmm import RESTARTS, DpmmConfig, detect_outliers, gibbs_cluster, project_features
+from .dpmm import (
+    RESTARTS, DpmmConfig, detect_outliers, format_outlier_report, gibbs_cluster, project_features
+)
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
@@ -298,7 +300,7 @@ def _cmd_train_svm(a: dict) -> int:
     neg_records = fileio.read_pose_records(a["negatives"])
     if not pos_records or not neg_records:
         raise ValueError("need both positive and negative records")
-    rng = np.random.default_rng(_pick(a, "seed", 0))
+    rng = np.random.default_rng(_pick(a, "seed", PipelineConfig.seed))
     n_synth = _pick(a, "synth", 0)
     eps = _pick(a, "eps", PipelineConfig.eps)
     poses = []
@@ -428,7 +430,7 @@ def _cmd_outliers(a: dict) -> int:
     X = project_features(X, cfg)
     p = gibbs_cluster(X, cfg)
     report = detect_outliers(X, scores, p, cfg)
-    fileio.write_outlier_report(a["out"], report)
+    fileio.atomic_write(a["out"], format_outlier_report(report))
     flagged = [records[i].image_id for i in report.outlier_indices]
     print(
         f"{'flagged' if report.accepted else 'kept all'}: "

@@ -507,13 +507,15 @@ def _small_and_large(p: Partition, small_max: int) -> tuple[list[int], list[int]
     return sorted(small, key=lambda k: (sizes[k], k))[:MERGE_ENUM_CAP], large
 
 
-def merge_set(p: Partition, small_max: int, features: np.ndarray) -> list[Partition]:
-    """Every way of folding a non-empty subset of small clusters into large ones.
+def merge_set(p: Partition, small_max: int, features: np.ndarray) -> list[tuple[str, Partition]]:
+    """Every way of folding a non-empty subset of small clusters into large
+    ones, each as (descriptor, merged partition).
 
     Each chosen small cluster moves wholesale to the large cluster with the
-    nearest mean. Empty unless both small and large clusters exist. The
-    enumeration covers at most 2**12 subsets, keeping the smallest clusters
-    when there are more.
+    nearest mean. The descriptor merge[k->g,...] names each move by the
+    labels of p, small clusters smallest first. Empty unless both small and
+    large clusters exist. The enumeration covers at most 2**12 subsets,
+    keeping the smallest clusters when there are more.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     small, large = _small_and_large(p, small_max)
@@ -529,10 +531,11 @@ def merge_set(p: Partition, small_max: int, features: np.ndarray) -> list[Partit
     out = []
     for mask in range(1, 1 << len(small)):
         z = z0.copy()
-        for bit, k in enumerate(small):
-            if mask >> bit & 1:
-                z[z0 == k] = target[k]
-        out.append(Partition.from_assignments(z))
+        moves = [k for bit, k in enumerate(small) if mask >> bit & 1]
+        for k in moves:
+            z[z0 == k] = target[k]
+        descriptor = "merge[" + ",".join(f"{k}->{target[k]}" for k in moves) + "]"
+        out.append((descriptor, Partition.from_assignments(z)))
     return out
 
 
@@ -557,22 +560,6 @@ def _weighted_cluster_counts(p: Partition, weights: np.ndarray) -> np.ndarray:
     z = np.asarray(p.assignments)
     np.add.at(w, z, weights)
     return np.maximum(w, _WEIGHT_FLOOR)
-
-
-def _describe_merge(p: Partition, z_m: Partition, small: list[int]) -> str:
-    moved = []
-    z0 = np.asarray(p.assignments)
-    zm = np.asarray(z_m.assignments)
-    for k in small:
-        members = np.flatnonzero(z0 == k)
-        host = zm[members[0]]
-        absorbed = np.flatnonzero(zm == host)
-        if len(absorbed) > len(members):
-            others = set(z0[absorbed]) - {k}
-            big = [c for c in others if c not in small]
-            if big:
-                moved.append(f"{k}->{big[0]}")
-    return "merge[" + ",".join(moved) + "]"
 
 
 def detect_outliers(
@@ -614,7 +601,7 @@ def detect_outliers(
 
     evals = []
     all_ok = True
-    for z_m in merges:
+    for descriptor, z_m in merges:
         ev_m = _partition_log_evidence(X, z_m, base)
         log_k = ev_i - ev_m
         nu = p.n_clusters - z_m.n_clusters
@@ -624,7 +611,7 @@ def detect_outliers(
         all_ok = all_ok and ok
         evals.append(
             MergeEvaluation(
-                descriptor=_describe_merge(p, z_m, small),
+                descriptor=descriptor,
                 log_bayes_factor=log_k,
                 log_lower_bound=bound,
                 satisfied=ok,
@@ -697,8 +684,7 @@ def _screen_pool(
     if report.accepted:
         keep = np.setdiff1d(np.arange(len(ids)), report.outlier_indices)
     else:
-        _, large = _small_and_large(p, cfg.small_cluster_max)
-        keep = np.flatnonzero(np.isin(p.assignments, large))
+        keep = np.flatnonzero(p.sizes()[np.asarray(p.assignments)] > cfg.small_cluster_max)
     best: dict[str, int] = {}
     for row in keep.tolist():
         image_id = ids[row]

@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dpmm import OutlierReport, format_outlier_report
 from .heatmaps import Heatmap
 from .skeleton import N_JOINTS, ActionLabel, CandidateSet, JointId, Skeleton
 from .svm import SvmModel
@@ -40,7 +39,6 @@ __all__ = [
     "save_svm_model",
     "load_svm_model",
     "load_config",
-    "write_outlier_report",
 ]
 
 _HEATMAP_MAGIC = b"PBHMAP01"
@@ -323,7 +321,3 @@ def load_config(path: Union[str, Path]) -> dict[str, str]:
                 raise ValueError(f"line {lineno}: empty key")
             out[key] = value.strip()
     return out
-
-
-def write_outlier_report(path: Union[str, Path], report: OutlierReport) -> None:
-    atomic_write(path, format_outlier_report(report))

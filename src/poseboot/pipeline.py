@@ -21,18 +21,12 @@ import numpy as np
 
 from .dpmm import DpmmConfig, recover_poses
 from .features import relational_features, relational_length
+from .fileio import PoseRecord, atomic_write, candidate_set, read_pose_records, write_pose_records
 # relational_feature is not called here; it stays importable from this module
 # because bench/tests/test_bench.py checks that the tracer restores it
 from .features import relational_feature  # noqa: F401
 from .metrics import MetricsReport, selection_stats
-from .skeleton import (
-    N_JOINTS,
-    ActionLabel,
-    CandidateSet,
-    DatasetSplit,
-    Skeleton,
-    validate_split,
-)
+from .skeleton import N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, Skeleton
 from .svm import SvmModel, TrainSet, select, synthesize_positives, train
 
 __all__ = [
@@ -89,6 +83,8 @@ class PipelineConfig:
             raise ValueError(f"margin must be finite, got {self.margin}")
         if self.max_negatives < 1:
             raise ValueError("max_negatives must be >= 1")
+        if self.recover_per_image < 1:
+            raise ValueError(f"recover_per_image must be >= 1, got {self.recover_per_image}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         for name in ("reg", "tol"):
@@ -335,8 +331,6 @@ def write_iteration_files(
     cfg: PipelineConfig,
 ) -> None:
     """Emit annotations_iter<t>.jsonl and report_iter<t>.txt for one state."""
-    from .fileio import PoseRecord, atomic_write, write_pose_records
-
     t = state.iteration
     records = [
         PoseRecord(e.image_id, e.skeleton.keypoints, e.action, provenance="fs")
@@ -378,8 +372,6 @@ def write_iteration_files(
 def read_candidate_dir(path: Path) -> dict[str, CandidateSet]:
     """Ingest refreshed candidates: one <image_id>.jsonl per image, whose
     records become that image's set in file order."""
-    from .fileio import candidate_set, read_pose_records
-
     return {
         f.stem: candidate_set(f.stem, read_pose_records(f))
         for f in sorted(path.glob("*.jsonl"))
@@ -399,9 +391,6 @@ def run_pipeline(
     report files there, and a candidates_iter<t>/ directory, if present, is
     ingested before iteration t; otherwise candidates are replayed as-is.
     """
-    violations = validate_split(split)
-    if violations:
-        raise ValueError(f"invalid split: {violations[0].message}")
     if exchange_dir is not None:
         exchange_dir.mkdir(parents=True, exist_ok=True)
     states = [IterationState()]

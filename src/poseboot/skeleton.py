@@ -18,8 +18,6 @@ __all__ = [
     "FsExample",
     "WsExample",
     "DatasetSplit",
-    "SplitViolation",
-    "validate_split",
 ]
 
 
@@ -67,8 +65,8 @@ LIMBS: tuple[tuple[JointId, JointId], ...] = (
 class Skeleton:
     """A 2-D pose: one (x, y) position per joint.
 
-    Coordinates may be non-finite; validity is checked by validate_split,
-    not at construction, so bad data can be loaded and reported.
+    Coordinates may be non-finite: a DatasetSplit rejects a non-finite
+    annotation, naming its joint, so bad data is reported where it is used.
     """
 
     keypoints: np.ndarray  # (14, 2) float64
@@ -184,12 +182,36 @@ class WsExample:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Disjoint image sets: annotated, action-only, unlabeled, background."""
+    """Disjoint image sets: annotated, action-only, unlabeled, background.
+
+    Construction raises ValueError on the first broken invariant it finds:
+    an id repeated within a set, an id in two sets, or an annotation with a
+    non-finite coordinate.
+    """
 
     fs: tuple[FsExample, ...] = ()
     ws: tuple[WsExample, ...] = ()
     us: tuple[str, ...] = ()
     backgrounds: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        owner: dict[str, str] = {}  # the set each id was first seen in
+        sets = {"fs": self.fs_ids(), "ws": self.ws_ids(), "us": self.us,
+                "backgrounds": self.backgrounds}
+        for name, ids in sets.items():
+            for i in ids:
+                if owner.get(i) == name:
+                    raise ValueError(f"invalid split: image {i!r} appears twice in {name}")
+                if i in owner:
+                    raise ValueError(f"invalid split: image {i!r} is in both {owner[i]} and {name}")
+                owner[i] = name
+        for ex in self.fs:
+            bad = ~np.isfinite(ex.skeleton.keypoints).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"invalid split: annotation for image {ex.image_id!r} has a "
+                    f"non-finite coordinate at joint {JointId(int(bad.argmax())).name}"
+                )
 
     def fs_ids(self) -> tuple[str, ...]:
         return tuple(e.image_id for e in self.fs)
@@ -199,58 +221,3 @@ class DatasetSplit:
 
     def ws_actions(self) -> dict[str, ActionLabel]:
         return {e.image_id: e.action for e in self.ws}
-
-
-@dataclass(frozen=True)
-class SplitViolation:
-    kind: str  # "overlap" | "duplicate" | "nonfinite"
-    message: str
-    image_id: str = ""
-    joint: Optional[JointId] = None
-
-
-def validate_split(split: DatasetSplit) -> list[SplitViolation]:
-    """Check split invariants; returns an empty list iff the split is clean.
-
-    Checks: the four id sets are pairwise disjoint, no set repeats an id,
-    and every FS annotation has finite coordinates.
-    """
-    out: list[SplitViolation] = []
-    sets = {
-        "fs": list(split.fs_ids()),
-        "ws": list(split.ws_ids()),
-        "us": list(split.us),
-        "backgrounds": list(split.backgrounds),
-    }
-    for name, ids in sets.items():
-        seen: set[str] = set()
-        for i in ids:
-            if i in seen:
-                out.append(SplitViolation("duplicate", f"image {i!r} appears twice in {name}", i))
-            seen.add(i)
-    names = list(sets)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            both = set(sets[names[a]]) & set(sets[names[b]])
-            for i in sorted(both):
-                out.append(
-                    SplitViolation(
-                        "overlap",
-                        f"image {i!r} is in both {names[a]} and {names[b]}",
-                        i,
-                    )
-                )
-    for ex in split.fs:
-        bad = ~np.isfinite(ex.skeleton.keypoints)
-        if bad.any():
-            j = JointId(int(np.argwhere(bad.any(axis=1))[0][0]))
-            out.append(
-                SplitViolation(
-                    "nonfinite",
-                    f"annotation for image {ex.image_id!r} has a non-finite "
-                    f"coordinate at joint {j.name}",
-                    ex.image_id,
-                    j,
-                )
-            )
-    return out

@@ -147,7 +147,6 @@ def train(
     reg: float = 1.0,
     tol: float = TOL,
     max_iter: int = 1000,
-    standardize: bool = True,
 ) -> SvmModel:
     """Dual coordinate descent on the box-constrained hinge dual, with
     shrinking (Hsieh et al., ICML 2008, section 3.2).
@@ -180,13 +179,9 @@ def train(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     y = ts.labels
     n, d = ts.features.shape
-    if standardize:
-        mean = ts.features.mean(axis=0)
-        std = ts.features.std(axis=0)
-        std[std == 0.0] = 1.0
-    else:
-        mean = np.zeros(d)
-        std = np.ones(d)
+    mean = ts.features.mean(axis=0)
+    std = ts.features.std(axis=0)
+    std[std == 0.0] = 1.0
     # standardized in place in the augmented matrix: one copy of the data;
     # row i holds y_i * [z_i, 1], exact since y_i is +/-1
     X = np.empty((n, d + 1))

@@ -157,25 +157,21 @@ def effective_bias(model) -> float:
 
 
 def svm_train_reference(X: np.ndarray, y: np.ndarray, reg: float = 1.0,
-                        tol: float = 1e-4, max_iter: int = 1000,
-                        standardize: bool = True) -> SimpleNamespace:
+                        tol: float = 1e-4, max_iter: int = 1000) -> SimpleNamespace:
     """Dual coordinate descent without shrinking: every sample, every epoch.
 
-    Samples are visited in fixed cyclic order and labels multiply each
-    step. Stops when the primal-dual gap falls to tol or after max_iter
-    epochs. Returns mean, std, weights, bias and the per-epoch
+    Features are standardized per dimension first, a zero-variance one
+    keeping std 1. Samples are visited in fixed cyclic order and labels
+    multiply each step. Stops when the primal-dual gap falls to tol or after
+    max_iter epochs. Returns mean, std, weights, bias and the per-epoch
     objective_history (primal) and gap_history.
     """
     X0 = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X0.shape
-    if standardize:
-        mean = X0.mean(axis=0)
-        std = X0.std(axis=0)
-        std[std == 0.0] = 1.0
-    else:
-        mean = np.zeros(d)
-        std = np.ones(d)
+    mean = X0.mean(axis=0)
+    std = X0.std(axis=0)
+    std[std == 0.0] = 1.0
     X = np.empty((n, d + 1))
     np.subtract(X0, mean, out=X[:, :d])
     X[:, :d] /= std
@@ -221,7 +217,6 @@ def svm_train_reference(X: np.ndarray, y: np.ndarray, reg: float = 1.0,
 
 def svm_train_shrinking_reference(X: np.ndarray, y: np.ndarray, reg: float = 1.0,
                                   tol: float = 1e-4, max_iter: int = 1000,
-                                  standardize: bool = True,
                                   full_sweep_every: int = 10) -> SimpleNamespace:
     """svm.train's shrinking dual coordinate descent, checked in sequence.
 
@@ -236,13 +231,9 @@ def svm_train_shrinking_reference(X: np.ndarray, y: np.ndarray, reg: float = 1.0
     X0 = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X0.shape
-    if standardize:
-        mean = X0.mean(axis=0)
-        std = X0.std(axis=0)
-        std[std == 0.0] = 1.0
-    else:
-        mean = np.zeros(d)
-        std = np.ones(d)
+    mean = X0.mean(axis=0)
+    std = X0.std(axis=0)
+    std[std == 0.0] = 1.0
     Xy = np.empty((n, d + 1))
     np.subtract(X0, mean, out=Xy[:, :d])
     Xy[:, :d] /= std
@@ -533,6 +524,32 @@ class _GibbsState:
 def _canonical(z) -> tuple[int, ...]:
     remap: dict[int, int] = {}
     return tuple(remap.setdefault(int(v), len(remap)) for v in z)
+
+
+def merge_descriptor_reference(z0, zm, small_max: int, cap: int = 12) -> str:
+    """The descriptor merge[k->g,...] of merged assignments zm of z0, read
+    back from the two assignments alone.
+
+    The small clusters of z0 (at most small_max members) are taken smallest
+    first, ties by label, at most cap of them. A small cluster k counts as
+    moved when its members share their cluster in zm with other points, and
+    g is the one cluster of z0 among those points that is not small.
+    """
+    z0 = np.asarray(z0)
+    zm = np.asarray(zm)
+    sizes = np.bincount(z0)
+    small = sorted(
+        (k for k in range(len(sizes)) if sizes[k] <= small_max), key=lambda k: (sizes[k], k)
+    )[:cap]
+    moved = []
+    for k in small:
+        members = np.flatnonzero(z0 == k)
+        absorbed = np.flatnonzero(zm == zm[members[0]])
+        if len(absorbed) > len(members):
+            big = [c for c in set(z0[absorbed].tolist()) - {k} if c not in small]
+            if big:
+                moved.append(f"{k}->{big[0]}")
+    return "merge[" + ",".join(moved) + "]"
 
 
 def seated_gibbs_reference(X: np.ndarray, base, gamma: float, gibbs_iters: int,

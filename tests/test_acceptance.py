@@ -211,27 +211,28 @@ def test_criterion_06(criterion):
         y_sep = np.array([-1.0, -1.0, 1.0, 1.0])
         X_xor = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y_xor = np.array([1.0, 1.0, -1.0, -1.0])
-        grid_sep = svm_grid_minimum(X_sep, y_sep)
-        grid_xor = svm_grid_minimum(X_xor, y_xor)
-        assert grid_sep == pytest.approx(0.745, abs=1e-12)
-        assert grid_xor == pytest.approx(4.0, abs=1e-12)
-
-        m = train(
-            TrainSet(X_sep, y_sep), tol=1e-8, max_iter=100000, standardize=False
-        )
-        j_sep = svm_objective(m.weights, m.bias, X_sep, y_sep)
-        # the grid value upper-bounds the continuum optimum (13/18), so the
+        # train optimizes in Z = (X - m.mean) / m.std, where both instances
+        # are exactly the +/-1 ones; the oracle and the objective are read there
+        m = train(TrainSet(X_sep, y_sep), tol=1e-8, max_iter=100000)
+        Z_sep = (X_sep - m.mean) / m.std
+        assert np.array_equal(np.abs(Z_sep), np.ones((4, 2)))
+        grid_sep = svm_grid_minimum(Z_sep, y_sep)
+        assert grid_sep == pytest.approx(0.5, abs=1e-12)
+        j_sep = svm_objective(m.weights, m.bias, Z_sep, y_sep)
+        # the grid value upper-bounds the continuum optimum (1/2), so the
         # solver may only undercut it; it must land within 1e-2 of the oracle
         assert j_sep <= grid_sep + 1e-2, (j_sep, grid_sep)
-        assert j_sep >= 13.0 / 18.0 - 1e-9
-        preds = np.sign(X_sep @ m.weights + m.bias)
+        assert j_sep >= 0.5 - 1e-9
+        preds = np.sign(Z_sep @ m.weights + m.bias)
         assert np.array_equal(preds, y_sep), "separable data must reach zero errors"
         assert np.all(np.diff(m.objective_history) <= 1e-12)
 
-        m = train(
-            TrainSet(X_xor, y_xor), tol=1e-8, max_iter=100000, standardize=False
-        )
-        j_xor = svm_objective(m.weights, m.bias, X_xor, y_xor)
+        m = train(TrainSet(X_xor, y_xor), tol=1e-8, max_iter=100000)
+        Z_xor = (X_xor - m.mean) / m.std
+        assert np.array_equal(np.abs(Z_xor), np.ones((4, 2)))
+        grid_xor = svm_grid_minimum(Z_xor, y_xor)
+        assert grid_xor == pytest.approx(4.0, abs=1e-12)
+        j_xor = svm_objective(m.weights, m.bias, Z_xor, y_xor)
         assert abs(j_xor - grid_xor) <= 1e-2, (j_xor, grid_xor)
         assert np.all(np.diff(m.objective_history) <= 1e-12)
         note["detail"] = (

@@ -506,6 +506,24 @@ class TestInputErrors:
             f"error: {truth}: no record for annotated image {fs[0]!r}\n"
         )
 
+    def test_pipeline_split_overlap_is_data_error(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        """An annotated image also listed under ws is rejected as the split is
+        loaded, before any heatmap file is read."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = json.loads((corpus / "split.json").read_text())
+        fs = manifest["fs"][0]
+        manifest["ws"][fs] = next(iter(manifest["ws"].values()))
+        (corpus / "split.json").write_text(json.dumps(manifest))
+        read = []
+        monkeypatch.setattr(fileio, "read_heatmaps", lambda path: read.append(path))
+        exchange = tmp_path / "x"
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(exchange),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid split: image {fs!r} is in both fs and ws\n"
+        assert read == [] and not exchange.exists()
+
     def test_pipeline_degenerate_torso_names_the_image(self, corpus_dir, tmp_path, capsys):
         # the hip maps copy the neck map, so a candidate's neck and hips can
         # fall on one point and leave it without a torso
@@ -751,6 +769,21 @@ class TestDefaults:
         cfg = self._built(monkeypatch, "synth_corpus", ["synth", "--out", str(tmp_path)],
                           cli.SynthConfig)
         assert cfg == cli.SynthConfig()
+
+    def test_train_svm_seed(self, tmp_path, rng, monkeypatch):
+        """Unset, train-svm's --seed is PipelineConfig's, as --eps is."""
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        args = ["train-svm", "--positives", str(pos), "--negatives", str(neg), "--synth", "2"]
+        models = {}
+        for name, seed_flag in (("0", ["--seed", "0"]), ("5", ["--seed", "5"]), ("unset", [])):
+            if name == "unset":
+                monkeypatch.setattr(cli.PipelineConfig, "seed", 5)
+            assert cli.main(args + ["--out", str(tmp_path / name), *seed_flag]) == 0
+            models[name] = (tmp_path / name).read_bytes()
+        assert models["0"] != models["5"]  # the jitter, and so the model, follows the seed
+        assert models["unset"] == models["5"]
 
 
 class TestConfigFile:

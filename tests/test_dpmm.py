@@ -26,6 +26,7 @@ from poseboot.dpmm import (
 from _oracles import (
     crp_log_prior,
     crp_seating_probability,
+    merge_descriptor_reference,
     nig_marginal_quadrature,
     seated_gibbs_reference,
     set_partitions,
@@ -489,7 +490,8 @@ class TestMergeSet:
 
     def test_enumerates_all_nonempty_small_subsets(self):
         merges = merge_set(self._partition(), small_max=3, features=self._features())
-        assert len(merges) == 3  # {1}, {2}, {1,2}
+        # {2}, {1}, {2,1}: the smaller cluster 2 comes first, both fold into 0
+        assert [d for d, _ in merges] == ["merge[2->0]", "merge[1->0]", "merge[2->0,1->0]"]
 
     def test_no_large_cluster_no_merges(self):
         p = Partition(np.array([0, 1, 2]))
@@ -504,9 +506,39 @@ class TestMergeSet:
         X[:5, 0] = 0.0
         p = Partition(np.array([0, 0, 0, 0, 0, 1, 1, 0]))  # one small cluster
         merges = merge_set(p, small_max=3, features=X)
-        (m,) = merges
+        ((_, m),) = merges
         # all 8 points end up together: small cluster folded into the big one
         assert Partition.from_assignments(m.assignments).n_clusters == 1
+
+
+class TestMergeDescriptor:
+    """merge_set names each merge from its moves; the reference reads the
+    same names back from the merged assignments."""
+
+    def test_shared_nearest_large_cluster(self):
+        # small clusters 1 and 3 both sit nearest large cluster 0; 4 nearest 2
+        z = [0] * 5 + [1, 1] + [2] * 4 + [3] + [4, 4]
+        X = np.array([0.0] * 5 + [1.0, 1.2] + [50.0] * 4 + [2.0] + [49.0, 48.0])[:, None]
+        p = Partition(tuple(z))
+        merges = merge_set(p, small_max=3, features=X)
+        assert len(merges) == 7
+        assert merges[-1][0] == "merge[3->0,1->0,4->2]"
+        for descriptor, pm in merges:
+            assert descriptor == merge_descriptor_reference(z, pm.assignments, 3)
+
+    def test_agrees_with_reference_on_random_partitions(self):
+        gen = np.random.default_rng(15)
+        merges_seen = 0
+        for _ in range(200):
+            n = int(gen.integers(4, 30))
+            p = Partition.from_assignments(gen.integers(0, int(gen.integers(1, 9)), n))
+            X = gen.normal(size=(n, 2))
+            small_max = int(gen.integers(1, 4))
+            for descriptor, pm in merge_set(p, small_max, X):
+                ref = merge_descriptor_reference(p.assignments, pm.assignments, small_max)
+                assert descriptor == ref, (p.assignments, small_max)
+                merges_seen += 1
+        assert merges_seen > 300
 
 
 class TestMergeCap:
@@ -575,7 +607,8 @@ class TestDetectOutliers:
 
         merges = merge_set(p, cfg.small_cluster_max, xs)
         assert len(merges) == len(rep.per_merge) > 0
-        for pm, ev in zip(merges, rep.per_merge):
+        for (descriptor, pm), ev in zip(merges, rep.per_merge):
+            assert ev.descriptor == descriptor
             nu = p.n_clusters - pm.n_clusters  # clusters removed by the merge
             expect = (
                 -nu * np.log(cfg.alpha)

@@ -82,7 +82,8 @@ class TestConfig:
          dict(max_negatives=0), dict(eps=float("nan")), dict(eps=float("inf")),
          dict(margin=float("nan")), dict(margin=float("inf")),
          dict(reg=0.0), dict(reg=float("nan")), dict(reg=float("inf")),
-         dict(tol=0.0), dict(tol=float("nan")), dict(tol=float("inf"))],
+         dict(tol=0.0), dict(tol=float("nan")), dict(tol=float("inf")),
+         dict(recover_per_image=0), dict(recover_per_image=-1)],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -429,14 +430,12 @@ class TestExchangeFiles:
 
 class TestRunPipeline:
     def test_invalid_split_rejected(self):
-        corpus, cands = tiny_corpus()
+        corpus, _ = tiny_corpus()
         e = corpus.split.fs[0]
-        bad = replace(
-            corpus.split,
-            ws=corpus.split.ws + (WsExample(e.image_id, e.action),),
-        )
-        with pytest.raises(ValueError, match="invalid split"):
-            run_pipeline(bad, cands, fast_cfg())
+        with pytest.raises(
+            ValueError, match=f"^invalid split: image {e.image_id!r} is in both fs and ws$"
+        ):
+            replace(corpus.split, ws=corpus.split.ws + (WsExample(e.image_id, e.action),))
 
     def test_two_iterations_and_files(self, tmp_path):
         corpus, cands = tiny_corpus()

@@ -13,7 +13,6 @@ from poseboot.skeleton import (
     Skeleton,
     WsExample,
     torso_lengths,
-    validate_split,
 )
 
 from _oracles import torso_length_per_pose
@@ -108,24 +107,24 @@ class TestValidateSplit:
         return DatasetSplit(fs=fs, ws=ws, us=tuple(us), backgrounds=tuple(backgrounds))
 
     def test_clean_split_passes(self, rng):
-        assert validate_split(self._split(rng)) == []
+        split = self._split(rng)
+        assert split.fs_ids() == ("f1",) and split.ws_ids() == ("w1", "w2")
 
     def test_overlap_between_sets_reported(self, rng):
-        split = self._split(rng, ws_ids=("w1", "u1"))
-        violations = validate_split(split)
-        assert any(v.kind == "overlap" and v.image_id == "u1" for v in violations)
+        with pytest.raises(ValueError, match="^invalid split: image 'u1' is in both ws and us$"):
+            self._split(rng, ws_ids=("w1", "u1"))
 
     def test_duplicate_within_set_reported(self, rng):
-        split = self._split(rng, ws_ids=("w1", "w1"))
-        violations = validate_split(split)
-        assert any(v.kind == "duplicate" for v in violations)
+        with pytest.raises(ValueError, match="^invalid split: image 'w1' appears twice in ws$"):
+            self._split(rng, ws_ids=("w1", "w1"))
 
     def test_non_finite_annotation_names_the_joint(self, rng):
         pts = rng.uniform(0, 10, (14, 2))
         pts[int(JointId.L_KNEE), 0] = np.inf
         fs = (FsExample("f1", Skeleton(pts), ActionLabel.SOCCER),)
-        split = DatasetSplit(fs=fs, ws=(), us=(), backgrounds=())
-        violations = validate_split(split)
-        assert any(
-            v.kind == "nonfinite" and v.joint is JointId.L_KNEE for v in violations
-        )
+        with pytest.raises(
+            ValueError,
+            match="^invalid split: annotation for image 'f1' has a non-finite "
+            "coordinate at joint L_KNEE$",
+        ):
+            DatasetSplit(fs=fs, ws=(), us=(), backgrounds=())

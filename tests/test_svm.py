@@ -36,10 +36,19 @@ X_SEP = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
 Y_SEP = np.array([-1.0, -1.0, 1.0, 1.0])
 X_XOR = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 Y_XOR = np.array([1.0, 1.0, -1.0, -1.0])
+# the same instances in the space train optimizes, Z = (X - m.mean) / m.std
+Z_SEP = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+Z_XOR = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
 
-# frozen outputs of svm_grid_minimum (step 0.05, limit 5) on the instances
-GRID_J_SEP = 0.745
+# frozen outputs of svm_grid_minimum (step 0.05, limit 5) on the Z instances
+GRID_J_SEP = 0.5
 GRID_J_XOR = 4.0
+
+
+def trained_in_z(X, y, **kw):
+    """The model train fits to (X, y), and X in the space it was fit in."""
+    m = train(TrainSet(X, y), **kw)
+    return m, (X - m.mean) / m.std
 
 
 class TestTrainSet:
@@ -81,40 +90,39 @@ def noisy_set():
 class TestSolver:
     def test_grid_oracle_frozen_values_still_hold(self):
         """Re-derive the frozen constants from the brute-force grid."""
-        assert svm_grid_minimum(X_SEP, Y_SEP) == pytest.approx(GRID_J_SEP, abs=1e-9)
-        assert svm_grid_minimum(X_XOR, Y_XOR) == pytest.approx(GRID_J_XOR, abs=1e-9)
+        assert svm_grid_minimum(Z_SEP, Y_SEP) == pytest.approx(GRID_J_SEP, abs=1e-9)
+        assert svm_grid_minimum(Z_XOR, Y_XOR) == pytest.approx(GRID_J_XOR, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "X,y,grid_j",
-        [(X_SEP, Y_SEP, GRID_J_SEP), (X_XOR, Y_XOR, GRID_J_XOR)],
+        "X,y,Z,grid_j",
+        [(X_SEP, Y_SEP, Z_SEP, GRID_J_SEP), (X_XOR, Y_XOR, Z_XOR, GRID_J_XOR)],
         ids=["separable", "xor"],
     )
-    def test_objective_at_most_grid_minimum(self, X, y, grid_j):
+    def test_objective_at_most_grid_minimum(self, X, y, Z, grid_j):
         """The continuous optimum can only undercut the 0.05-step grid, so the
         solver must land at or below the grid value (within tolerance)."""
-        m = train(TrainSet(X, y), reg=1.0, tol=1e-8, max_iter=100000, standardize=False)
-        j = svm_objective(effective_weights(m), effective_bias(m), X, y)
+        m, Z_fit = trained_in_z(X, y, reg=1.0, tol=1e-8, max_iter=100000)
+        np.testing.assert_array_equal(Z_fit, Z)
+        j = svm_objective(m.weights, m.bias, Z, y)
         assert j <= grid_j + 1e-2
         assert m.gap_history[-1] <= 1e-8
 
     def test_separable_reaches_zero_errors(self):
-        m = train(TrainSet(X_SEP, Y_SEP), tol=1e-8, max_iter=100000, standardize=False)
+        m = train(TrainSet(X_SEP, Y_SEP), tol=1e-8, max_iter=100000)
         preds = np.sign(m.decisions(X_SEP))
         np.testing.assert_array_equal(preds, Y_SEP)
 
     def test_objective_history_monotone(self):
         for X, y in [(X_SEP, Y_SEP), (X_XOR, Y_XOR)]:
-            m = train(TrainSet(X, y), tol=1e-8, max_iter=100000, standardize=False)
+            m = train(TrainSet(X, y), tol=1e-8, max_iter=100000)
             diffs = np.diff(m.objective_history)
             assert np.all(diffs <= 1e-12), diffs[diffs > 0]
 
     def test_xor_collapses_to_zero_weights(self):
         """No linear separator helps on XOR; the optimum is w = 0, objective 4."""
-        m = train(TrainSet(X_XOR, Y_XOR), tol=1e-10, max_iter=100000, standardize=False)
-        assert svm_objective(
-            effective_weights(m), effective_bias(m), X_XOR, Y_XOR
-        ) == pytest.approx(4.0, abs=1e-8)
-        np.testing.assert_allclose(effective_weights(m), 0.0, atol=1e-8)
+        m, Z = trained_in_z(X_XOR, Y_XOR, tol=1e-10, max_iter=100000)
+        assert svm_objective(m.weights, m.bias, Z, Y_XOR) == pytest.approx(4.0, abs=1e-8)
+        np.testing.assert_allclose(m.weights, 0.0, atol=1e-8)
 
     def test_dual_never_decreases(self, noisy_set):
         """Every coordinate step maximizes the dual along its coordinate, so
@@ -294,7 +302,7 @@ class TestSelect:
     def _model_preferring_positive_x(self):
         X = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        return train(TrainSet(X, y), tol=1e-8, standardize=False)
+        return train(TrainSet(X, y), tol=1e-8)
 
     def _cands(self, rng, image_id, scored_xs):
         """A set with the given scores whose row j has feature (x_j, 0)."""
