@@ -26,7 +26,7 @@ from .dpmm import (
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
-from .pipeline import PipelineConfig, Scheme, run_pipeline
+from .pipeline import PipelineConfig, Scheme, run_pipeline, thin_negatives
 from .skeleton import ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample
 from .svm import TOL, TrainSet, select, synthesize_positives, train
 from .synth import SynthConfig, synth_corpus
@@ -223,9 +223,26 @@ def _save_corpus(out: Path, corpus) -> None:
         )
 
 
+def _check_manifest(path: Path, manifest) -> None:
+    """Raise, naming path and the key, unless manifest has the shape that
+    _save_corpus writes; us and backgrounds may be left out."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: must be a JSON object, got {type(manifest).__name__}")
+    for key, kind in (("fs", list), ("ws", dict), ("us", list), ("backgrounds", list)):
+        if key not in manifest and key in ("fs", "ws"):
+            raise ValueError(f"{path}: missing key {key!r}")
+        value = manifest.get(key, [])
+        items = value.values() if isinstance(value, dict) else value
+        if not (isinstance(value, kind) and all(isinstance(v, str) for v in items)):
+            shape = "map image ids to action names" if kind is dict else "be a list of image ids"
+            raise ValueError(f"{path}: {key!r} must {shape}")
+
+
 def _load_corpus(corpus_dir: Path):
     """The split, the true skeletons by image, and each image's .hm file."""
-    manifest = json.loads((corpus_dir / "split.json").read_text())
+    split_path = corpus_dir / "split.json"
+    manifest = json.loads(split_path.read_text())
+    _check_manifest(split_path, manifest)
     truth_path = corpus_dir / "truth.jsonl"
     records = fileio.read_pose_index(truth_path)
     fs = []
@@ -236,12 +253,9 @@ def _load_corpus(corpus_dir: Path):
         if rec.action is None:
             raise ValueError(f"truth record for {i!r} lacks an action")
         fs.append(FsExample(i, rec.skeleton(), rec.action))
-    ws = tuple(
-        WsExample(i, ActionLabel.parse(a)) for i, a in manifest["ws"].items()
-    )
     split = DatasetSplit(
         fs=tuple(fs),
-        ws=ws,
+        ws=tuple(WsExample(i, ActionLabel.parse(a)) for i, a in manifest["ws"].items()),
         us=tuple(manifest.get("us", ())),
         backgrounds=tuple(manifest.get("backgrounds", ())),
     )
@@ -301,23 +315,26 @@ def _cmd_train_svm(a: dict) -> int:
     if not pos_records or not neg_records:
         raise ValueError("need both positive and negative records")
     rng = np.random.default_rng(_pick(a, "seed", PipelineConfig.seed))
-    n_synth = _pick(a, "synth", 0)
+    n_synth = _pick(a, "synth", PipelineConfig.n_synth)
+    if n_synth < 0:
+        raise ValueError(f"--synth must be non-negative, got {n_synth}")
     eps = _pick(a, "eps", PipelineConfig.eps)
     poses = []
     for r in pos_records:
         poses.append(r.keypoints)
         poses.extend(synthesize_positives(r.skeleton(), n_synth, eps, rng))
     n_pos = len(poses)
-    poses.extend(r.keypoints for r in neg_records)
+    negatives = thin_negatives(_keypoints(neg_records), PipelineConfig.max_negatives)
+    poses.extend(negatives)
     # featurized straight into the training matrix, so no second copy is held
     X = relational_features(np.stack(poses), normalize=True)
-    y = np.concatenate([np.ones(n_pos), -np.ones(len(neg_records))])
+    y = np.concatenate([np.ones(n_pos), -np.ones(len(negatives))])
     given = _given(a, reg="reg", tol="tol")
     model = train(TrainSet(X, y), **given)
     fileio.save_svm_model(a["out"], model)
     epochs = len(model.objective_history)
     print(
-        f"trained on {n_pos}+{len(neg_records)} samples, "
+        f"trained on {n_pos}+{len(negatives)} samples, "
         f"{epochs} epochs, objective "
         f"{model.objective_history[-1]:.6f} -> {a['out']}"
     )
@@ -382,7 +399,7 @@ def _cmd_select(a: dict) -> int:
 def _features_and_scores(path: Path):
     records = fileio.read_pose_records(path)
     if len(records) < 4:
-        raise ValueError("too few features")
+        raise ValueError(f"{path}: need at least 4 pose records, got {len(records)}")
     X = relational_features(_keypoints(records), normalize=True)
     scores = np.array([r.score if r.score is not None else 0.0 for r in records])
     return records, X, scores
@@ -457,16 +474,12 @@ def _cmd_pipeline(a: dict) -> int:
     }
     gt = truth if a["audit"] else None
     states = run_pipeline(split, candidates, cfg, exchange_dir=a["exchange"], gt=gt)
-    prev = 0
-    for st in states[1:]:
+    for prev, st in zip(states, states[1:]):
         total = len(st.accepted)
-        line = f"iter {st.iteration} accepted {total} (+{total - prev})"
-        if st.reports:
-            r = st.reports[-1]
-            if r.precision is not None:
-                line += f" precision {r.precision:.4f}"
+        line = f"iter {st.iteration} accepted {total} (+{total - len(prev.accepted)})"
+        if st.reports and st.reports[-1].precision is not None:
+            line += f" precision {st.reports[-1].precision:.4f}"
         print(line)
-        prev = total
     return 0
 
 

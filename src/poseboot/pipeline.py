@@ -12,6 +12,7 @@ Acceptance is append-only within a run and capped at max_iterations
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -35,6 +36,7 @@ __all__ = [
     "AcceptedPose",
     "IterationState",
     "specialize_models",
+    "thin_negatives",
     "run_iteration",
     "stop_check",
     "run_pipeline",
@@ -151,6 +153,16 @@ def specialize_models(
     return general, models
 
 
+def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
+    """At most cap rows of keypoints, evenly spaced by index from the first
+    row to the last; keypoints itself when it has no more than cap rows.
+    Even thinning keeps coverage across background images deterministic."""
+    n = len(keypoints)
+    if n <= cap:
+        return keypoints
+    return keypoints[np.linspace(0, n - 1, cap).round().astype(int)]
+
+
 def _fit(
     positives: Sequence[np.ndarray], negatives: Sequence[np.ndarray], cfg: PipelineConfig
 ) -> SvmModel:
@@ -190,11 +202,7 @@ def _train_selectors(
         [np.empty((0, N_JOINTS, 2))]
         + [candidates_in[i].keypoints for i in split.backgrounds if i in candidates_in]
     )
-    if len(mined) > cfg.max_negatives:
-        # even thinning keeps coverage across background images deterministic
-        idx = np.linspace(0, len(mined) - 1, cfg.max_negatives).round().astype(int)
-        mined = mined[idx]
-    negatives = relational_features(mined, normalize=True)
+    negatives = relational_features(thin_negatives(mined, cfg.max_negatives), normalize=True)
 
     if cfg.scheme is Scheme.SEMI:
         pooled = [f for feats in positives_by_action.values() for f in feats]
@@ -341,11 +349,8 @@ def write_iteration_files(
     ]
     write_pose_records(exchange_dir / f"annotations_iter{t}.jsonl", records)
 
-    by_prov: dict[str, int] = {}
-    by_action: dict[str, int] = {}
-    for a in state.accepted:
-        by_prov[a.provenance] = by_prov.get(a.provenance, 0) + 1
-        by_action[a.action.value] = by_action.get(a.action.value, 0) + 1
+    by_prov = Counter(a.provenance for a in state.accepted)
+    by_action = Counter(a.action.value for a in state.accepted)
     lines = [
         f"iteration {t} scheme {cfg.scheme.value}",
         f"accepted_total {len(state.accepted)}",
@@ -358,14 +363,9 @@ def write_iteration_files(
         r = state.reports[-1]
         atp, stp, atp_stp, cp_atp = r.counts
         lines.append(f"counts atp={atp} stp={stp} atp_stp={atp_stp} cp_atp={cp_atp}")
-        if r.detected_tp_rate is not None:
-            lines.append(f"detected_tp_rate {r.detected_tp_rate:.4f}")
-        if r.selected_tp_rate is not None:
-            lines.append(f"selected_tp_rate {r.selected_tp_rate:.4f}")
-        if r.precision is not None:
-            lines.append(f"precision {r.precision:.4f}")
-        if r.recall is not None:
-            lines.append(f"recall {r.recall:.4f}")
+        for name in ("detected_tp_rate", "selected_tp_rate", "precision", "recall"):
+            if getattr(r, name) is not None:
+                lines.append(f"{name} {getattr(r, name):.4f}")
     atomic_write(exchange_dir / f"report_iter{t}.txt", "\n".join(lines) + "\n")
 
 
@@ -400,13 +400,11 @@ def run_pipeline(
         if exchange_dir is not None:
             refresh = exchange_dir / f"candidates_iter{t}"
             if refresh.is_dir():
-                incoming = read_candidate_dir(refresh)
-                cands = {**cands, **incoming}
+                cands = {**cands, **read_candidate_dir(refresh)}
         new = run_iteration(states[-1], split, cands, cfg, gt=gt)
         if exchange_dir is not None:
             write_iteration_files(exchange_dir, new, split, cfg)
-        prev = states[-1]
         states.append(new)
-        if stop_check(prev, new, cfg):
+        if stop_check(states[-2], new, cfg):
             break
     return states

@@ -11,7 +11,6 @@ the model and applied inside decisions().
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -161,14 +160,9 @@ def train(
     shrunk too early is visited again. No step lowers the dual objective;
     the primal can rise from one epoch to the next.
 
-    Stops when the primal-dual gap, computed over all samples, falls to tol
-    or after max_iter epochs (at least 1). Epoch k's gap is
-    computed from a copy of its weights on one worker thread while the main
-    thread runs epoch k+1's sweep (NumPy releases the GIL in the matrix
-    product); a stop returns epoch k's weights, so the result is the one a
-    check before the next sweep would give. The thread is joined before
-    train returns. objective_history (primal) and gap_history hold one
-    entry per epoch checked.
+    Stops when the primal-dual gap, computed over all samples after each
+    epoch, falls to tol or after max_iter epochs (at least 1).
+    objective_history (primal) and gap_history hold one entry per epoch.
     """
     for name, value in (("reg", reg), ("tol", tol)):
         if not value > 0:
@@ -198,55 +192,49 @@ def train(
     w_dot = w.dot  # bound once; w is only updated in place
     obj_hist: list[float] = []
     gap_hist: list[float] = []
-    checked = None  # future of the last swept epoch's (primal, gap); w_checked is its w
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for epoch in range(max_iter + 1):
-            if epoch < max_iter:  # the extra pass only collects the last check
-                if epoch % _FULL_SWEEP_EVERY == 0:  # epoch 0 included
-                    active = list(range(n))
-                    pg_max, pg_min = math.inf, -math.inf
-                kept = []
-                hi, lo = -math.inf, math.inf
-                for i in active:
-                    xi = rows[i]
-                    g = w_dot(xi) - 1.0
-                    a = alpha[i]
-                    if a == 0.0:
-                        if g > pg_max:
-                            continue
-                        pg = min(g, 0.0)
-                    elif a == C:
-                        if g < pg_min:
-                            continue
-                        pg = max(g, 0.0)
-                    else:
-                        pg = g
-                    kept.append(i)
-                    if pg > hi:
-                        hi = pg
-                    if pg < lo:
-                        lo = pg
-                    if pg != 0.0:
-                        new_a = min(max(a - g / q_diag[i], 0.0), C)
-                        if new_a != a:
-                            w += (new_a - a) * xi
-                            alpha[i] = new_a
-                active = kept
-                pg_max = hi if hi > 0.0 else math.inf
-                pg_min = lo if lo < 0.0 else -math.inf
-            if checked is not None:
-                primal, gap = checked.result()
-                obj_hist.append(primal)
-                gap_hist.append(gap)
-                if gap <= tol or epoch == max_iter:
-                    break
-            w_checked = w.copy()
-            checked = worker.submit(_primal_and_gap, X, w_checked, np.sum(alpha), C)
+    for epoch in range(max_iter):
+        if epoch % _FULL_SWEEP_EVERY == 0:  # epoch 0 included
+            active = list(range(n))
+            pg_max, pg_min = math.inf, -math.inf
+        kept = []
+        hi, lo = -math.inf, math.inf
+        for i in active:
+            xi = rows[i]
+            g = w_dot(xi) - 1.0
+            a = alpha[i]
+            if a == 0.0:
+                if g > pg_max:
+                    continue
+                pg = min(g, 0.0)
+            elif a == C:
+                if g < pg_min:
+                    continue
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            kept.append(i)
+            if pg > hi:
+                hi = pg
+            if pg < lo:
+                lo = pg
+            if pg != 0.0:
+                new_a = min(max(a - g / q_diag[i], 0.0), C)
+                if new_a != a:
+                    w += (new_a - a) * xi
+                    alpha[i] = new_a
+        active = kept
+        pg_max = hi if hi > 0.0 else math.inf
+        pg_min = lo if lo < 0.0 else -math.inf
+        primal, gap = _primal_and_gap(X, w, np.sum(alpha), C)
+        obj_hist.append(primal)
+        gap_hist.append(gap)
+        if gap <= tol:
+            break
     return SvmModel(
         mean=mean,
         std=std,
-        weights=w_checked[:d].copy(),
-        bias=float(w_checked[d]),
+        weights=w[:d].copy(),
+        bias=float(w[d]),
         reg=reg,
         objective_history=tuple(obj_hist),
         gap_history=tuple(gap_hist),

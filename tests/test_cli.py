@@ -251,7 +251,7 @@ class TestSelectionFlow:
         self, tmp_path, rng, monkeypatch
     ):
         """Unset, --reg and --tol are not passed, so train's defaults apply,
-        and --eps is PipelineConfig's."""
+        and --synth and --eps are PipelineConfig's n_synth and eps."""
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
         write_template_poses(pos, rng, 6)
         write_junk_poses(neg, rng, 10)
@@ -260,15 +260,32 @@ class TestSelectionFlow:
         jitter = cli.synthesize_positives
         monkeypatch.setattr(
             cli, "synthesize_positives",
-            lambda skel, n, eps, g: calls.append(eps) or jitter(skel, n, eps, g),
+            lambda skel, n, eps, g: calls.append((n, eps)) or jitter(skel, n, eps, g),
         )
         args = ["train-svm", "--positives", str(pos), "--negatives", str(neg),
-                "--out", str(tmp_path / "sel.svm"), "--synth", "1"]
+                "--out", str(tmp_path / "sel.svm")]
         assert cli.main(args) == 0
-        assert calls == [PipelineConfig.eps] * 6 + [{}]
+        assert calls == [(PipelineConfig.n_synth, PipelineConfig.eps)] * 6 + [{}]
         calls.clear()
-        assert cli.main(args + ["--tol", "0.01", "--reg", "2", "--eps", "0.5"]) == 0
-        assert calls == [0.5] * 6 + [{"reg": 2.0, "tol": 0.01}]
+        assert cli.main(args + ["--synth", "1", "--tol", "0.01", "--reg", "2", "--eps", "0.5"]) == 0
+        assert calls == [(1, 0.5)] * 6 + [{"reg": 2.0, "tol": 0.01}]
+
+    def test_train_svm_thins_negatives_as_the_pipeline_does(
+        self, tmp_path, rng, monkeypatch, capsys
+    ):
+        """Negatives beyond PipelineConfig.max_negatives are thinned by the
+        pipeline's rule: training on 10 with a cap of 4 is training on the 4
+        it keeps, rows 0, 3, 6 and 9."""
+        pos, neg, kept = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl", tmp_path / "kept.jsonl"
+        write_template_poses(pos, rng, 6)
+        junk = write_junk_poses(neg, rng, 10)
+        fileio.write_pose_records(kept, [junk[i] for i in (0, 3, 6, 9)])
+        monkeypatch.setattr(cli.PipelineConfig, "max_negatives", 4)
+        args = ["train-svm", "--positives", str(pos), "--synth", "2"]
+        assert cli.main(args + ["--negatives", str(neg), "--out", str(tmp_path / "all")]) == 0
+        assert "trained on 18+4 samples" in capsys.readouterr().out
+        assert cli.main(args + ["--negatives", str(kept), "--out", str(tmp_path / "4")]) == 0
+        assert (tmp_path / "all").read_bytes() == (tmp_path / "4").read_bytes()
 
     @pytest.mark.parametrize(
         "flag, named",
@@ -276,7 +293,8 @@ class TestSelectionFlow:
          ("--tol", "tol must be positive, got nan"),
          ("--eps", "eps must be finite and non-negative, got nan"),
          ("--reg", "reg must be finite, got inf"),
-         ("--tol", "tol must be finite, got inf")],
+         ("--tol", "tol must be finite, got inf"),
+         ("--synth", "--synth must be non-negative, got -1")],
     )
     def test_train_svm_nan_option_is_data_error(self, tmp_path, rng, capsys, flag, named):
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
@@ -524,6 +542,34 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: invalid split: image {fs!r} is in both fs and ws\n"
         assert read == [] and not exchange.exists()
 
+    @pytest.mark.parametrize(
+        "reshape, named",
+        [(lambda m: {**m, "ws": list(m["ws"])}, "'ws' must map image ids to action names"),
+         (lambda m: {**m, "ws": dict.fromkeys(m["ws"], 1)},
+          "'ws' must map image ids to action names"),
+         (lambda m: [m], "must be a JSON object, got list"),
+         (lambda m: {**m, "backgrounds": "bg_0000"}, "'backgrounds' must be a list of image ids"),
+         (lambda m: {k: v for k, v in m.items() if k != "fs"}, "missing key 'fs'")],
+        ids=["ws-list", "int-action", "top-level-list", "backgrounds-string", "no-fs"],
+    )
+    def test_pipeline_split_of_wrong_shape_is_data_error(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, reshape, named
+    ):
+        """A split.json of the wrong shape is rejected, naming the file and
+        the key, before any heatmap file is read."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        split = corpus / "split.json"
+        split.write_text(json.dumps(reshape(json.loads(split.read_text()))))
+        read = []
+        monkeypatch.setattr(fileio, "read_heatmaps", lambda path: read.append(path))
+        exchange = tmp_path / "x"
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(exchange),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {split}: {named}\n"
+        assert read == [] and not exchange.exists()
+
     def test_pipeline_degenerate_torso_names_the_image(self, corpus_dir, tmp_path, capsys):
         # the hip maps copy the neck map, so a candidate's neck and hips can
         # fall on one point and leave it without a torso
@@ -614,7 +660,7 @@ class TestClusterAndOutliers:
         rc = cli.main(["cluster", "--poses", str(poses),
                        "--out", str(tmp_path / "c.txt")])
         assert rc == 2
-        assert "too few" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {poses}: need at least 4 pose records, got 3\n"
 
 
 class TestSweepFlags:

@@ -22,6 +22,7 @@ from poseboot.pipeline import (
     run_pipeline,
     specialize_models,
     stop_check,
+    thin_negatives,
     write_iteration_files,
 )
 from poseboot.skeleton import (
@@ -93,6 +94,22 @@ class TestConfig:
     def test_max_iter_below_one_rejected(self, bad):
         with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {bad}"):
             PipelineConfig(max_iter=bad)
+
+
+class TestThinNegatives:
+    @pytest.mark.parametrize("n", [0, 3, 4])
+    def test_at_most_cap_rows_returned_unchanged(self, rng, n):
+        keypoints = rng.uniform(0, 100, (n, 14, 2))
+        assert thin_negatives(keypoints, 4) is keypoints
+
+    @pytest.mark.parametrize("n, cap", [(5, 4), (10, 4), (3000, 256), (7, 2)])
+    def test_cap_distinct_rows_in_order_first_and_last_kept(self, rng, n, cap):
+        keypoints = rng.uniform(0, 100, (n, 14, 2))
+        kept = thin_negatives(keypoints, cap)
+        assert kept.shape == (cap, 14, 2)
+        rows = [int(np.flatnonzero((keypoints == k).all(axis=(1, 2)))[0]) for k in kept]
+        assert rows == sorted(set(rows))
+        assert rows[0] == 0 and rows[-1] == n - 1
 
 
 class TestSpecializeModels:
