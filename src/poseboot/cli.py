@@ -251,11 +251,17 @@ def _load_corpus(corpus_dir: Path):
         if rec is None:
             raise ValueError(f"{truth_path}: no record for annotated image {i!r}")
         if rec.action is None:
-            raise ValueError(f"truth record for {i!r} lacks an action")
+            raise ValueError(f"{truth_path}: truth record for {i!r} lacks an action")
         fs.append(FsExample(i, rec.skeleton(), rec.action))
+    ws = []
+    for i, a in manifest["ws"].items():
+        try:
+            ws.append(WsExample(i, ActionLabel.parse(a)))
+        except ValueError as e:
+            raise ValueError(f"{split_path}: image {i!r}: {e}") from None
     split = DatasetSplit(
         fs=tuple(fs),
-        ws=tuple(WsExample(i, ActionLabel.parse(a)) for i, a in manifest["ws"].items()),
+        ws=tuple(ws),
         us=tuple(manifest.get("us", ())),
         backgrounds=tuple(manifest.get("backgrounds", ())),
     )

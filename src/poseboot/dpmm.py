@@ -13,11 +13,11 @@ replaced by score-weighted counts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Partition",
@@ -177,6 +177,66 @@ def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
     return X
 
 
+# Cephes lgam (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the routine behind scipy.special.gammaln, for x > 0:
+# recurrence into [2, 3) and a rational fit below 13, Stirling's series above
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
+           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2*pi))
+_MAXLGM = 2.556348e305  # log Gamma overflows above this
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for one x > 0, operation for operation as Cephes computes
+    it, with the C library's log (math.log), so the double is the same."""
+    if not x > 0.0:
+        raise ValueError(f"log-gamma needs x > 0, got {x}")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        b = _LGAM_B[0]
+        for c in _LGAM_B[1:]:
+            b = b * x + c
+        q = x + _LGAM_C[0]
+        for c in _LGAM_C[1:]:
+            q = q * x + c
+        return math.log(z) + x * b / q
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        a = a * p + c
+    return q + a / x
+
+
+def _gammaln(x) -> np.ndarray:
+    """log Gamma elementwise, an array of x's shape; every x must be > 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([_lgam(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+
+
 # the planes of a _count_planes table, in the order _logml_stats reads them
 _N_PLANES = 9
 
@@ -201,7 +261,7 @@ def _count_planes(base: NigBase, counts, d: int) -> np.ndarray:
         2.0 * kn,
         0.5 * (np.log(base.kappa0) - np.log(kn)),
         0.5 * n * _LOG_2PI,
-        gammaln(an) - gammaln(base.a0) + base.a0 * np.log(base.b0),
+        _gammaln(an) - _gammaln(base.a0) + base.a0 * np.log(base.b0),
         base.b0,
         base.mu0,
     )):
@@ -456,7 +516,7 @@ def sample_partitions(
         if sweep >= cfg.burn_in:
             for c in range(n_chains):
                 kc = k[c]
-                score = float(np.sum(log_gamma + gammaln(cnt_c[c][:kc])) + np.sum(cache_c[c][:kc]))
+                score = float(np.sum(log_gamma + _gammaln(cnt_c[c][:kc])) + np.sum(cache_c[c][:kc]))
                 samples[c].append((Partition.from_assignments(z[c]).assignments, score))
 
     return [samples[order.index(c)] for c in range(n_chains)]
@@ -596,7 +656,7 @@ def detect_outliers(
 
     ev_i = _partition_log_evidence(X, p, base)
     w_i = _weighted_cluster_counts(p, weights)
-    term_i = float(gammaln(w_i).sum())
+    term_i = float(_gammaln(w_i).sum())
     log_alpha = np.log(cfg.alpha)
 
     evals = []
@@ -606,7 +666,7 @@ def detect_outliers(
         log_k = ev_i - ev_m
         nu = p.n_clusters - z_m.n_clusters
         w_m = _weighted_cluster_counts(z_m, weights)
-        bound = -nu * log_alpha + float(gammaln(w_m).sum()) - term_i
+        bound = -nu * log_alpha + float(_gammaln(w_m).sum()) - term_i
         ok = log_k > bound
         all_ok = all_ok and ok
         evals.append(

@@ -524,6 +524,42 @@ class TestInputErrors:
             f"error: {truth}: no record for annotated image {fs[0]!r}\n"
         )
 
+    def test_pipeline_truth_record_without_action_is_data_error(self, corpus_dir, tmp_path, capsys):
+        """An annotated image whose truth record has no action is rejected,
+        naming truth.jsonl and the image."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        truth = corpus / "truth.jsonl"
+        fs = json.loads((corpus / "split.json").read_text())["fs"][0]
+        records = [json.loads(line) for line in truth.read_text().splitlines()]
+        for r in records:
+            if r["image_id"] == fs:
+                del r["action"]
+        truth.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {truth}: truth record for {fs!r} lacks an action\n"
+        )
+
+    def test_pipeline_unknown_ws_action_is_data_error(self, corpus_dir, tmp_path, capsys):
+        """An unknown action name in split.json's ws is rejected, naming
+        split.json and the image."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        split = corpus / "split.json"
+        manifest = json.loads(split.read_text())
+        ws = sorted(manifest["ws"])[0]
+        manifest["ws"][ws] = "juggling"
+        split.write_text(json.dumps(manifest))
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {split}: image {ws!r}: unknown action label: 'juggling'\n"
+        )
+
     def test_pipeline_split_overlap_is_data_error(self, corpus_dir, tmp_path, capsys, monkeypatch):
         """An annotated image also listed under ws is rejected as the split is
         loaded, before any heatmap file is read."""

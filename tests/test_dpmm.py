@@ -57,6 +57,45 @@ class TestPartition:
         np.testing.assert_array_equal(p.members(1), [1, 3])
 
 
+class TestGammaln:
+    """dpmm._gammaln is Cephes' lgam, so it returns scipy.special.gammaln's
+    double, compared with ==, not approx."""
+
+    @staticmethod
+    def assert_same_double(x):
+        mine, oracle = dpmm._gammaln(x), gammaln(x)
+        differ = np.flatnonzero(mine != oracle)
+        assert differ.size == 0, [(x[i], mine[i], oracle[i]) for i in differ[:5]]
+
+    def test_integers(self):
+        self.assert_same_double(np.arange(1.0, 100_001.0))
+
+    @pytest.mark.parametrize("a0", [1.0, 0.5, 1.0 / 3.0])
+    def test_half_counts_past_a0(self, a0):
+        """The a0 + n/2 of the Normal-Inverse-Gamma marginals."""
+        self.assert_same_double(a0 + 0.5 * np.arange(200_001))
+
+    def test_log_uniform_reals(self):
+        rng = np.random.default_rng(17)
+        self.assert_same_double(10.0 ** rng.uniform(-12.0, 12.0, 1_000_000))
+
+    @pytest.mark.parametrize("edge", [2.0, 3.0, 13.0, 1000.0, 1e8, dpmm._MAXLGM, np.inf])
+    def test_branch_edges_and_their_neighbours(self, edge):
+        self.assert_same_double(np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_and_nan(self, x):
+        with pytest.raises(ValueError, match="x > 0"):
+            dpmm._gammaln(np.array([2.0, x]))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3)])
+    def test_keeps_the_input_shape(self, shape):
+        x = np.full(shape, 4.0)
+        out = dpmm._gammaln(x)
+        assert out.shape == shape and out.dtype == np.float64
+        np.testing.assert_array_equal(out, gammaln(x))
+
+
 class TestCrpPrior:
     def test_matches_sequential_seating_oracle(self):
         """Exact enumeration up to n=8 (Bell(8)=4140 partitions)."""

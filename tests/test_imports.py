@@ -1,5 +1,6 @@
-"""Every import in the package, the tests and the demos is used, and every
-name the package exports is used by the package.
+"""Every import in the package, the tests and the demos is used, every
+name the package exports is used by the package, and the package runs
+without SciPy, which only the test oracles import.
 
 No linter runs with the tests, so these checks read each file's syntax
 tree: an imported name that no expression in the file reads, and that the
@@ -8,6 +9,10 @@ keeps its imports on purpose. A name in a module's __all__ that no module
 of the package reads is reached only from tests and demos.
 """
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -115,3 +120,44 @@ def test_every_export_is_read_by_the_package():
     package = ROOT / "src" / "poseboot"
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert [n for n in unreached_exports(sources) if n not in KEPT_EXPORTS] == []
+
+
+# SciPy is blocked, so any import of it raises ImportError. At margin 3
+# the selectors abstain on every target image of this corpus, so weakC
+# accepts only poses that recover_poses clustered and detect_outliers screened
+WITHOUT_SCIPY = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    sys.modules["scipy"] = None
+    from poseboot import cli
+    out = Path(sys.argv[1])
+    corpus, exchange = out / "corpus", out / "x"
+    assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "20",
+                     "--backgrounds", "2", "--seed", "1"]) == 0
+    assert cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(exchange),
+                     "--scheme", "weakC", "--margin", "3", "--audit"]) == 0
+    assert "accepted_by_provenance cluster=20\\n" in (exchange / "report_iter1.txt").read_text()
+    picks = exchange / "annotations_iter2.jsonl"
+    assert cli.main(["outliers", "--poses", str(picks), "--out", str(out / "o.txt")]) == 0
+""")
+
+
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+    )
+
+
+def test_runs_without_scipy(tmp_path):
+    done = _run_python("-c", WITHOUT_SCIPY, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_loads_no_scipy():
+    """Also where SciPy is installed, not only where it is blocked."""
+    package = ROOT / "src" / "poseboot"
+    modules = ", ".join(f"poseboot.{p.stem}" for p in sorted(package.glob("[!_]*.py")))
+    done = _run_python("-c", f"import sys, {modules}; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
