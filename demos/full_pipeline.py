@@ -20,7 +20,7 @@ print(f"corpus: {len(split.fs)} annotated, {len(split.ws)} action-only, "
       f"{len(split.backgrounds)} backgrounds")
 
 gen = CandidateGenConfig()
-candidates = {i: enumerate_candidates(maps, gen, image_id=i)
+candidates = {i: enumerate_candidates(list(maps.values()), gen, image_id=i)
               for i, maps in corpus.heatmaps.items()}
 n_cands = sum(len(c) for c in candidates.values())
 print(f"candidates: {n_cands} across {len(candidates)} images")
@@ -36,7 +36,7 @@ for scheme in (Scheme.SEMI, Scheme.WEAK, Scheme.WEAKC):
         by_prov: dict[str, int] = {}
         for a in st.accepted:
             by_prov[a.provenance] = by_prov.get(a.provenance, 0) + 1
-        r = st.reports[-1]
+        r = st.report
         prec = "n/a" if r.precision is None else f"{r.precision:.3f}"
         rec = "n/a" if r.recall is None else f"{r.recall:.3f}"
         print(f"  iter {st.iteration}: accepted {len(st.accepted)} {by_prov}, "

@@ -22,7 +22,7 @@ truth, _ = corpus.truth[image_id]
 maps = corpus.heatmaps[image_id]
 
 cfg = CandidateGenConfig(threshold=0.1, top_k=3, nms_radius=1.0, beam=500)
-cands = enumerate_candidates(maps, cfg, image_id=image_id)
+cands = enumerate_candidates(list(maps.values()), cfg, image_id=image_id)
 
 # a joint's peaks are the distinct positions its candidates put it at
 head = maps[JointId.HEAD]

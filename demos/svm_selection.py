@@ -8,7 +8,7 @@ recall for precision.
 
 import numpy as np
 
-from poseboot.features import relational_feature, relational_features
+from poseboot.features import relational_features
 from poseboot.skeleton import CandidateSet, Skeleton
 from poseboot.svm import TrainSet, select, synthesize_positives, train
 from poseboot.synth import action_template
@@ -24,11 +24,8 @@ poses = []
 for skel in annotations:
     poses += [skel.keypoints[None], synthesize_positives(skel, 10, 0.7, rng)]
 positives = relational_features(np.concatenate(poses), normalize=True)
-negatives = [
-    relational_feature(Skeleton(rng.uniform(10, 150, (14, 2))), normalize=True)
-    for _ in range(40)
-]
-model = train(TrainSet.from_parts(positives, negatives), tol=1e-5)
+negatives = relational_features(rng.uniform(10, 150, (40, 14, 2)), normalize=True)
+model = train(TrainSet.from_parts([positives], [negatives]), tol=1e-5)
 print(f"trained on {len(positives)} positives / {len(negatives)} negatives, "
       f"{len(model.objective_history)} epochs, "
       f"objective {model.objective_history[-1]:.4f}")

@@ -26,7 +26,7 @@ from .dpmm import (
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
-from .pipeline import PipelineConfig, Scheme, run_pipeline, thin_negatives
+from .pipeline import MAX_NEGATIVES, PipelineConfig, Scheme, run_pipeline, thin_negatives
 from .skeleton import ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample
 from .svm import TOL, TrainSet, select, synthesize_positives, train
 from .synth import SynthConfig, synth_corpus
@@ -330,7 +330,7 @@ def _cmd_train_svm(a: dict) -> int:
         poses.append(r.keypoints)
         poses.extend(synthesize_positives(r.skeleton(), n_synth, eps, rng))
     n_pos = len(poses)
-    negatives = thin_negatives(_keypoints(neg_records), PipelineConfig.max_negatives)
+    negatives = thin_negatives(_keypoints(neg_records), MAX_NEGATIVES)
     poses.extend(negatives)
     # featurized straight into the training matrix, so no second copy is held
     X = relational_features(np.stack(poses), normalize=True)
@@ -483,8 +483,8 @@ def _cmd_pipeline(a: dict) -> int:
     for prev, st in zip(states, states[1:]):
         total = len(st.accepted)
         line = f"iter {st.iteration} accepted {total} (+{total - len(prev.accepted)})"
-        if st.reports and st.reports[-1].precision is not None:
-            line += f" precision {st.reports[-1].precision:.4f}"
+        if st.report is not None and st.report.precision is not None:
+            line += f" precision {st.report.precision:.4f}"
         print(line)
     return 0
 

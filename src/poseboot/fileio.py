@@ -117,41 +117,40 @@ class PoseRecord:
         )
 
 
-def _record_from_dict(d: dict, where: str) -> PoseRecord:
+def _record_from_dict(d: dict) -> PoseRecord:
+    """One pose record from the parsed JSON object of a line; the caller
+    names the file and the line of any error."""
     if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected an object")
+        raise ValueError("expected an object")
     try:
         image_id = d["image_id"]
         keypoints = d["keypoints"]
     except KeyError as e:
-        raise ValueError(f"{where}: missing field {e.args[0]!r}") from None
+        raise ValueError(f"missing field {e.args[0]!r}") from None
     if not isinstance(image_id, str) or not image_id:
-        raise ValueError(f"{where}: image_id must be a non-empty string")
+        raise ValueError("image_id must be a non-empty string")
     try:
         kp = np.asarray(keypoints)
     except ValueError:  # ragged nesting
         kp = None
     if kp is None or kp.dtype.kind not in "iuf" or kp.shape != (N_JOINTS, 2):
-        raise ValueError(f"{where}: keypoints must be {N_JOINTS} [x, y] pairs of numbers")
+        raise ValueError(f"keypoints must be {N_JOINTS} [x, y] pairs of numbers")
     kp = kp.astype(np.float64, copy=False)
     if not np.isfinite(kp).all():
-        raise ValueError(f"{where}: keypoints must be finite")
+        raise ValueError("keypoints must be finite")
     action = None
     if d.get("action") is not None:
         if not isinstance(d["action"], str):
-            raise ValueError(f"{where}: action must be a string")
-        try:
-            action = ActionLabel.parse(d["action"])
-        except ValueError as e:
-            raise ValueError(f"{where}: {e}") from None
+            raise ValueError("action must be a string")
+        action = ActionLabel.parse(d["action"])
     score = d.get("score")
     if score is not None and not isinstance(score, (int, float)):
-        raise ValueError(f"{where}: score must be numeric")
+        raise ValueError("score must be numeric")
     if score is not None and not math.isfinite(float(score)):
-        raise ValueError(f"{where}: score must be finite")
+        raise ValueError("score must be finite")
     provenance = d.get("provenance")
     if provenance is not None and not isinstance(provenance, str):
-        raise ValueError(f"{where}: provenance must be a string")
+        raise ValueError("provenance must be a string")
     return PoseRecord(image_id, kp, action, score, provenance)
 
 
@@ -168,7 +167,8 @@ def candidate_set(image_id: str, records: Sequence[PoseRecord]) -> CandidateSet:
 
 
 def read_pose_records(path: Union[str, Path]) -> list[PoseRecord]:
-    """Parse a line-delimited pose file; errors name the offending line."""
+    """Parse a line-delimited pose file; errors name the file and the
+    offending line."""
     return [r for _, r in _numbered_pose_records(path)]
 
 
@@ -193,15 +193,14 @@ def _numbered_pose_records(path: Union[str, Path]) -> list[tuple[int, PoseRecord
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8")
+                if line.strip():
+                    out.append((lineno, _record_from_dict(json.loads(line))))
             except UnicodeDecodeError as e:
-                raise ValueError(f"line {lineno}: invalid UTF-8 at byte {e.start}") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
+                raise ValueError(f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}") from None
             except json.JSONDecodeError as e:
-                raise ValueError(f"line {lineno}: invalid JSON ({e.msg})") from None
-            out.append((lineno, _record_from_dict(obj, f"line {lineno}")))
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
     return out
 
 
@@ -276,19 +275,20 @@ def save_svm_model(path: Union[str, Path], model: SvmModel) -> None:
 
 
 def load_svm_model(path: Union[str, Path]) -> SvmModel:
+    """Read a model file; errors name the file."""
     data = Path(path).read_bytes()
     if len(data) < 20 or data[:8] != _MODEL_MAGIC:
-        raise ValueError("not a model file (bad magic)")
+        raise ValueError(f"{path}: not a model file (bad magic)")
     (d,) = struct.unpack_from("<I", data, 8)
     (reg,) = struct.unpack_from("<d", data, 12)
     expected = 20 + 8 * (3 * d + 1)
     if len(data) != expected:
-        raise ValueError(f"model file length {len(data)} != expected {expected}")
+        raise ValueError(f"{path}: model file length {len(data)} != expected {expected}")
     vecs = np.frombuffer(data, dtype="<f8", count=3 * d, offset=20)
     mean, std, weights = vecs[:d].copy(), vecs[d : 2 * d].copy(), vecs[2 * d :].copy()
     (bias,) = struct.unpack_from("<d", data, 20 + 24 * d)
     if not 0.0 < reg < math.inf:
-        raise ValueError(f"model file: reg is {reg}, must be finite and positive")
+        raise ValueError(f"{path}: reg is {reg}, must be finite and positive")
     for name, v, ok, rule in (
         ("mean", mean, np.isfinite(mean), "finite"),
         ("std", std, np.isfinite(std) & (std > 0.0), "finite and positive"),
@@ -296,9 +296,9 @@ def load_svm_model(path: Union[str, Path]) -> SvmModel:
     ):
         bad = np.flatnonzero(~ok)
         if bad.size:
-            raise ValueError(f"model file: {name}[{bad[0]}] is {float(v[bad[0]])}, must be {rule}")
+            raise ValueError(f"{path}: {name}[{bad[0]}] is {float(v[bad[0]])}, must be {rule}")
     if not math.isfinite(bias):
-        raise ValueError(f"model file: bias is {bias}, must be finite")
+        raise ValueError(f"{path}: bias is {bias}, must be finite")
     return SvmModel(mean=mean, std=std, weights=weights, bias=float(bias), reg=float(reg))
 
 
@@ -306,7 +306,8 @@ def load_svm_model(path: Union[str, Path]) -> SvmModel:
 
 
 def load_config(path: Union[str, Path]) -> dict[str, str]:
-    """Flat key=value lines; blank lines and '#' comments are skipped."""
+    """Flat key=value lines; blank lines and '#' comments are skipped.
+    Errors name the file and the line."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -314,10 +315,10 @@ def load_config(path: Union[str, Path]) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value")
+                raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
             if not key:
-                raise ValueError(f"line {lineno}: empty key")
+                raise ValueError(f"{path}: line {lineno}: empty key")
             out[key] = value.strip()
     return out

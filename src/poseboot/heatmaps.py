@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,7 +166,7 @@ def _beam(per_joint: Sequence[np.ndarray], beam: int) -> tuple[np.ndarray, np.nd
 
 
 def enumerate_candidates(
-    maps: Mapping[JointId, Heatmap] | Sequence[Heatmap],
+    maps: Sequence[Heatmap],
     cfg: CandidateGenConfig,
     image_id: str = "",
 ) -> CandidateSet:
@@ -181,14 +181,11 @@ def enumerate_candidates(
     keypoints, scores and order are bit for bit theirs (the tests keep that
     search as the reference); there is no knob.
     """
-    if isinstance(maps, Mapping):
-        by_joint = dict(maps)
-    else:
-        by_joint = {}
-        for h in maps:
-            if h.joint in by_joint:
-                raise ValueError(f"duplicate map for joint {h.joint.name}")
-            by_joint[h.joint] = h
+    by_joint = {}
+    for h in maps:
+        if h.joint in by_joint:
+            raise ValueError(f"duplicate map for joint {h.joint.name}")
+        by_joint[h.joint] = h
     for j in JointId:
         if j not in by_joint:
             raise ValueError(f"missing joint map for {j.name}")

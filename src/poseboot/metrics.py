@@ -97,7 +97,6 @@ def selection_stats(
     candidates: dict[str, CandidateSet],
     selected: dict[str, Skeleton],
     eps: float,
-    actions: Optional[dict[str, ActionLabel]] = None,
 ) -> MetricsReport:
     """Per-image selection accounting over a weakly labeled set; selected
     maps an image to the pose chosen for it.
@@ -116,7 +115,6 @@ def selection_stats(
     stp = 0
     atp_stp = 0
     cp_atp = 0
-    per_action_sel: dict[ActionLabel, list[int]] = {}
     for image_id, gt in ws_truth:
         has_truth = gt is not None
         if has_truth:
@@ -135,14 +133,10 @@ def selection_stats(
         if detected:
             cp_atp += 1
         sel = selected.get(image_id)
-        sel_correct = False
         if sel is not None:
             stp += 1
             if has_truth and pcp_correct(gt, sel, eps)[1]:
                 atp_stp += 1
-                sel_correct = True
-        if actions is not None and image_id in actions:
-            per_action_sel.setdefault(actions[image_id], []).append(int(sel_correct))
     report = MetricsReport(counts=(atp, stp, atp_stp, cp_atp))
     if n_images > 0:
         report.detected_tp_rate = cp_atp / n_images
@@ -151,10 +145,6 @@ def selection_stats(
         report.precision = atp_stp / stp
     if cp_atp > 0:
         report.recall = atp_stp / cp_atp
-    if actions is not None:
-        report.per_action = {
-            a: float(np.mean(v)) for a, v in sorted(per_action_sel.items(), key=lambda kv: kv[0].value)
-        }
     return report
 
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,14 +35,21 @@ __all__ = [
     "PipelineConfig",
     "AcceptedPose",
     "IterationState",
-    "specialize_models",
     "thin_negatives",
     "run_iteration",
     "stop_check",
     "run_pipeline",
     "write_iteration_files",
     "read_candidate_dir",
+    "MAX_NEGATIVES",
 ]
+
+MAX_NEGATIVES = 256  # evenly thinned mined-negative cap per round
+RECOVER_PER_IMAGE = 3  # best candidates per abstained image fed to clustering
+MIN_ACTION_ANNOTATIONS = 5  # below this an action uses the general model
+# every selector's solver: stopping gap and epoch cap
+SOLVER_TOL = 1e-3
+SOLVER_EPOCHS = 100
 
 
 class Scheme(Enum):
@@ -66,11 +73,6 @@ class PipelineConfig:
     n_synth: int = 10  # synthesized positives per annotation
     margin: float = 0.0  # selector acceptance margin
     reg: float = 1.0
-    tol: float = 1e-3
-    max_iter: int = 100
-    max_negatives: int = 256  # evenly thinned mined-negative cap per round
-    recover_per_image: int = 3  # best candidates per abstained image fed to clustering
-    min_action_annotations: int = 5  # below this an action uses the general model
     dpmm: DpmmConfig = field(default_factory=DpmmConfig)
     seed: int = 0
 
@@ -83,18 +85,10 @@ class PipelineConfig:
             raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
         if not math.isfinite(self.margin):
             raise ValueError(f"margin must be finite, got {self.margin}")
-        if self.max_negatives < 1:
-            raise ValueError("max_negatives must be >= 1")
-        if self.recover_per_image < 1:
-            raise ValueError(f"recover_per_image must be >= 1, got {self.recover_per_image}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        for name in ("reg", "tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.reg > 0:
+            raise ValueError(f"reg must be positive, got {self.reg}")
+        if self.reg == math.inf:
+            raise ValueError(f"reg must be finite, got {self.reg}")
 
 
 @dataclass(frozen=True)
@@ -109,48 +103,10 @@ class AcceptedPose:
 class IterationState:
     iteration: int = 0
     accepted: tuple[AcceptedPose, ...] = ()
-    models: dict[ActionLabel, SvmModel] = field(default_factory=dict)
-    general_model: Optional[SvmModel] = None
-    reports: tuple[MetricsReport, ...] = ()
+    report: Optional[MetricsReport] = None  # this round's, when scored against truth
 
     def accepted_ids(self) -> set[str]:
         return {a.image_id for a in self.accepted}
-
-
-def specialize_models(
-    positives_by_action: dict[ActionLabel, Sequence[np.ndarray]],
-    negatives: Sequence[np.ndarray],
-    annotation_counts: dict[ActionLabel, int],
-    cfg: PipelineConfig,
-    target_actions: Iterable[ActionLabel] = (),
-) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
-    """One selector per action, plus a general one from the pooled positives
-    where some action needs it.
-
-    An action's selector retrains on its own positives against the shared
-    negatives; the general action and actions with fewer than
-    cfg.min_action_annotations annotations reuse the general model. The
-    general model is trained only when such an action exists or one of
-    target_actions has no positives; otherwise it is None. Every model is
-    trained with cfg's reg, tol and max_iter.
-    """
-    pooled = [f for feats in positives_by_action.values() for f in feats]
-    if not pooled:
-        raise ValueError("no positive features")
-    own = {
-        action
-        for action, feats in positives_by_action.items()
-        if annotation_counts.get(action, 0) >= cfg.min_action_annotations
-        and len(feats) > 0
-        and action is not ActionLabel.GENERAL
-    }
-    needs_general = any(a not in own for a in (*positives_by_action, *target_actions))
-    general = _fit(pooled, negatives, cfg) if needs_general else None
-    models = {
-        action: _fit(feats, negatives, cfg) if action in own else general
-        for action, feats in positives_by_action.items()
-    }
-    return general, models
 
 
 def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
@@ -163,13 +119,6 @@ def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
     return keypoints[np.linspace(0, n - 1, cap).round().astype(int)]
 
 
-def _fit(
-    positives: Sequence[np.ndarray], negatives: Sequence[np.ndarray], cfg: PipelineConfig
-) -> SvmModel:
-    ts = TrainSet.from_parts(positives, list(negatives))
-    return train(ts, reg=cfg.reg, tol=cfg.tol, max_iter=cfg.max_iter)
-
-
 def _train_selectors(
     state: IterationState,
     split: DatasetSplit,
@@ -177,21 +126,29 @@ def _train_selectors(
     cfg: PipelineConfig,
     scored: Sequence[str],
 ) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
-    """Selectors for the images in scored: the annotations plus the poses
-    accepted so far, jittered, against negatives mined from the backgrounds."""
+    """Selectors for the images in scored, trained on the annotations plus
+    the poses accepted so far, jittered, against negatives mined from the
+    backgrounds: (general, {action: model}).
+
+    Under semi, general is the one selector and the mapping is empty. Under
+    weak/weakC an action other than the general action with at least
+    MIN_ACTION_ANNOTATIONS annotations gets a selector of its own positives;
+    general, on the positives of every action, is trained only when some
+    annotated or scored action lacks its own, and is None otherwise.
+    """
     rng = np.random.default_rng([cfg.seed, state.iteration + 1])
     annotations: list[tuple[Skeleton, ActionLabel]] = [
         (e.skeleton, e.action) for e in split.fs
     ] + [(a.skeleton, a.action) for a in state.accepted]
     # each annotation's keypoints, then its jitters
     poses_by_action: dict[ActionLabel, list[np.ndarray]] = {}
-    counts: dict[ActionLabel, int] = {}
     for skel, action in annotations:
-        counts[action] = counts.get(action, 0) + 1
         poses_by_action.setdefault(action, []).extend(
             (skel.keypoints[None], synthesize_positives(skel, cfg.n_synth, cfg.eps, rng))
         )
-    positives_by_action = {
+    if not poses_by_action:
+        raise ValueError("no positive features")
+    positives = {
         a: relational_features(np.concatenate(p), normalize=True)
         for a, p in poses_by_action.items()
     }
@@ -202,15 +159,22 @@ def _train_selectors(
         [np.empty((0, N_JOINTS, 2))]
         + [candidates_in[i].keypoints for i in split.backgrounds if i in candidates_in]
     )
-    negatives = relational_features(thin_negatives(mined, cfg.max_negatives), normalize=True)
+    negatives = relational_features(thin_negatives(mined, MAX_NEGATIVES), normalize=True)
+
+    def fit(blocks: list[np.ndarray]) -> SvmModel:
+        ts = TrainSet.from_parts(blocks, [negatives])
+        return train(ts, reg=cfg.reg, tol=SOLVER_TOL, max_iter=SOLVER_EPOCHS)
 
     if cfg.scheme is Scheme.SEMI:
-        pooled = [f for feats in positives_by_action.values() for f in feats]
-        return _fit(pooled, negatives, cfg), {}
+        return fit(list(positives.values())), {}
+    counts = Counter(action for _, action in annotations)
+    own = [
+        a for a in positives if counts[a] >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL
+    ]
     ws_action = split.ws_actions()
-    return specialize_models(
-        positives_by_action, negatives, counts, cfg, target_actions={ws_action[i] for i in scored}
-    )
+    needs_general = any(a not in own for a in (*positives, *(ws_action[i] for i in scored)))
+    general = fit(list(positives.values())) if needs_general else None
+    return general, {a: fit([positives[a]]) for a in own}
 
 
 def run_iteration(
@@ -226,7 +190,7 @@ def run_iteration(
     background images (their detections are the negative pool); the set of
     image i must carry image_id == i. The round reads each set's arrays:
     select featurizes its rows best first and stops at the pick (usually
-    the first row), the recovery pool is the recover_per_image best scores,
+    the first row), the recovery pool is the RECOVER_PER_IMAGE best scores,
     by stable sort, whose features select has already computed, and the
     negatives are the concatenated background keypoints, thinned by index.
     A candidate stays a row of its set until it is accepted. A row's
@@ -236,9 +200,10 @@ def run_iteration(
     target must carry an action label in the split. Only open targets,
     those with no accepted pose yet, are scored: a pick is accepted at
     once, and under weakC an open image without one goes to cluster
-    recovery. When no open image has candidates the round trains nothing
-    (general_model None, no models). The report scores every target by
-    its accepted pose.
+    recovery. An image whose action has no selector of its own is scored
+    by the general one. When no open image has candidates the round trains
+    no selector. With gt, the state's report scores every target by its
+    accepted pose.
     """
     for i, cands in candidates_in.items():
         if cands.image_id != i:
@@ -280,7 +245,7 @@ def run_iteration(
             if cands:
                 # select featurized every row best first, so the pool's
                 # features are the first it returned
-                best = np.argsort(-cands.scores, kind="stable")[: cfg.recover_per_image]
+                best = np.argsort(-cands.scores, kind="stable")[:RECOVER_PER_IMAGE]
                 rows.extend((i, j) for j in best.tolist())
                 pool_feats.append(feats[: len(best)])
 
@@ -305,7 +270,7 @@ def run_iteration(
             skel = Skeleton(candidates_in[i].keypoints[j])
             new_accepted.append(AcceptedPose(i, skel, actions[pool], "cluster"))
 
-    reports = state.reports
+    report = None
     if gt is not None:
         target_set = set(targets)
         report = selection_stats(
@@ -313,17 +278,8 @@ def run_iteration(
             candidates_in,
             {a.image_id: a.skeleton for a in new_accepted if a.image_id in target_set},
             cfg.eps,
-            actions={i: ws_action[i] for i in targets if i in ws_action},
         )
-        reports = reports + (report,)
-
-    return IterationState(
-        iteration=it,
-        accepted=tuple(new_accepted),
-        models=models,
-        general_model=general,
-        reports=reports,
-    )
+    return IterationState(iteration=it, accepted=tuple(new_accepted), report=report)
 
 
 def stop_check(prev: IterationState, cur: IterationState, cfg: PipelineConfig) -> bool:
@@ -359,8 +315,8 @@ def write_iteration_files(
         "accepted_by_action "
         + (",".join(f"{k}={v}" for k, v in sorted(by_action.items())) or "-"),
     ]
-    if state.reports:
-        r = state.reports[-1]
+    r = state.report
+    if r is not None:
         atp, stp, atp_stp, cp_atp = r.counts
         lines.append(f"counts atp={atp} stp={stp} atp_stp={atp_stp} cp_atp={cp_atp}")
         for name in ("detected_tp_rate", "selected_tp_rate", "precision", "recall"):
@@ -371,11 +327,18 @@ def write_iteration_files(
 
 def read_candidate_dir(path: Path) -> dict[str, CandidateSet]:
     """Ingest refreshed candidates: one <image_id>.jsonl per image, whose
-    records become that image's set in file order."""
-    return {
-        f.stem: candidate_set(f.stem, read_pose_records(f))
-        for f in sorted(path.glob("*.jsonl"))
-    }
+    records become that image's set in file order. A record of another
+    image is an error that names the file and both ids."""
+    out = {}
+    for f in sorted(path.glob("*.jsonl")):
+        records = read_pose_records(f)
+        for r in records:
+            if r.image_id != f.stem:
+                raise ValueError(
+                    f"{f}: record for image {r.image_id!r} in the file of image {f.stem!r}"
+                )
+        out[f.stem] = candidate_set(f.stem, records)
+    return out
 
 
 def run_pipeline(

@@ -54,8 +54,11 @@ class TrainSet:
 
     @classmethod
     def from_parts(cls, positives: Sequence[np.ndarray], negatives: Sequence[np.ndarray]) -> "TrainSet":
-        X = np.vstack([np.asarray(v, dtype=np.float64) for v in (*positives, *negatives)])
-        y = np.concatenate([np.ones(len(positives)), -np.ones(len(negatives))])
+        """Positive and negative blocks, each an (m, d) array of feature
+        rows, stacked once, positives first."""
+        n_pos = sum(len(b) for b in positives)
+        X = np.concatenate([*positives, *negatives])
+        y = np.concatenate([np.ones(n_pos), -np.ones(len(X) - n_pos)])
         return cls(X, y)
 
 

@@ -264,11 +264,11 @@ def test_criterion_08(criterion):
             per_joint = [list(gen.uniform(0.0, 1.0, 3)) for _ in range(4)]
             assert assemble(per_joint, beam=500) == exhaustive_assemblies(per_joint)
 
-        maps = {}
+        maps = []
         for j in JointId:
             grid = np.zeros((12, 12))
             grid[2 + int(j) % 8, 3 + int(j) % 7] = 1.0
-            maps[j] = Heatmap(joint=j, grid=grid, stride=4.0)
+            maps.append(Heatmap(joint=j, grid=grid, stride=4.0))
         cands = enumerate_candidates(maps, CandidateGenConfig(top_k=3), image_id="x")
         assert len(cands) == 1
         note["detail"] = "25 instances exact; single-peak image gives 1 candidate"
@@ -283,7 +283,7 @@ def _full_corpus():
         corpus = synth_corpus(SynthConfig())
         gen = CandidateGenConfig()
         cands = {
-            i: enumerate_candidates(maps, gen, image_id=i)
+            i: enumerate_candidates(list(maps.values()), gen, image_id=i)
             for i, maps in corpus.heatmaps.items()
         }
         _FULL_CORPUS["corpus"] = corpus
@@ -315,8 +315,8 @@ def test_criterion_09(criterion):
         for states in runs.values():
             assert states[-1].iteration == 2 and len(states) == 3
             for st in states[1:]:
-                for r in st.reports:
-                    assert r.selected_tp_rate <= r.detected_tp_rate + 1e-12
+                r = st.report
+                assert r.selected_tp_rate <= r.detected_tp_rate + 1e-12
 
         again = _run_scheme(Scheme.WEAK)
         first = runs[Scheme.WEAK][-1].accepted
@@ -333,7 +333,7 @@ def test_criterion_09(criterion):
 def test_criterion_10(criterion):
     with criterion(10, 300.0, "selection precision at conservative defaults") as note:
         states = _run_scheme(Scheme.WEAK)
-        report = states[-1].reports[-1]
+        report = states[-1].report
         assert report.precision is not None
         assert report.precision >= 0.9, report.precision
         recall = "absent" if report.recall is None else f"{report.recall:.3f}"

@@ -134,12 +134,12 @@ class TestBeamAssemble:
 
 class TestEnumerateCandidates:
     def _maps(self, peak_cols, size=9):
-        maps = {}
+        maps = []
         for j in JointId:
             g = np.zeros((size, size))
             for c, v in peak_cols.get(j, [(4, 0.8)]):
                 g[int(j) % (size - 2) + 1, c] = v
-            maps[j] = Heatmap(j, g)
+            maps.append(Heatmap(j, g))
         return maps
 
     def test_single_peak_per_joint_gives_one_candidate(self):
@@ -157,13 +157,12 @@ class TestEnumerateCandidates:
         assert cands.scores[0] > cands.scores[1]
 
     def test_missing_joint_rejected(self):
-        maps = self._maps({})
-        del maps[JointId.L_WRIST]
+        maps = [h for h in self._maps({}) if h.joint is not JointId.L_WRIST]
         with pytest.raises(ValueError, match="missing joint map for L_WRIST"):
             enumerate_candidates(maps, CandidateGenConfig(), "img")
 
     def test_duplicate_joint_rejected(self):
-        maps = list(self._maps({}).values())
+        maps = self._maps({})
         maps.append(maps[0])
         with pytest.raises(ValueError, match="duplicate"):
             enumerate_candidates(maps, CandidateGenConfig(), "img")

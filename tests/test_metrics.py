@@ -203,23 +203,6 @@ class TestSelectionStats:
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.selected_tp_rate <= r.detected_tp_rate
 
-    def test_per_action_rates(self, rng):
-        truth = self._fixture(rng, n=4)
-        ids = sorted(truth)
-        actions = {
-            ids[0]: ActionLabel.TENNIS,
-            ids[1]: ActionLabel.TENNIS,
-            ids[2]: ActionLabel.SOCCER,
-            ids[3]: ActionLabel.SOCCER,
-        }
-        candidates = {i: make_set(i, [truth[i]]) for i in ids}
-        selected = {i: truth[i] for i in ids[:3]}  # one soccer image missed
-        r = selection_stats(
-            list(truth.items()), candidates, selected, eps=0.7, actions=actions
-        )
-        assert r.per_action[ActionLabel.TENNIS] == 1.0
-        assert r.per_action[ActionLabel.SOCCER] == pytest.approx(0.5)
-
     def test_detection_equals_pcp_of_each_candidate(self, rng):
         """The batched coverage test agrees with pcp_correct row by row,
         including candidates on the tolerance boundary."""

@@ -8,7 +8,7 @@ import pytest
 import poseboot.pipeline as pipeline
 import poseboot.svm as svm
 from poseboot.dpmm import DpmmConfig
-from poseboot.features import relational_feature, relational_features
+from poseboot.features import relational_features
 from poseboot.fileio import PoseRecord, read_pose_records, write_pose_records
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
 from poseboot.metrics import pcp_correct
@@ -20,7 +20,6 @@ from poseboot.pipeline import (
     read_candidate_dir,
     run_iteration,
     run_pipeline,
-    specialize_models,
     stop_check,
     thin_negatives,
     write_iteration_files,
@@ -28,6 +27,8 @@ from poseboot.pipeline import (
 from poseboot.skeleton import (
     ActionLabel,
     CandidateSet,
+    DatasetSplit,
+    FsExample,
     Skeleton,
     WsExample,
 )
@@ -35,11 +36,31 @@ from poseboot.svm import select
 from poseboot.synth import SynthConfig, action_template, synth_corpus
 
 
+@pytest.fixture(autouse=True)
+def two_annotations_specialize(monkeypatch):
+    """Actions with two annotations get a selector of their own, so the small
+    corpora here exercise the per-action selectors."""
+    monkeypatch.setattr(pipeline, "MIN_ACTION_ANNOTATIONS", 2)
+
+
+@pytest.fixture
+def trained(monkeypatch):
+    """The (general, {action: model}) of every _train_selectors call, in order."""
+    out = []
+    real = pipeline._train_selectors
+
+    def recording(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(pipeline, "_train_selectors", recording)
+    return out
+
+
 def fast_cfg(**kw):
     base = dict(
         scheme=Scheme.WEAK,
         dpmm=DpmmConfig(gibbs_iters=40, burn_in=10),
-        min_action_annotations=2,
     )
     base.update(kw)
     return PipelineConfig(**base)
@@ -52,17 +73,10 @@ def tiny_corpus(**kw):
     corpus = synth_corpus(SynthConfig(**base))
     gen = CandidateGenConfig()
     cands = {
-        i: enumerate_candidates(maps, gen, image_id=i)
+        i: enumerate_candidates(list(maps.values()), gen, image_id=i)
         for i, maps in corpus.heatmaps.items()
     }
     return corpus, cands
-
-
-def junk_features(rng, n):
-    return [
-        relational_feature(Skeleton(rng.uniform(10, 150, (14, 2))), normalize=True)
-        for _ in range(n)
-    ]
 
 
 class TestScheme:
@@ -80,20 +94,13 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(max_iterations=0), dict(n_synth=-1), dict(eps=-0.1),
-         dict(max_negatives=0), dict(eps=float("nan")), dict(eps=float("inf")),
+         dict(eps=float("nan")), dict(eps=float("inf")),
          dict(margin=float("nan")), dict(margin=float("inf")),
-         dict(reg=0.0), dict(reg=float("nan")), dict(reg=float("inf")),
-         dict(tol=0.0), dict(tol=float("nan")), dict(tol=float("inf")),
-         dict(recover_per_image=0), dict(recover_per_image=-1)],
+         dict(reg=0.0), dict(reg=float("nan")), dict(reg=float("inf"))],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
             PipelineConfig(**kw)
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_max_iter_below_one_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {bad}"):
-            PipelineConfig(max_iter=bad)
 
 
 class TestThinNegatives:
@@ -113,59 +120,61 @@ class TestThinNegatives:
 
 
 class TestSpecializeModels:
-    def test_eight_actions_give_distinct_selectors(self, rng):
-        pos, counts = {}, {}
-        for ai, action in enumerate(list(ActionLabel)[:8]):
-            template = action_template(ai)
-            feats = []
-            for _ in range(6):
-                jit = Skeleton(template.keypoints + rng.normal(0, 2.0, (14, 2)))
-                feats.append(relational_feature(jit, normalize=True))
-            pos[action] = feats
-            counts[action] = 6
-        negs = junk_features(rng, 30)
-        general, models = specialize_models(pos, negs, counts, fast_cfg(max_iter=60))
-        weights = [models[a].weights for a in pos]
+    """The selectors _train_selectors returns: one per action with enough
+    annotations, and a general one only where some action needs it."""
+
+    def selectors(self, rng, annotated, targets=()):
+        """(general, models) for a split with annotated[a] annotations near
+        action a's template and an action-only image of each action in
+        targets, against junk background candidates; no jitter."""
+        fs = [
+            FsExample(f"{a.value}_{k}",
+                      Skeleton(action_template(ai).keypoints + rng.normal(0, 2.0, (14, 2))), a)
+            for ai, (a, n) in enumerate(annotated.items())
+            for k in range(n)
+        ]
+        ws = [WsExample(f"target_{a.value}", a) for a in targets]
+        split = DatasetSplit(fs=tuple(fs), ws=tuple(ws), backgrounds=("bg",))
+        cands = {"bg": CandidateSet("bg", rng.uniform(10, 150, (30, 14, 2)), np.zeros(30))}
+        return pipeline._train_selectors(
+            IterationState(), split, cands, fast_cfg(n_synth=0), [e.image_id for e in ws]
+        )
+
+    def test_eight_actions_give_distinct_selectors(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 60)
+        actions = list(ActionLabel)[:8]
+        general, models = self.selectors(rng, {a: 6 for a in actions})
+        weights = [models.get(a, general).weights for a in actions]
         for i in range(8):
             for k in range(i + 1, 8):
                 assert np.linalg.norm(weights[i] - weights[k]) > 0.0, (i, k)
 
-    def test_sparse_action_falls_back_to_general(self, rng):
-        rich = list(ActionLabel)[0]
-        sparse = list(ActionLabel)[1]
-        pos = {
-            rich: junk_features(rng, 8),
-            sparse: junk_features(rng, 2),
-        }
-        negs = junk_features(rng, 10)
-        general, models = specialize_models(
-            pos, negs, {rich: 8, sparse: 2}, fast_cfg(max_iter=40, min_action_annotations=5)
-        )
-        assert models[sparse] is general
+    def test_sparse_action_falls_back_to_general(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 40)
+        monkeypatch.setattr(pipeline, "MIN_ACTION_ANNOTATIONS", 5)
+        rich, sparse = list(ActionLabel)[:2]
+        general, models = self.selectors(rng, {rich: 8, sparse: 2})
+        assert sparse not in models and general is not None
         assert models[rich] is not general
 
-    def test_general_label_never_specializes(self, rng):
-        pos = {ActionLabel.GENERAL: junk_features(rng, 8)}
-        negs = junk_features(rng, 10)
-        general, models = specialize_models(
-            pos, negs, {ActionLabel.GENERAL: 8}, fast_cfg(max_iter=40)
-        )
-        assert models[ActionLabel.GENERAL] is general
+    def test_general_label_never_specializes(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 40)
+        general, models = self.selectors(rng, {ActionLabel.GENERAL: 8})
+        assert models == {} and general is not None
 
-    def test_general_trained_only_when_used(self, rng):
+    def test_general_trained_only_when_used(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 40)
+        monkeypatch.setattr(pipeline, "MIN_ACTION_ANNOTATIONS", 5)
         rich, unseen = list(ActionLabel)[:2]
-        pos = {rich: junk_features(rng, 8)}
-        negs = junk_features(rng, 10)
-        cfg = fast_cfg(max_iter=40, min_action_annotations=5)
-        general, models = specialize_models(pos, negs, {rich: 8}, cfg)
+        general, models = self.selectors(rng, {rich: 8})
         assert general is None and models[rich] is not None
         # a target action without positives of its own needs the general model
-        general, models = specialize_models(pos, negs, {rich: 8}, cfg, target_actions=[unseen])
+        general, models = self.selectors(rng, {rich: 8}, targets=[unseen])
         assert general is not None and models[rich] is not general
 
     def test_no_positives_rejected(self, rng):
         with pytest.raises(ValueError, match="no positive features"):
-            specialize_models({}, junk_features(rng, 4), {}, fast_cfg())
+            self.selectors(rng, {})
 
 
 class TestRunIteration:
@@ -185,23 +194,22 @@ class TestRunIteration:
         with pytest.raises(ValueError, match="missing action grouping for image"):
             run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 
-    def test_semi_needs_no_action_grouping(self):
+    def test_semi_needs_no_action_grouping(self, trained):
         corpus, cands = tiny_corpus()
         skel = corpus.truth[corpus.split.ws[0].image_id][0]
         cands["mystery_0001"] = CandidateSet("mystery_0001", [skel.keypoints], [1.0])
-        state = run_iteration(
-            IterationState(), corpus.split, cands, fast_cfg(scheme=Scheme.SEMI)
-        )
-        assert state.general_model is not None
-        assert state.models == {}
+        run_iteration(IterationState(), corpus.split, cands, fast_cfg(scheme=Scheme.SEMI))
+        [(general, models)] = trained
+        assert general is not None
+        assert models == {}
 
-    def test_weak_trains_one_selector_per_action_and_no_general(self, monkeypatch):
+    def test_weak_trains_one_selector_per_action_and_no_general(self, monkeypatch, trained):
         corpus, cands = tiny_corpus()
         counts = {}
         for e in corpus.split.fs:
             counts[e.action] = counts.get(e.action, 0) + 1
         cfg = fast_cfg()
-        assert min(counts.values()) >= cfg.min_action_annotations
+        assert min(counts.values()) >= pipeline.MIN_ACTION_ANNOTATIONS
         calls = []
         real_train = pipeline.train
 
@@ -210,21 +218,23 @@ class TestRunIteration:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "train", counting_train)
-        state = run_iteration(IterationState(), corpus.split, cands, cfg)
-        assert len(calls) == len(counts) == len(state.models)
-        assert state.general_model is None
+        run_iteration(IterationState(), corpus.split, cands, cfg)
+        general, models = trained[-1]
+        assert len(calls) == len(counts) == len(models)
+        assert general is None
         # with every action below the threshold only the general model is trained
         calls.clear()
-        sparse = fast_cfg(min_action_annotations=max(counts.values()) + 1)
-        state = run_iteration(IterationState(), corpus.split, cands, sparse)
+        monkeypatch.setattr(pipeline, "MIN_ACTION_ANNOTATIONS", max(counts.values()) + 1)
+        run_iteration(IterationState(), corpus.split, cands, cfg)
+        general, models = trained[-1]
         assert len(calls) == 1
-        assert all(m is state.general_model for m in state.models.values())
+        assert general is not None and models == {}
 
-    def test_weak_trains_per_action_models(self):
+    def test_weak_trains_per_action_models(self, trained):
         corpus, cands = tiny_corpus()
-        state = run_iteration(IterationState(), corpus.split, cands, fast_cfg())
+        run_iteration(IterationState(), corpus.split, cands, fast_cfg())
         actions = {e.action for e in corpus.split.fs}
-        assert set(state.models) == actions
+        assert set(trained[-1][1]) == actions
 
     def test_accepted_carry_action_and_provenance(self):
         corpus, cands = tiny_corpus()
@@ -239,13 +249,13 @@ class TestRunIteration:
         corpus, cands = tiny_corpus()
         gt = {i: skel for i, (skel, _) in corpus.truth.items()}
         state = run_iteration(IterationState(), corpus.split, cands, fast_cfg(), gt=gt)
-        assert len(state.reports) == 1
-        atp, stp, atp_stp, cp_atp = state.reports[0].counts
+        assert state.report is not None
+        atp, stp, atp_stp, cp_atp = state.report.counts
         n_targets = len(corpus.split.ws)
         assert 0 <= stp <= n_targets and 0 <= atp <= n_targets
 
 
-    def test_report_scores_the_accepted_pose(self):
+    def test_report_scores_the_accepted_pose(self, trained):
         # an earlier round accepted a wrong pose for one image although its
         # candidates hold the true pose, which the selector would pick
         corpus, cands = tiny_corpus()
@@ -260,10 +270,11 @@ class TestRunIteration:
             iteration=1, accepted=(AcceptedPose(ws.image_id, wrong, ws.action, "svm"),)
         )
         s2 = run_iteration(state, corpus.split, cands, cfg, gt=gt)
-        model = s2.models.get(ws.action, s2.general_model)
+        general, models = trained[-1]
+        model = models.get(ws.action, general)
         assert select(model, cands[ws.image_id], cfg.margin) is not None
 
-        atp, stp, atp_stp, _ = s2.reports[-1].counts
+        atp, stp, atp_stp, _ = s2.report.counts
         assert stp == len(s2.accepted)
         correct = sum(pcp_correct(gt[a.image_id], a.skeleton, cfg.eps)[1] for a in s2.accepted)
         assert atp_stp == correct <= stp - 1
@@ -294,8 +305,9 @@ class TestRunIteration:
             return
         pools = []
         real = pipeline.recover_poses
-        cfg = fast_cfg(scheme=scheme, margin=1e9, recover_per_image=2)
+        cfg = fast_cfg(scheme=scheme, margin=1e9)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "RECOVER_PER_IMAGE", 2)
             mp.setattr(pipeline, "recover_poses", lambda p, *rest: pools.extend(p) or real(p, *rest))
             state = run_iteration(IterationState(), split, cands, cfg)
         rows = [row for X, scores, ids in pools for row in zip(ids, scores.tolist(), X)]
@@ -335,8 +347,9 @@ class TestRunIteration:
         corpus, cands = tiny_corpus()
         pools = []
         real = pipeline.recover_poses
-        cfg = fast_cfg(scheme=Scheme.WEAKC, margin=1e9, recover_per_image=3)
+        cfg = fast_cfg(scheme=Scheme.WEAKC, margin=1e9)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "RECOVER_PER_IMAGE", 3)
             mp.setattr(pipeline, "recover_poses", lambda p, *rest: pools.extend(p) or real(p, *rest))
             run_iteration(IterationState(), corpus.split, cands, cfg)
         members = [member for X, scores, ids in pools for member in zip(ids, scores, X)]
@@ -359,7 +372,7 @@ class TestRunIteration:
             run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_no_open_image_trains_and_selects_nothing(self, tmp_path, monkeypatch, scheme):
+    def test_no_open_image_trains_and_selects_nothing(self, tmp_path, monkeypatch, trained, scheme):
         corpus, cands = tiny_corpus()
         gt = {i: skel for i, (skel, _) in corpus.truth.items()}
         state = IterationState(
@@ -379,7 +392,7 @@ class TestRunIteration:
         s2 = run_iteration(state, corpus.split, cands, cfg, gt=gt)
         assert calls == []
         assert s2.accepted == state.accepted
-        assert s2.general_model is None and s2.models == {}
+        assert trained == []
         write_iteration_files(tmp_path, s2, corpus.split, cfg)
         recs = read_pose_records(tmp_path / "annotations_iter2.jsonl")
         assert len(recs) == len(corpus.split.fs) + len(state.accepted)
@@ -433,13 +446,24 @@ class TestExchangeFiles:
         skel, action = corpus.truth[image_id]
         write_pose_records(
             tmp_path / f"{image_id}.jsonl",
-            [PoseRecord("ignored", skel.keypoints, action, score=0.75)],
+            [PoseRecord(image_id, skel.keypoints, action, score=0.75)],
         )
         out = read_candidate_dir(tmp_path)
         assert list(out) == [image_id] and len(out[image_id]) == 1
         cands = out[image_id]
-        assert cands.image_id == image_id  # file name wins over the record id
+        assert cands.image_id == image_id
         assert cands.scores.tolist() == [0.75] and cands.actions == (action,)
+
+    def test_record_of_another_image_is_rejected(self, tmp_path):
+        corpus, _ = tiny_corpus()
+        mine, other = (e.image_id for e in corpus.split.ws[:2])
+        skel, action = corpus.truth[other]
+        path = tmp_path / f"{mine}.jsonl"
+        write_pose_records(path, [PoseRecord(mine, skel.keypoints, action),
+                                  PoseRecord(other, skel.keypoints, action)])
+        with pytest.raises(ValueError) as e:
+            read_candidate_dir(tmp_path)
+        assert str(e.value) == f"{path}: record for image {other!r} in the file of image {mine!r}"
 
     def test_read_candidate_dir_empty(self, tmp_path):
         assert read_candidate_dir(tmp_path) == {}
@@ -465,7 +489,7 @@ class TestRunPipeline:
             assert (tmp_path / f"report_iter{t}.txt").exists()
         # later reports score every pose accepted so far
         if len(states) > 2:
-            assert states[-1].reports[-1].counts[1] >= states[1].reports[-1].counts[1]
+            assert states[-1].report.counts[1] >= states[1].report.counts[1]
 
     def test_candidate_refresh_is_ingested(self, tmp_path):
         corpus, cands = tiny_corpus()

@@ -51,11 +51,11 @@ def trained_in_z(X, y, **kw):
 
 class TestTrainSet:
     def test_from_parts_labels(self, rng):
-        pos = [rng.normal(size=3) for _ in range(2)]
-        neg = [rng.normal(size=3) for _ in range(3)]
+        pos = [rng.normal(size=(1, 3)), rng.normal(size=(0, 3)), rng.normal(size=(1, 3))]
+        neg = [rng.normal(size=(3, 3))]
         ts = TrainSet.from_parts(pos, neg)
         np.testing.assert_array_equal(ts.labels, [1, 1, -1, -1, -1])
-        assert ts.features.shape == (5, 3)
+        np.testing.assert_array_equal(ts.features, np.concatenate([*pos, *neg]))
 
     def test_single_class_rejected(self, rng):
         X = rng.normal(size=(4, 2))
@@ -453,8 +453,8 @@ class TestEndToEndSeparation:
             pts = rng.uniform(0, 5, size=(14, 2))
             pts[0] = (500.0, 500.0)
             junk.append(Skeleton(pts))
-        feats = lambda ss: [relational_feature(s, normalize=True) for s in ss]
-        ts = TrainSet.from_parts(feats(good), feats(junk))
+        feats = lambda ss: np.stack([relational_feature(s, normalize=True) for s in ss])
+        ts = TrainSet.from_parts([feats(good)], [feats(junk)])
         m = train(ts, tol=1e-6)
         preds = np.sign(m.decisions(ts.features))
         np.testing.assert_array_equal(preds, ts.labels)

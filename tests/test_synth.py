@@ -84,7 +84,7 @@ class TestSignalQuality:
         corpus = synth_corpus(small(outlier_rate=0.0, n_backgrounds=0))
         cfg = CandidateGenConfig()
         for image_id, maps in corpus.heatmaps.items():
-            cands = enumerate_candidates(maps, cfg, image_id=image_id)
+            cands = enumerate_candidates(list(maps.values()), cfg, image_id=image_id)
             assert cands, image_id
             truth = corpus.truth[image_id][0]
             assert pcp_correct(truth, Skeleton(cands.keypoints[0]), eps=0.7)[1], image_id
