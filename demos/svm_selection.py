@@ -25,7 +25,7 @@ for skel in annotations:
     poses += [skel.keypoints[None], synthesize_positives(skel, 10, 0.7, rng)]
 positives = relational_features(np.concatenate(poses), normalize=True)
 negatives = relational_features(rng.uniform(10, 150, (40, 14, 2)), normalize=True)
-model = train(TrainSet.from_parts([positives], [negatives]), tol=1e-5)
+model = train(TrainSet.from_parts([positives], [negatives]), tol=1e-5, max_iter=1000)
 print(f"trained on {len(positives)} positives / {len(negatives)} negatives, "
       f"{len(model.objective_history)} epochs, "
       f"objective {model.objective_history[-1]:.4f}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,9 +25,11 @@ from .dpmm import (
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
-from .pipeline import MAX_NEGATIVES, PipelineConfig, Scheme, run_pipeline, thin_negatives
+from .pipeline import (
+    MAX_NEGATIVES, PipelineConfig, Scheme, positive_poses, run_pipeline, thin_negatives
+)
 from .skeleton import ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample
-from .svm import TOL, TrainSet, select, synthesize_positives, train
+from .svm import TOL, TrainSet, select, train
 from .synth import SynthConfig, synth_corpus
 
 
@@ -150,8 +151,8 @@ def _merged(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
     """Config-file values fill in for options left at None.
 
     Each value is converted by the type of its option. A key that names no
-    option of the command, or an option that only the command line sets
-    (on/off flags, options with a default, --config), is an error.
+    option of the command, or an option only the command line sets (on/off
+    flags, options with a default, --config), is an error naming the file.
     """
     out = dict(vars(args))
     if args.config is None:
@@ -160,30 +161,22 @@ def _merged(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
     for act in command._actions:
         if act.option_strings and act.dest != "help":
             options[act.dest] = options[act.dest.replace("_", "-")] = act
-    typed = {}
     for key, value in fileio.load_config(args.config).items():
         act = options.get(key)
         if act is None:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+        where = f"{args.config}: config key {key!r}"
         if act.default is not None or act.dest == "config":
-            raise ValueError(
-                f"config key {key!r}: {act.option_strings[-1]} is set on the command line only"
-            )
+            raise ValueError(f"{where}: {act.option_strings[-1]} is set on the command line only")
         convert = act.type or str
         try:
-            typed[key] = convert(value)
+            typed = convert(value)
         except ValueError:
-            raise ValueError(
-                f"config key {key!r}: invalid {convert.__name__} value {value!r}"
-            ) from None
+            raise ValueError(f"{where}: invalid {convert.__name__} value {value!r}") from None
         except argparse.ArgumentTypeError as e:
-            raise ValueError(f"config key {key!r}: {act.option_strings[-1]} {e}") from None
-    for dest, val in out.items():
-        if val is None:
-            for alias in (dest, dest.replace("_", "-")):
-                if alias in typed:
-                    out[dest] = typed[alias]
-                    break
+            raise ValueError(f"{where}: {act.option_strings[-1]} {e}") from None
+        if getattr(args, act.dest) is None:  # an explicit flag beats the file
+            out[act.dest] = typed
     return out
 
 
@@ -239,9 +232,13 @@ def _check_manifest(path: Path, manifest) -> None:
 
 
 def _load_corpus(corpus_dir: Path):
-    """The split, the true skeletons by image, and each image's .hm file."""
+    """The split, the true skeletons by image, and each image's .hm file; a
+    ws, us or background image without one, or a stray one, is an error."""
     split_path = corpus_dir / "split.json"
-    manifest = json.loads(split_path.read_text())
+    try:
+        manifest = json.loads(split_path.read_bytes())
+    except ValueError as e:  # invalid JSON or UTF-8
+        raise ValueError(f"{split_path}: {e}") from None
     _check_manifest(split_path, manifest)
     truth_path = corpus_dir / "truth.jsonl"
     records = fileio.read_pose_index(truth_path)
@@ -266,6 +263,14 @@ def _load_corpus(corpus_dir: Path):
         backgrounds=tuple(manifest.get("backgrounds", ())),
     )
     heatmaps = {f.stem: f for f in sorted((corpus_dir / "heatmaps").glob("*.hm"))}
+    needed = [*split.ws_actions(), *split.us, *split.backgrounds]
+    for i in needed:
+        if i not in heatmaps:
+            raise ValueError(f"{split_path}: image {i!r} has no file heatmaps/{i}.hm")
+    images = {*split.fs_ids(), *needed}
+    for i, path in heatmaps.items():
+        if i not in images:
+            raise ValueError(f"{path}: names no image of {split_path}")
     truth = {i: r.skeleton() for i, r in records.items()}
     return split, truth, heatmaps
 
@@ -316,27 +321,20 @@ def _cmd_features(a: dict) -> int:
 
 
 def _cmd_train_svm(a: dict) -> int:
+    cfg = PipelineConfig(**_given(a, seed="seed", n_synth="synth", eps="eps", reg="reg"))
+    tol = _pick(a, "tol", TOL)
     pos_records = fileio.read_pose_records(a["positives"])
     neg_records = fileio.read_pose_records(a["negatives"])
     if not pos_records or not neg_records:
         raise ValueError("need both positive and negative records")
-    rng = np.random.default_rng(_pick(a, "seed", PipelineConfig.seed))
-    n_synth = _pick(a, "synth", PipelineConfig.n_synth)
-    if n_synth < 0:
-        raise ValueError(f"--synth must be non-negative, got {n_synth}")
-    eps = _pick(a, "eps", PipelineConfig.eps)
-    poses = []
-    for r in pos_records:
-        poses.append(r.keypoints)
-        poses.extend(synthesize_positives(r.skeleton(), n_synth, eps, rng))
-    n_pos = len(poses)
+    rng = np.random.default_rng(cfg.seed)
+    positives = positive_poses([r.skeleton() for r in pos_records], cfg, rng)
+    n_pos = positives.shape[0] * positives.shape[1]
     negatives = thin_negatives(_keypoints(neg_records), MAX_NEGATIVES)
-    poses.extend(negatives)
     # featurized straight into the training matrix, so no second copy is held
-    X = relational_features(np.stack(poses), normalize=True)
+    X = relational_features(np.concatenate([*positives, negatives]), normalize=True)
     y = np.concatenate([np.ones(n_pos), -np.ones(len(negatives))])
-    given = _given(a, reg="reg", tol="tol")
-    model = train(TrainSet(X, y), **given)
+    model = train(TrainSet(X, y), reg=cfg.reg, tol=tol)
     fileio.save_svm_model(a["out"], model)
     epochs = len(model.objective_history)
     print(
@@ -344,7 +342,6 @@ def _cmd_train_svm(a: dict) -> int:
         f"{epochs} epochs, objective "
         f"{model.objective_history[-1]:.6f} -> {a['out']}"
     )
-    tol = given.get("tol", TOL)
     if model.gap_history[-1] > tol:
         print(
             f"warning: not converged after {epochs} epochs: "
@@ -377,9 +374,7 @@ def _cmd_candidates(a: dict) -> int:
 def _cmd_select(a: dict) -> int:
     model = fileio.load_svm_model(a["model"])
     records = fileio.read_pose_records(a["candidates"])
-    margin = _pick(a, "margin", PipelineConfig.margin)
-    if not math.isfinite(margin):
-        raise ValueError(f"margin must be finite, got {margin}")
+    margin = PipelineConfig(**_given(a, margin="margin")).margin  # checked finite there
     by_image: dict[str, list] = {}
     for r in records:
         by_image.setdefault(r.image_id, []).append(r)

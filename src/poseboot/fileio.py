@@ -19,7 +19,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,9 +117,10 @@ class PoseRecord:
         )
 
 
-def _record_from_dict(d: dict) -> PoseRecord:
-    """One pose record from the parsed JSON object of a line; the caller
-    names the file and the line of any error."""
+def _record_from_line(line: str) -> PoseRecord:
+    """One pose record from the JSON object of a line; the caller names the
+    file and the line of any error."""
+    d = json.loads(line)
     if not isinstance(d, dict):
         raise ValueError("expected an object")
     try:
@@ -169,7 +170,7 @@ def candidate_set(image_id: str, records: Sequence[PoseRecord]) -> CandidateSet:
 def read_pose_records(path: Union[str, Path]) -> list[PoseRecord]:
     """Parse a line-delimited pose file; errors name the file and the
     offending line."""
-    return [r for _, r in _numbered_pose_records(path)]
+    return [r for _, r in _numbered_lines(path, _record_from_line)]
 
 
 def read_pose_index(path: Union[str, Path]) -> dict[str, PoseRecord]:
@@ -177,7 +178,7 @@ def read_pose_index(path: Union[str, Path]) -> dict[str, PoseRecord]:
     error that names the file and both lines."""
     out: dict[str, PoseRecord] = {}
     line_of: dict[str, int] = {}
-    for lineno, r in _numbered_pose_records(path):
+    for lineno, r in _numbered_lines(path, _record_from_line):
         if r.image_id in out:
             raise ValueError(
                 f"{path}: line {lineno}: image_id {r.image_id!r} repeats line {line_of[r.image_id]}"
@@ -187,14 +188,16 @@ def read_pose_index(path: Union[str, Path]) -> dict[str, PoseRecord]:
     return out
 
 
-def _numbered_pose_records(path: Union[str, Path]) -> list[tuple[int, PoseRecord]]:
+def _numbered_lines(path: Union[str, Path], parse: Callable[[str], Any]) -> list[tuple[int, Any]]:
+    """(number, parse(text)) of each non-blank line of a UTF-8 file, decoded
+    one at a time, so that every error, a bad byte's too, names its line."""
     out = []
-    with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
+    with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    out.append((lineno, _record_from_dict(json.loads(line))))
+                    out.append((lineno, parse(line)))
             except UnicodeDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}") from None
             except json.JSONDecodeError as e:
@@ -305,20 +308,17 @@ def load_svm_model(path: Union[str, Path]) -> SvmModel:
 # --- config -----------------------------------------------------------------
 
 
+def _config_entry(line: str) -> Optional[tuple[str, str]]:
+    """A config line's (key, value), or None for a '#' comment."""
+    key, eq, value = line.strip().partition("=")
+    if key.startswith("#"):
+        return None
+    if not (eq and key.strip()):
+        raise ValueError("empty key" if eq else "expected key=value")
+    return key.strip(), value.strip()
+
+
 def load_config(path: Union[str, Path]) -> dict[str, str]:
     """Flat key=value lines; blank lines and '#' comments are skipped.
     Errors name the file and the line."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise ValueError(f"{path}: line {lineno}: empty key")
-            out[key] = value.strip()
-    return out
+    return dict(kv for _, kv in _numbered_lines(path, _config_entry) if kv is not None)

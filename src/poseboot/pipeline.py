@@ -36,6 +36,7 @@ __all__ = [
     "AcceptedPose",
     "IterationState",
     "thin_negatives",
+    "positive_poses",
     "run_iteration",
     "stop_check",
     "run_pipeline",
@@ -47,9 +48,6 @@ __all__ = [
 MAX_NEGATIVES = 256  # evenly thinned mined-negative cap per round
 RECOVER_PER_IMAGE = 3  # best candidates per abstained image fed to clustering
 MIN_ACTION_ANNOTATIONS = 5  # below this an action uses the general model
-# every selector's solver: stopping gap and epoch cap
-SOLVER_TOL = 1e-3
-SOLVER_EPOCHS = 100
 
 
 class Scheme(Enum):
@@ -80,7 +78,7 @@ class PipelineConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.n_synth < 0:
-            raise ValueError("n_synth must be non-negative")
+            raise ValueError(f"n_synth must be non-negative, got {self.n_synth}")
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
         if not math.isfinite(self.margin):
@@ -119,6 +117,18 @@ def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
     return keypoints[np.linspace(0, n - 1, cap).round().astype(int)]
 
 
+def positive_poses(
+    annotations: Sequence[Skeleton], cfg: PipelineConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Keypoints (m, 1 + cfg.n_synth, 14, 2) of the positives of m
+    annotations: each annotation, then its cfg.n_synth jitters of radius
+    cfg.eps, drawn from rng in annotation order."""
+    return np.stack([
+        np.concatenate([s.keypoints[None], synthesize_positives(s, cfg.n_synth, cfg.eps, rng)])
+        for s in annotations
+    ])
+
+
 def _train_selectors(
     state: IterationState,
     split: DatasetSplit,
@@ -127,8 +137,9 @@ def _train_selectors(
     scored: Sequence[str],
 ) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
     """Selectors for the images in scored, trained on the annotations plus
-    the poses accepted so far, jittered, against negatives mined from the
-    backgrounds: (general, {action: model}).
+    the poses accepted so far, jittered by positive_poses, against negatives
+    mined from the backgrounds: (general, {action: model}). Each is
+    train(ts, reg=cfg.reg), at train's stopping rule.
 
     Under semi, general is the one selector and the mapping is empty. Under
     weak/weakC an action other than the general action with at least
@@ -136,23 +147,18 @@ def _train_selectors(
     general, on the positives of every action, is trained only when some
     annotated or scored action lacks its own, and is None otherwise.
     """
-    rng = np.random.default_rng([cfg.seed, state.iteration + 1])
-    annotations: list[tuple[Skeleton, ActionLabel]] = [
-        (e.skeleton, e.action) for e in split.fs
-    ] + [(a.skeleton, a.action) for a in state.accepted]
-    # each annotation's keypoints, then its jitters
-    poses_by_action: dict[ActionLabel, list[np.ndarray]] = {}
-    for skel, action in annotations:
-        poses_by_action.setdefault(action, []).extend(
-            (skel.keypoints[None], synthesize_positives(skel, cfg.n_synth, cfg.eps, rng))
-        )
-    if not poses_by_action:
+    annotations = [*split.fs, *state.accepted]
+    if not annotations:
         raise ValueError("no positive features")
+    rng = np.random.default_rng([cfg.seed, state.iteration + 1])
+    poses = positive_poses([e.skeleton for e in annotations], cfg, rng)
+    rows: dict[ActionLabel, list[int]] = {}  # each action's annotations, in order
+    for k, e in enumerate(annotations):
+        rows.setdefault(e.action, []).append(k)
     positives = {
-        a: relational_features(np.concatenate(p), normalize=True)
-        for a, p in poses_by_action.items()
+        a: relational_features(np.concatenate(poses[ks]), normalize=True) for a, ks in rows.items()
     }
-    del poses_by_action  # the jittered keypoints are not needed past here
+    del poses  # the jittered keypoints are not needed past here
 
     # detections on background images are false by definition
     mined = np.concatenate(
@@ -162,15 +168,12 @@ def _train_selectors(
     negatives = relational_features(thin_negatives(mined, MAX_NEGATIVES), normalize=True)
 
     def fit(blocks: list[np.ndarray]) -> SvmModel:
-        ts = TrainSet.from_parts(blocks, [negatives])
-        return train(ts, reg=cfg.reg, tol=SOLVER_TOL, max_iter=SOLVER_EPOCHS)
+        return train(TrainSet.from_parts(blocks, [negatives]), reg=cfg.reg)
 
     if cfg.scheme is Scheme.SEMI:
         return fit(list(positives.values())), {}
-    counts = Counter(action for _, action in annotations)
-    own = [
-        a for a in positives if counts[a] >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL
-    ]
+    own = [a for a, ks in rows.items()
+           if len(ks) >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL]
     ws_action = split.ws_actions()
     needs_general = any(a not in own for a in (*positives, *(ws_action[i] for i in scored)))
     general = fit(list(positives.values())) if needs_general else None

@@ -128,7 +128,7 @@ def synthesize_positives(
     return annotation.keypoints + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-TOL = 1e-4  # train's default stopping gap
+TOL = 1e-3  # train's default stopping gap
 
 # epochs between resets of the shrunk active set to all samples; without the
 # reset a sample shrunk too early is never visited again and the gap drifts
@@ -148,7 +148,7 @@ def train(
     ts: TrainSet,
     reg: float = 1.0,
     tol: float = TOL,
-    max_iter: int = 1000,
+    max_iter: int = 100,
 ) -> SvmModel:
     """Dual coordinate descent on the box-constrained hinge dual, with
     shrinking (Hsieh et al., ICML 2008, section 3.2).
@@ -164,8 +164,9 @@ def train(
     the primal can rise from one epoch to the next.
 
     Stops when the primal-dual gap, computed over all samples after each
-    epoch, falls to tol or after max_iter epochs (at least 1).
-    objective_history (primal) and gap_history hold one entry per epoch.
+    epoch, falls to tol or after max_iter epochs (at least 1); the defaults
+    are every selector's rule. objective_history (primal) and gap_history
+    hold one entry per epoch.
     """
     for name, value in (("reg", reg), ("tol", tol)):
         if not value > 0:

@@ -7,10 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from poseboot import cli, fileio
+from poseboot import cli, fileio, pipeline
 from poseboot.skeleton import ActionLabel, JointId
 from poseboot.pipeline import PipelineConfig
-from poseboot.svm import SvmModel, train
+from poseboot.svm import TOL, SvmModel, train
 from poseboot.synth import action_template
 
 
@@ -242,7 +242,7 @@ class TestSelectionFlow:
                 "--out", str(tmp_path / "sel.svm")]
         assert cli.main(args + ["--tol", "1e-300"]) == 0
         err = capsys.readouterr().err
-        assert "not converged after 1000 epochs" in err
+        assert "not converged after 100 epochs" in err
         assert "tol 1e-300" in err and len(err.splitlines()) == 1
         assert cli.main(args + ["--tol", "1"]) == 0
         assert capsys.readouterr().err == ""
@@ -250,25 +250,63 @@ class TestSelectionFlow:
     def test_train_svm_defaults_are_those_of_train_and_the_pipeline(
         self, tmp_path, rng, monkeypatch
     ):
-        """Unset, --reg and --tol are not passed, so train's defaults apply,
-        and --synth and --eps are PipelineConfig's n_synth and eps."""
+        """Unset, --tol is svm.TOL and no epoch cap is passed, so train's
+        stopping rule applies, and --reg, --synth and --eps are
+        PipelineConfig's reg, n_synth and eps."""
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
         write_template_poses(pos, rng, 6)
         write_junk_poses(neg, rng, 10)
         calls = []
         monkeypatch.setattr(cli, "train", lambda ts, **kw: calls.append(kw) or train(ts, **kw))
-        jitter = cli.synthesize_positives
+        jitter = pipeline.synthesize_positives
         monkeypatch.setattr(
-            cli, "synthesize_positives",
+            pipeline, "synthesize_positives",
             lambda skel, n, eps, g: calls.append((n, eps)) or jitter(skel, n, eps, g),
         )
         args = ["train-svm", "--positives", str(pos), "--negatives", str(neg),
                 "--out", str(tmp_path / "sel.svm")]
         assert cli.main(args) == 0
-        assert calls == [(PipelineConfig.n_synth, PipelineConfig.eps)] * 6 + [{}]
+        assert calls == [(PipelineConfig.n_synth, PipelineConfig.eps)] * 6 + [
+            {"reg": PipelineConfig.reg, "tol": TOL}
+        ]
         calls.clear()
         assert cli.main(args + ["--synth", "1", "--tol", "0.01", "--reg", "2", "--eps", "0.5"]) == 0
         assert calls == [(1, 0.5)] * 6 + [{"reg": 2.0, "tol": 0.01}]
+
+    def test_train_svm_synth_0_is_the_first_semi_selector(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        """train-svm on the annotated truth records, against the candidates of
+        the backgrounds, solves the pipeline's first semi problem by the same
+        rule: with no jitter the model files match bit for bit."""
+        split = json.loads((corpus_dir / "split.json").read_text())
+        truth = fileio.read_pose_index(corpus_dir / "truth.jsonl")
+        # semi stacks its positives by action in order of appearance, and
+        # candidates reads the .hm files in name order
+        actions = [truth[i].action for i in split["fs"]]
+        assert actions == sorted(actions, key=actions.index)
+        assert split["backgrounds"] == sorted(split["backgrounds"])
+        pos, neg, bg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl", tmp_path / "bg"
+        fileio.write_pose_records(pos, [truth[i] for i in split["fs"]])
+        bg.mkdir()
+        for i in split["backgrounds"]:
+            shutil.copyfile(corpus_dir / "heatmaps" / f"{i}.hm", bg / f"{i}.hm")
+        assert cli.main(["candidates", "--heatmaps", str(bg), "--out", str(neg)]) == 0
+        model = tmp_path / "sel.svm"
+        assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                         "--out", str(model), "--synth", "0"]) == 0
+        trained = []
+        real_train = pipeline.train
+        monkeypatch.setattr(
+            pipeline, "train", lambda *a, **kw: trained.append(real_train(*a, **kw)) or trained[-1]
+        )
+        assert cli.main(["pipeline", "--corpus", str(corpus_dir), "--exchange",
+                         str(tmp_path / "x"), "--scheme", "semi", "--n-synth", "0",
+                         "--iterations", "1"]) == 0
+        got, first = fileio.load_svm_model(model), trained[0]
+        for field in ("mean", "std", "weights"):
+            assert getattr(got, field).tobytes() == getattr(first, field).tobytes(), field
+        assert got.bias == first.bias
 
     def test_train_svm_thins_negatives_as_the_pipeline_does(
         self, tmp_path, rng, monkeypatch, capsys
@@ -294,7 +332,7 @@ class TestSelectionFlow:
          ("--eps", "eps must be finite and non-negative, got nan"),
          ("--reg", "reg must be finite, got inf"),
          ("--tol", "tol must be finite, got inf"),
-         ("--synth", "--synth must be non-negative, got -1")],
+         ("--synth", "n_synth must be non-negative, got -1")],
     )
     def test_train_svm_nan_option_is_data_error(self, tmp_path, rng, capsys, flag, named):
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
@@ -469,6 +507,26 @@ class TestInputErrors:
         rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cfg}: line 2: expected key=value\n"
+
+    def test_config_line_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"poses = 3\nseed=\xff1\n")
+        rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: invalid UTF-8 at byte 5\n"
+
+    def test_split_not_json_names_the_file(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        split = corpus / "split.json"
+        split.write_text("{fs: []}\n")
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {split}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
 
     def test_bad_model_magic_names_the_file(self, tmp_path, rng, capsys):
         model, cands = tmp_path / "m.svm", tmp_path / "cands.jsonl"
@@ -648,6 +706,33 @@ class TestInputErrors:
                        "--scheme", "weak"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {split}: {named}\n"
+        assert read == [] and not exchange.exists()
+
+    @pytest.mark.parametrize("case", ["ws", "backgrounds", "stray"])
+    def test_pipeline_heatmaps_must_match_the_split(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, case
+    ):
+        """A ws or background image without a .hm file, or a .hm file of no
+        image of the split, is rejected naming the image, before any heatmap
+        file is read."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        split = corpus / "split.json"
+        hm = corpus / "heatmaps"
+        if case == "stray":
+            shutil.copyfile(next(hm.glob("*.hm")), hm / "stray_0001.hm")
+            named = f"error: {hm / 'stray_0001.hm'}: names no image of {split}\n"
+        else:
+            image = sorted(json.loads(split.read_text())[case])[-1]
+            (hm / f"{image}.hm").unlink()
+            named = f"error: {split}: image {image!r} has no file heatmaps/{image}.hm\n"
+        read = []
+        monkeypatch.setattr(fileio, "read_heatmaps", lambda path: read.append(path))
+        exchange = tmp_path / "x"
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(exchange),
+                       "--scheme", "semi"])
+        assert rc == 2
+        assert capsys.readouterr().err == named
         assert read == [] and not exchange.exists()
 
     def test_pipeline_degenerate_torso_names_the_image(self, corpus_dir, tmp_path, capsys):
@@ -909,19 +994,23 @@ class TestDefaults:
         assert cfg == cli.SynthConfig()
 
     def test_train_svm_seed(self, tmp_path, rng, monkeypatch):
-        """Unset, train-svm's --seed is PipelineConfig's, as --eps is."""
+        """Unset, train-svm's --seed, --synth, --eps and --reg leave
+        PipelineConfig's defaults; the jitter, and so the model, follows the
+        seed."""
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
         write_template_poses(pos, rng, 6)
         write_junk_poses(neg, rng, 10)
         args = ["train-svm", "--positives", str(pos), "--negatives", str(neg), "--synth", "2"]
         models = {}
         for name, seed_flag in (("0", ["--seed", "0"]), ("5", ["--seed", "5"]), ("unset", [])):
-            if name == "unset":
-                monkeypatch.setattr(cli.PipelineConfig, "seed", 5)
             assert cli.main(args + ["--out", str(tmp_path / name), *seed_flag]) == 0
             models[name] = (tmp_path / name).read_bytes()
-        assert models["0"] != models["5"]  # the jitter, and so the model, follows the seed
-        assert models["unset"] == models["5"]
+        assert models["0"] != models["5"]
+        assert models["unset"] == models[str(cli.PipelineConfig.seed)]
+        argv = ["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                "--out", str(tmp_path / "m")]
+        cfg = built_config(monkeypatch, "positive_poses", argv, cli.PipelineConfig)
+        assert cfg == cli.PipelineConfig()
 
 
 class TestConfigFile:
@@ -965,7 +1054,7 @@ class TestConfigFile:
             ["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)]
         )
         assert rc == 2
-        assert "unknown config key 'warp-speed'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'warp-speed'\n"
 
     def test_values_take_their_option_type(self, tmp_path, monkeypatch):
         seen = {}
@@ -985,7 +1074,9 @@ class TestConfigFile:
         cfg.write_text("seed=abc\n")
         rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: config key 'seed': ")
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key 'seed': invalid seed value 'abc'\n"
+        )
         assert not (tmp_path / "c").exists()
 
     def test_negative_seed_in_config_is_data_error(self, tmp_path, capsys):
@@ -994,7 +1085,7 @@ class TestConfigFile:
         rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: config key 'seed': --seed must be a non-negative integer, got -1\n"
+            f"error: {cfg}: config key 'seed': --seed must be a non-negative integer, got -1\n"
         )
         assert not (tmp_path / "c").exists()
 
@@ -1010,7 +1101,9 @@ class TestConfigFile:
         }[command]
         rc = cli.main([command, *args, "--config", str(cfg)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key {key!r}: --{key} is set on the command line only\n"
+        )
         assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]
 
 
@@ -1045,13 +1138,13 @@ SETTERS = {
     cli.PipelineConfig: {
         "scheme": [("pipeline", "--scheme", "semi", cli.Scheme.SEMI)],
         "max_iterations": [("pipeline", "--iterations", "3", 3)],
-        "eps": [("pipeline", "--eps", "0.5", 0.5)],
-        "n_synth": [("pipeline", "--n-synth", "4", 4)],
+        "eps": [("pipeline", "--eps", "0.5", 0.5), ("train-svm", "--eps", "0.5", 0.5)],
+        "n_synth": [("pipeline", "--n-synth", "4", 4), ("train-svm", "--synth", "4", 4)],
         "margin": [("pipeline", "--margin", "0.5", 0.5)],
-        "reg": [("pipeline", "--reg", "2", 2.0)],
+        "reg": [("pipeline", "--reg", "2", 2.0), ("train-svm", "--reg", "2", 2.0)],
         "dpmm": [("pipeline", "--gibbs-iters", "60", cli.DpmmConfig(gibbs_iters=60)),
                  ("pipeline", "--burn-in", "5", cli.DpmmConfig(burn_in=5))],
-        "seed": [("pipeline", "--seed", "9", 9)],
+        "seed": [("pipeline", "--seed", "9", 9), ("train-svm", "--seed", "9", 9)],
     },
 }
 NOT_SET = {(cli.DpmmConfig, "base")}
@@ -1085,6 +1178,8 @@ class TestEverySettingHasAnOption:
             "outliers": ("project_features", ["--poses", str(poses), "--out", str(tmp_path / "o")]),
             "pipeline": ("run_pipeline", ["--corpus", str(corpus_dir), "--exchange",
                                           str(tmp_path / "x"), "--scheme", "weakC"]),
+            "train-svm": ("positive_poses", ["--positives", str(poses), "--negatives", str(poses),
+                                             "--out", str(tmp_path / "m")]),
         }[command]
         assert getattr(cls(), field) != value
         cfg = built_config(monkeypatch, target, [command, *argv, flag, text], cls)

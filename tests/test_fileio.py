@@ -153,7 +153,7 @@ class TestModelBlob:
     def test_round_trip(self, tmp_path, rng):
         X = rng.normal(size=(20, 5))
         y = np.where(X[:, 0] + X[:, 2] > 0, 1.0, -1.0)
-        m = train(TrainSet(X, y), reg=0.7, tol=1e-6)
+        m = train(TrainSet(X, y), reg=0.7, tol=1e-6, max_iter=1000)
         fileio.save_svm_model(tmp_path / "m.svm", m)
         back = fileio.load_svm_model(tmp_path / "m.svm")
         np.testing.assert_array_equal(back.weights, m.weights)
@@ -164,7 +164,7 @@ class TestModelBlob:
     def test_file_length_is_exact(self, tmp_path, rng):
         X = rng.normal(size=(10, 5))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        m = train(TrainSet(X, y), tol=1e-4)
+        m = train(TrainSet(X, y), tol=1e-4, max_iter=1000)
         fileio.save_svm_model(tmp_path / "m.svm", m)
         # header (magic + dim + reg) + 3 arrays of dim doubles + bias
         assert (tmp_path / "m.svm").stat().st_size == 20 + 8 * (3 * 5 + 1)
@@ -172,7 +172,7 @@ class TestModelBlob:
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         X = rng.normal(size=(10, 3))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        fileio.save_svm_model(tmp_path / "m.svm", train(TrainSet(X, y), tol=1e-4))
+        fileio.save_svm_model(tmp_path / "m.svm", train(TrainSet(X, y), tol=1e-4, max_iter=1000))
         with open(tmp_path / "m.svm", "ab") as f:
             f.write(b"xx")
         with pytest.raises(ValueError):

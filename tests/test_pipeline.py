@@ -1,6 +1,7 @@
 """Self-training driver: model specialization, iteration semantics, files."""
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestThinNegatives:
         assert rows[0] == 0 and rows[-1] == n - 1
 
 
+def test_positive_poses_draw_each_annotation_then_its_jitters(rng):
+    """The rng draw order that every pipeline output and train-svm's model
+    depend on: annotation k's keypoints, then its n_synth jitters, in order."""
+    skels = [Skeleton(action_template(a).keypoints + rng.normal(0, 2.0, (14, 2))) for a in range(3)]
+    got = pipeline.positive_poses(skels, PipelineConfig(n_synth=4, eps=0.5), np.random.default_rng(7))
+    assert got.shape == (3, 5, 14, 2)
+    g = np.random.default_rng(7)
+    for skel, rows in zip(skels, got):
+        assert np.array_equal(rows[0], skel.keypoints)
+        assert np.array_equal(rows[1:], svm.synthesize_positives(skel, 4, 0.5, g))
+
+
 class TestSpecializeModels:
     """The selectors _train_selectors returns: one per action with enough
     annotations, and a general one only where some action needs it."""
@@ -140,8 +153,13 @@ class TestSpecializeModels:
             IterationState(), split, cands, fast_cfg(n_synth=0), [e.image_id for e in ws]
         )
 
+    @staticmethod
+    def cap_epochs(monkeypatch, epochs):
+        """Every selector is trained for at most epochs epochs."""
+        monkeypatch.setattr(pipeline, "train", partial(svm.train, max_iter=epochs))
+
     def test_eight_actions_give_distinct_selectors(self, rng, monkeypatch):
-        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 60)
+        self.cap_epochs(monkeypatch, 60)
         actions = list(ActionLabel)[:8]
         general, models = self.selectors(rng, {a: 6 for a in actions})
         weights = [models.get(a, general).weights for a in actions]
@@ -150,7 +168,7 @@ class TestSpecializeModels:
                 assert np.linalg.norm(weights[i] - weights[k]) > 0.0, (i, k)
 
     def test_sparse_action_falls_back_to_general(self, rng, monkeypatch):
-        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 40)
+        self.cap_epochs(monkeypatch, 40)
         monkeypatch.setattr(pipeline, "MIN_ACTION_ANNOTATIONS", 5)
         rich, sparse = list(ActionLabel)[:2]
         general, models = self.selectors(rng, {rich: 8, sparse: 2})
@@ -158,12 +176,12 @@ class TestSpecializeModels:
         assert models[rich] is not general
 
     def test_general_label_never_specializes(self, rng, monkeypatch):
-        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 40)
+        self.cap_epochs(monkeypatch, 40)
         general, models = self.selectors(rng, {ActionLabel.GENERAL: 8})
         assert models == {} and general is not None
 
     def test_general_trained_only_when_used(self, rng, monkeypatch):
-        monkeypatch.setattr(pipeline, "SOLVER_EPOCHS", 40)
+        self.cap_epochs(monkeypatch, 40)
         monkeypatch.setattr(pipeline, "MIN_ACTION_ANNOTATIONS", 5)
         rich, unseen = list(ActionLabel)[:2]
         general, models = self.selectors(rng, {rich: 8})

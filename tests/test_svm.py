@@ -127,14 +127,14 @@ class TestSolver:
         the dual cannot fall, whichever samples an epoch visits."""
         X, y = noisy_set
         for reg in (0.1, 1.0):
-            m = train(TrainSet(X, y), reg=reg, tol=1e-6)
+            m = train(TrainSet(X, y), reg=reg, tol=1e-6, max_iter=1000)
             dual = np.array(m.objective_history) - np.array(m.gap_history)
             assert np.all(np.diff(dual) >= -1e-12), np.diff(dual).min()
 
     def test_agrees_with_unshrunk_reference(self, noisy_set):
         X, y = noisy_set
         tol = 1e-6
-        m = train(TrainSet(X, y), reg=0.1, tol=tol)
+        m = train(TrainSet(X, y), reg=0.1, tol=tol, max_iter=1000)
         ref = svm_train_reference(X, y, reg=0.1, tol=tol)
         assert m.gap_history[-1] <= tol and ref.gap_history[-1] <= tol
         assert len(m.objective_history) < 1000 and len(ref.objective_history) < 1000
@@ -198,7 +198,7 @@ class TestSolver:
     def test_standardization_stored_and_applied(self, rng):
         X = rng.normal(size=(30, 4)) * np.array([1.0, 10.0, 0.1, 5.0]) + 7.0
         y = np.where(X[:, 1] > 7.0, 1.0, -1.0)
-        m = train(TrainSet(X, y), tol=1e-6)
+        m = train(TrainSet(X, y), tol=1e-6, max_iter=1000)
         assert m.mean.shape == (4,) and m.std.shape == (4,)
         # decision must agree with the effective raw-space form
         d1 = m.decisions(X)
@@ -226,11 +226,11 @@ class TestSolver:
     def test_constant_feature_does_not_crash(self, rng):
         X = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        m = train(TrainSet(X, y), tol=1e-6)
+        m = train(TrainSet(X, y), tol=1e-6, max_iter=1000)
         assert np.isfinite(m.weights).all()
 
     def test_dimension_mismatch_rejected(self, rng):
-        m = train(TrainSet(X_SEP, Y_SEP), tol=1e-6)
+        m = train(TrainSet(X_SEP, Y_SEP), tol=1e-6, max_iter=1000)
         with pytest.raises(ValueError):
             m.decisions(np.zeros((1, 5)))
 
@@ -284,7 +284,7 @@ class TestSelect:
     def _model_preferring_positive_x(self):
         X = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        return train(TrainSet(X, y), tol=1e-8)
+        return train(TrainSet(X, y), tol=1e-8, max_iter=1000)
 
     def _cands(self, rng, image_id, scored_xs):
         """A set with the given scores whose row j has feature (x_j, 0)."""
@@ -455,6 +455,6 @@ class TestEndToEndSeparation:
             junk.append(Skeleton(pts))
         feats = lambda ss: np.stack([relational_feature(s, normalize=True) for s in ss])
         ts = TrainSet.from_parts([feats(good)], [feats(junk)])
-        m = train(ts, tol=1e-6)
+        m = train(ts, tol=1e-6, max_iter=1000)
         preds = np.sign(m.decisions(ts.features))
         np.testing.assert_array_equal(preds, ts.labels)
