@@ -9,8 +9,9 @@ recall for precision.
 import numpy as np
 
 from poseboot.features import relational_features
+from poseboot.pipeline import PipelineConfig, training_set
 from poseboot.skeleton import CandidateSet, Skeleton
-from poseboot.svm import TrainSet, select, synthesize_positives, train
+from poseboot.svm import select, train
 from poseboot.synth import action_template
 
 rng = np.random.default_rng(42)
@@ -19,14 +20,12 @@ annotations = [
     Skeleton(action_template(0).keypoints + rng.normal(0, 2.0, (14, 2)))
     for _ in range(6)
 ]
-# each annotation's keypoints, then its jittered copies
-poses = []
-for skel in annotations:
-    poses += [skel.keypoints[None], synthesize_positives(skel, 10, 0.7, rng)]
-positives = relational_features(np.concatenate(poses), normalize=True)
-negatives = relational_features(rng.uniform(10, 150, (40, 14, 2)), normalize=True)
-model = train(TrainSet.from_parts([positives], [negatives]), tol=1e-5, max_iter=1000)
-print(f"trained on {len(positives)} positives / {len(negatives)} negatives, "
+# each annotation's keypoints, then its 10 jittered copies, then the junk,
+# featurized in one call as the pipeline builds every selector's rows
+ts = training_set(annotations, rng.uniform(10, 150, (40, 14, 2)), PipelineConfig(), rng)
+model = train(ts, tol=1e-5, max_iter=1000)
+n_pos = int((ts.labels > 0).sum())
+print(f"trained on {n_pos} positives / {len(ts.labels) - n_pos} negatives, "
       f"{len(model.objective_history)} epochs, "
       f"objective {model.objective_history[-1]:.4f}")
 

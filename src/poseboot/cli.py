@@ -25,11 +25,11 @@ from .dpmm import (
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
-from .pipeline import (
-    MAX_NEGATIVES, PipelineConfig, Scheme, positive_poses, run_pipeline, thin_negatives
+from .pipeline import PipelineConfig, Scheme, run_pipeline, training_set
+from .skeleton import (
+    ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample, torso_lengths
 )
-from .skeleton import ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample
-from .svm import TOL, TrainSet, select, train
+from .svm import TOL, select, train
 from .synth import SynthConfig, synth_corpus
 
 
@@ -287,9 +287,19 @@ def _image_candidates(path: Path, cfg: CandidateGenConfig) -> CandidateSet:
 # --- subcommands --------------------------------------------------------------
 
 
-def _keypoints(records: Sequence[fileio.PoseRecord]) -> np.ndarray:
-    """The (m, 14, 2) keypoint stack of pose records."""
-    return np.stack([r.keypoints for r in records])
+def _read_poses(path: Path, normalize: bool = True) -> tuple[list[fileio.PoseRecord], np.ndarray]:
+    """The pose records of a file and their (m, 14, 2) keypoints. An empty
+    file is an error naming it, and so is a torso that normalize cannot
+    scale, named by its record's position and image."""
+    records = fileio.read_pose_records(path)
+    if not records:
+        raise ValueError(f"{path}: no pose records")
+    keypoints = np.stack([r.keypoints for r in records])
+    bad = np.flatnonzero(~(torso_lengths(keypoints) > 0.0)) if normalize else ()
+    if len(bad):
+        raise ValueError(f"{path}: record {bad[0] + 1} (image {records[bad[0]].image_id!r}): "
+                         "cannot normalize: degenerate torso")
+    return records, keypoints
 
 
 def _cmd_synth(a: dict) -> int:
@@ -308,10 +318,8 @@ def _cmd_synth(a: dict) -> int:
 
 
 def _cmd_features(a: dict) -> int:
-    records = fileio.read_pose_records(a["poses"])
-    if not records:
-        raise ValueError("no pose records")
-    feats = relational_features(_keypoints(records), normalize=not a["raw"])
+    records, keypoints = _read_poses(a["poses"], normalize=not a["raw"])
+    feats = relational_features(keypoints, normalize=not a["raw"])
     ids = np.array([r.image_id for r in records])
     buf = io.BytesIO()  # np.savez on a path would append .npz to it
     np.savez(buf, ids=ids, features=feats)
@@ -323,22 +331,16 @@ def _cmd_features(a: dict) -> int:
 def _cmd_train_svm(a: dict) -> int:
     cfg = PipelineConfig(**_given(a, seed="seed", n_synth="synth", eps="eps", reg="reg"))
     tol = _pick(a, "tol", TOL)
-    pos_records = fileio.read_pose_records(a["positives"])
-    neg_records = fileio.read_pose_records(a["negatives"])
-    if not pos_records or not neg_records:
-        raise ValueError("need both positive and negative records")
+    positives, _ = _read_poses(a["positives"])
+    _, negatives = _read_poses(a["negatives"])
     rng = np.random.default_rng(cfg.seed)
-    positives = positive_poses([r.skeleton() for r in pos_records], cfg, rng)
-    n_pos = positives.shape[0] * positives.shape[1]
-    negatives = thin_negatives(_keypoints(neg_records), MAX_NEGATIVES)
-    # featurized straight into the training matrix, so no second copy is held
-    X = relational_features(np.concatenate([*positives, negatives]), normalize=True)
-    y = np.concatenate([np.ones(n_pos), -np.ones(len(negatives))])
-    model = train(TrainSet(X, y), reg=cfg.reg, tol=tol)
+    ts = training_set([r.skeleton() for r in positives], negatives, cfg, rng)
+    model = train(ts, reg=cfg.reg, tol=tol)
     fileio.save_svm_model(a["out"], model)
+    n_pos = int(np.sum(ts.labels > 0))
     epochs = len(model.objective_history)
     print(
-        f"trained on {n_pos}+{len(negatives)} samples, "
+        f"trained on {n_pos}+{len(ts.labels) - n_pos} samples, "
         f"{epochs} epochs, objective "
         f"{model.objective_history[-1]:.6f} -> {a['out']}"
     )
@@ -398,10 +400,10 @@ def _cmd_select(a: dict) -> int:
 
 
 def _features_and_scores(path: Path):
-    records = fileio.read_pose_records(path)
+    records, keypoints = _read_poses(path)
     if len(records) < 4:
         raise ValueError(f"{path}: need at least 4 pose records, got {len(records)}")
-    X = relational_features(_keypoints(records), normalize=True)
+    X = relational_features(keypoints, normalize=True)
     scores = np.array([r.score if r.score is not None else 0.0 for r in records])
     return records, X, scores
 
@@ -497,6 +499,9 @@ def _cmd_eval(a: dict) -> int:
         ref, frac = ReferenceLength.HEAD_SEGMENT, _pick(a, "frac", 0.5)
         title = f"PCKh@{frac}"
     pairs = [(gt[i].skeleton(), est[i].skeleton()) for i in shared]
+    for i, (g, _) in zip(shared, pairs):
+        if not ref.length(g) > 0.0:
+            raise ValueError(f"{a['gt']}: image {i!r}: degenerate reference ({ref.value} length 0)")
     actions = [gt[i].action for i in shared]
     has_actions = all(x is not None for x in actions)
     report = pck_report(pairs, frac, ref, actions=actions if has_actions else None)

@@ -247,11 +247,9 @@ def read_heatmaps(path: Union[str, Path]) -> list[Heatmap]:
         need = width * height * 4
         if len(data) - pos < need:
             raise ValueError(f"truncated heatmap grid at offset {pos}")
-        grid = (
-            np.frombuffer(data[pos : pos + need], dtype="<f4")
-            .reshape(height, width)
-            .astype(np.float64)
-        )
+        with np.errstate(invalid="ignore"):  # widening a signalling NaN, which Heatmap rejects
+            grid = np.frombuffer(data[pos : pos + need], dtype="<f4").astype(np.float64)
+        grid = grid.reshape(height, width)
         pos += need
         try:
             out.append(Heatmap(joint=JointId(joint), grid=grid, stride=stride, origin=(ox, oy)))

@@ -52,13 +52,13 @@ class ReferenceLength(Enum):
     BBOX_MAX_SIDE = "bbox"  # max side of the tight box over ground-truth joints
     HEAD_SEGMENT = "head"  # head-to-neck length
 
-
-def _reference(gt: Skeleton, ref: ReferenceLength) -> float:
-    if ref is ReferenceLength.BBOX_MAX_SIDE:
-        mins = gt.keypoints.min(axis=0)
-        maxs = gt.keypoints.max(axis=0)
-        return float(np.max(maxs - mins))
-    return float(np.linalg.norm(gt.joint(JointId.HEAD) - gt.joint(JointId.NECK)))
+    def length(self, gt: Skeleton) -> float:
+        """This reference length of a ground-truth pose."""
+        if self is ReferenceLength.BBOX_MAX_SIDE:
+            mins = gt.keypoints.min(axis=0)
+            maxs = gt.keypoints.max(axis=0)
+            return float(np.max(maxs - mins))
+        return float(np.linalg.norm(gt.joint(JointId.HEAD) - gt.joint(JointId.NECK)))
 
 
 def pck_correct(
@@ -70,7 +70,7 @@ def pck_correct(
     """Per-joint flags: estimate within frac * reference length of the truth."""
     if not 0.0 <= frac < math.inf:
         raise ValueError(f"frac must be finite and non-negative, got {frac}")
-    r = _reference(gt, ref)
+    r = ref.length(gt)
     if r <= 0.0:
         raise ValueError("degenerate reference")
     err = np.linalg.norm(est.keypoints - gt.keypoints, axis=1)

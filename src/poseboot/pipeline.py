@@ -36,7 +36,7 @@ __all__ = [
     "AcceptedPose",
     "IterationState",
     "thin_negatives",
-    "positive_poses",
+    "training_set",
     "run_iteration",
     "stop_check",
     "run_pipeline",
@@ -117,16 +117,19 @@ def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
     return keypoints[np.linspace(0, n - 1, cap).round().astype(int)]
 
 
-def positive_poses(
-    annotations: Sequence[Skeleton], cfg: PipelineConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Keypoints (m, 1 + cfg.n_synth, 14, 2) of the positives of m
-    annotations: each annotation, then its cfg.n_synth jitters of radius
-    cfg.eps, drawn from rng in annotation order."""
-    return np.stack([
-        np.concatenate([s.keypoints[None], synthesize_positives(s, cfg.n_synth, cfg.eps, rng)])
-        for s in annotations
-    ])
+def training_set(
+    annotations: Sequence[Skeleton], negatives: np.ndarray,
+    cfg: PipelineConfig, rng: np.random.Generator,
+) -> TrainSet:
+    """A selector's training set, featurized in one call: each annotation,
+    then its cfg.n_synth jitters of radius cfg.eps drawn from rng in
+    annotation order, labeled +1; then the negative keypoints (m, 14, 2),
+    thinned to MAX_NEGATIVES, labeled -1."""
+    negatives = thin_negatives(negatives, MAX_NEGATIVES)
+    poses = [np.concatenate([s.keypoints[None], synthesize_positives(s, cfg.n_synth, cfg.eps, rng)])
+             for s in annotations]
+    X = relational_features(np.concatenate([*poses, negatives]), normalize=True)
+    return TrainSet(X, np.repeat([1.0, -1.0], [len(X) - len(negatives), len(negatives)]))
 
 
 def _train_selectors(
@@ -136,48 +139,42 @@ def _train_selectors(
     cfg: PipelineConfig,
     scored: Sequence[str],
 ) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
-    """Selectors for the images in scored, trained on the annotations plus
-    the poses accepted so far, jittered by positive_poses, against negatives
-    mined from the backgrounds: (general, {action: model}). Each is
-    train(ts, reg=cfg.reg), at train's stopping rule.
+    """Selectors for the images in scored, each train(ts, reg=cfg.reg) on
+    rows of the round's one training_set: the annotations, then the poses
+    accepted so far, against negatives mined from the backgrounds.
+    Returns (general, {action: model}).
 
-    Under semi, general is the one selector and the mapping is empty. Under
-    weak/weakC an action other than the general action with at least
-    MIN_ACTION_ANNOTATIONS annotations gets a selector of its own positives;
-    general, on the positives of every action, is trained only when some
-    annotated or scored action lacks its own, and is None otherwise.
+    Under semi, general is the one selector, on every row; no action label
+    is read and the mapping is empty. Under weak/weakC an action other than
+    the general action with at least MIN_ACTION_ANNOTATIONS annotations
+    gets a selector of its own positives' rows and every negative; general,
+    on every row, is trained only when some annotated or scored action
+    lacks its own, and is None otherwise.
     """
     annotations = [*split.fs, *state.accepted]
     if not annotations:
         raise ValueError("no positive features")
     rng = np.random.default_rng([cfg.seed, state.iteration + 1])
-    poses = positive_poses([e.skeleton for e in annotations], cfg, rng)
-    rows: dict[ActionLabel, list[int]] = {}  # each action's annotations, in order
-    for k, e in enumerate(annotations):
-        rows.setdefault(e.action, []).append(k)
-    positives = {
-        a: relational_features(np.concatenate(poses[ks]), normalize=True) for a, ks in rows.items()
-    }
-    del poses  # the jittered keypoints are not needed past here
-
     # detections on background images are false by definition
     mined = np.concatenate(
         [np.empty((0, N_JOINTS, 2))]
         + [candidates_in[i].keypoints for i in split.backgrounds if i in candidates_in]
     )
-    negatives = relational_features(thin_negatives(mined, MAX_NEGATIVES), normalize=True)
-
-    def fit(blocks: list[np.ndarray]) -> SvmModel:
-        return train(TrainSet.from_parts(blocks, [negatives]), reg=cfg.reg)
-
+    ts = training_set([e.skeleton for e in annotations], mined, cfg, rng)
     if cfg.scheme is Scheme.SEMI:
-        return fit(list(positives.values())), {}
-    own = [a for a, ks in rows.items()
-           if len(ks) >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL]
+        return train(ts, reg=cfg.reg), {}
+    actions = Counter(e.action for e in annotations)
+    own = [a for a, n in actions.items()
+           if n >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL]
     ws_action = split.ws_actions()
-    needs_general = any(a not in own for a in (*positives, *(ws_action[i] for i in scored)))
-    general = fit(list(positives.values())) if needs_general else None
-    return general, {a: fit([positives[a]]) for a in own}
+    needs_general = any(a not in own for a in (*actions, *(ws_action[i] for i in scored)))
+    general = train(ts, reg=cfg.reg) if needs_general else None
+    models = {}
+    for a in own:
+        keep = ts.labels < 0  # every negative, and the positives of a's annotations
+        keep[~keep] = np.repeat([e.action is a for e in annotations], 1 + cfg.n_synth)
+        models[a] = train(TrainSet(ts.features[keep], ts.labels[keep]), reg=cfg.reg)
+    return general, models
 
 
 def run_iteration(
@@ -195,7 +192,8 @@ def run_iteration(
     select featurizes its rows best first and stops at the pick (usually
     the first row), the recovery pool is the RECOVER_PER_IMAGE best scores,
     by stable sort, whose features select has already computed, and the
-    negatives are the concatenated background keypoints, thinned by index.
+    selectors train on rows of one training_set, whose negatives are the
+    concatenated background keypoints, thinned by index.
     A candidate stays a row of its set until it is accepted. A row's
     feature does not depend on the rows it is computed with, so the round
     is bit for bit that of featurizing every row; there is no knob. Target

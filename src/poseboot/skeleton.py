@@ -186,7 +186,8 @@ class DatasetSplit:
 
     Construction raises ValueError on the first broken invariant it finds:
     an id repeated within a set, an id in two sets, or an annotation with a
-    non-finite coordinate.
+    non-finite coordinate or a degenerate torso (its neck on its hip
+    midpoint), which torso normalization cannot scale.
     """
 
     fs: tuple[FsExample, ...] = ()
@@ -212,6 +213,9 @@ class DatasetSplit:
                     f"invalid split: annotation for image {ex.image_id!r} has a "
                     f"non-finite coordinate at joint {JointId(int(bad.argmax())).name}"
                 )
+            if not torso_lengths(ex.skeleton.keypoints[None])[0] > 0.0:
+                raise ValueError(f"invalid split: annotation for image {ex.image_id!r} has a "
+                                 "degenerate torso: its neck is on its hip midpoint")
 
     def fs_ids(self) -> tuple[str, ...]:
         return tuple(e.image_id for e in self.fs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -51,15 +51,6 @@ class TrainSet:
             raise ValueError(f"features must be finite: row {bad} is not")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
-
-    @classmethod
-    def from_parts(cls, positives: Sequence[np.ndarray], negatives: Sequence[np.ndarray]) -> "TrainSet":
-        """Positive and negative blocks, each an (m, d) array of feature
-        rows, stacked once, positives first."""
-        n_pos = sum(len(b) for b in positives)
-        X = np.concatenate([*positives, *negatives])
-        y = np.concatenate([np.ones(n_pos), -np.ones(len(X) - n_pos)])
-        return cls(X, y)
 
 
 @dataclass(frozen=True)

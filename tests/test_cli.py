@@ -278,19 +278,26 @@ class TestSelectionFlow:
     ):
         """train-svm on the annotated truth records, against the candidates of
         the backgrounds, solves the pipeline's first semi problem by the same
-        rule: with no jitter the model files match bit for bit."""
-        split = json.loads((corpus_dir / "split.json").read_text())
-        truth = fileio.read_pose_index(corpus_dir / "truth.jsonl")
-        # semi stacks its positives by action in order of appearance, and
+        rule: with no jitter the model files match bit for bit. semi reads no
+        action label, so this holds with the actions interleaved."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        split = json.loads((corpus / "split.json").read_text())
+        truth = fileio.read_pose_index(corpus / "truth.jsonl")
+        by_action = {}
+        for i in split["fs"]:
+            by_action.setdefault(truth[i].action, []).append(i)
+        interleaved = [i for ids in zip(*by_action.values()) for i in ids]
+        assert len(by_action) == 2 and sorted(interleaved) == sorted(split["fs"])
+        split["fs"] = interleaved
+        (corpus / "split.json").write_text(json.dumps(split))
         # candidates reads the .hm files in name order
-        actions = [truth[i].action for i in split["fs"]]
-        assert actions == sorted(actions, key=actions.index)
         assert split["backgrounds"] == sorted(split["backgrounds"])
         pos, neg, bg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl", tmp_path / "bg"
         fileio.write_pose_records(pos, [truth[i] for i in split["fs"]])
         bg.mkdir()
         for i in split["backgrounds"]:
-            shutil.copyfile(corpus_dir / "heatmaps" / f"{i}.hm", bg / f"{i}.hm")
+            shutil.copyfile(corpus / "heatmaps" / f"{i}.hm", bg / f"{i}.hm")
         assert cli.main(["candidates", "--heatmaps", str(bg), "--out", str(neg)]) == 0
         model = tmp_path / "sel.svm"
         assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
@@ -300,7 +307,7 @@ class TestSelectionFlow:
         monkeypatch.setattr(
             pipeline, "train", lambda *a, **kw: trained.append(real_train(*a, **kw)) or trained[-1]
         )
-        assert cli.main(["pipeline", "--corpus", str(corpus_dir), "--exchange",
+        assert cli.main(["pipeline", "--corpus", str(corpus), "--exchange",
                          str(tmp_path / "x"), "--scheme", "semi", "--n-synth", "0",
                          "--iterations", "1"]) == 0
         got, first = fileio.load_svm_model(model), trained[0]
@@ -318,7 +325,7 @@ class TestSelectionFlow:
         write_template_poses(pos, rng, 6)
         junk = write_junk_poses(neg, rng, 10)
         fileio.write_pose_records(kept, [junk[i] for i in (0, 3, 6, 9)])
-        monkeypatch.setattr(cli, "MAX_NEGATIVES", 4)
+        monkeypatch.setattr(pipeline, "MAX_NEGATIVES", 4)
         args = ["train-svm", "--positives", str(pos), "--synth", "2"]
         assert cli.main(args + ["--negatives", str(neg), "--out", str(tmp_path / "all")]) == 0
         assert "trained on 18+4 samples" in capsys.readouterr().out
@@ -1009,7 +1016,7 @@ class TestDefaults:
         assert models["unset"] == models[str(cli.PipelineConfig.seed)]
         argv = ["train-svm", "--positives", str(pos), "--negatives", str(neg),
                 "--out", str(tmp_path / "m")]
-        cfg = built_config(monkeypatch, "positive_poses", argv, cli.PipelineConfig)
+        cfg = built_config(monkeypatch, "training_set", argv, cli.PipelineConfig)
         assert cfg == cli.PipelineConfig()
 
 
@@ -1178,9 +1185,108 @@ class TestEverySettingHasAnOption:
             "outliers": ("project_features", ["--poses", str(poses), "--out", str(tmp_path / "o")]),
             "pipeline": ("run_pipeline", ["--corpus", str(corpus_dir), "--exchange",
                                           str(tmp_path / "x"), "--scheme", "weakC"]),
-            "train-svm": ("positive_poses", ["--positives", str(poses), "--negatives", str(poses),
+            "train-svm": ("training_set", ["--positives", str(poses), "--negatives", str(poses),
                                              "--out", str(tmp_path / "m")]),
         }[command]
         assert getattr(cls(), field) != value
         cfg = built_config(monkeypatch, target, [command, *argv, flag, text], cls)
         assert getattr(cfg, field) == value
+
+
+def without_torso(rec):
+    """rec with its neck moved onto its hip midpoint."""
+    kp = rec.keypoints.copy()
+    kp[JointId.NECK] = 0.5 * (kp[JointId.L_HIP] + kp[JointId.R_HIP])
+    return fileio.PoseRecord(rec.image_id, kp, rec.action, rec.score, rec.provenance)
+
+
+class TestInputErrorsNameTheirRecord:
+    """A pose that torso normalization cannot scale, an empty pose file and
+    a degenerate PCKh reference are errors (exit 2) naming the file and the
+    image, not a row of an internal matrix."""
+
+    def test_pipeline_annotation_without_torso(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        image = json.loads((corpus / "split.json").read_text())["fs"][2]
+        truth = fileio.read_pose_records(corpus / "truth.jsonl")
+        fileio.write_pose_records(
+            corpus / "truth.jsonl", [without_torso(r) if r.image_id == image else r for r in truth]
+        )
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "semi"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid split: annotation for image {image!r} has a degenerate torso: "
+            "its neck is on its hip midpoint\n"
+        )
+
+    @pytest.mark.parametrize("bad_file", ["positives", "negatives"])
+    def test_train_svm_record_without_torso(self, tmp_path, rng, capsys, bad_file):
+        files = {"positives": tmp_path / "pos.jsonl", "negatives": tmp_path / "neg.jsonl"}
+        records = {"positives": write_template_poses(files["positives"], rng, 6),
+                   "negatives": write_junk_poses(files["negatives"], rng, 10)}
+        bad = records[bad_file]
+        fileio.write_pose_records(files[bad_file], [*bad[:2], without_torso(bad[2]), *bad[3:]])
+        out = tmp_path / "sel.svm"
+        rc = cli.main(["train-svm", "--positives", str(files["positives"]),
+                       "--negatives", str(files["negatives"]), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {files[bad_file]}: record 3 (image {bad[2].image_id!r}): "
+            "cannot normalize: degenerate torso\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["features", "cluster", "outliers"])
+    def test_pose_file_record_without_torso(self, tmp_path, rng, capsys, command):
+        poses = tmp_path / "p.jsonl"
+        good = write_template_poses(poses, rng, 6)
+        fileio.write_pose_records(poses, [*good[:3], without_torso(good[3]), *good[4:]])
+        out = tmp_path / "out"
+        assert cli.main([command, "--poses", str(poses), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {poses}: record 4 (image 'good_003'): cannot normalize: degenerate torso\n"
+        )
+        assert not out.exists()
+
+    def test_features_raw_needs_no_torso(self, tmp_path, rng):
+        poses = tmp_path / "p.jsonl"
+        fileio.write_pose_records(poses, [without_torso(r)
+                                          for r in write_template_poses(poses, rng, 2)])
+        out = tmp_path / "f.npz"
+        assert cli.main(["features", "--poses", str(poses), "--out", str(out), "--raw"]) == 0
+        assert np.load(out)["features"].shape == (2, 1274)
+
+    @pytest.mark.parametrize("empty", ["positives", "negatives", "poses"])
+    def test_empty_pose_file(self, tmp_path, rng, capsys, empty):
+        files = {k: tmp_path / f"{k}.jsonl" for k in ("positives", "negatives", "poses")}
+        write_template_poses(files["positives"], rng, 6)
+        write_junk_poses(files["negatives"], rng, 10)
+        write_template_poses(files["poses"], rng, 6)
+        files[empty].write_text("")
+        out = tmp_path / "out"
+        if empty == "poses":
+            argv = ["features", "--poses", str(files["poses"]), "--out", str(out)]
+        else:
+            argv = ["train-svm", "--positives", str(files["positives"]),
+                    "--negatives", str(files["negatives"]), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {files[empty]}: no pose records\n"
+        assert not out.exists()
+
+    def test_eval_pckh_degenerate_reference(self, corpus_dir, tmp_path, capsys):
+        truth = fileio.read_pose_records(corpus_dir / "truth.jsonl")
+        kp = truth[1].keypoints.copy()
+        kp[JointId.HEAD] = kp[JointId.NECK]
+        gt = tmp_path / "gt.jsonl"
+        fileio.write_pose_records(gt, [truth[0], fileio.PoseRecord(truth[1].image_id, kp),
+                                       *truth[2:]])
+        argv = ["eval", "--gt", str(gt), "--est", str(corpus_dir / "truth.jsonl")]
+        assert cli.main(argv + ["--metric", "pckh"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {gt}: image {truth[1].image_id!r}: degenerate reference (head length 0)\n"
+        )
+        assert captured.out == ""
+        assert cli.main(argv) == 0  # PCK's reference, the box, is not degenerate

@@ -148,6 +148,16 @@ class TestHeatmapBlobs:
         with pytest.raises(ValueError, match=f"heatmap at offset {second}: {named}"):
             fileio.read_heatmaps(tmp_path / "m.hm")
 
+    def test_signalling_nan_cell_names_its_offset(self, tmp_path):
+        """Widening a float32 signalling NaN raises NumPy's invalid flag; the
+        cell is rejected as any other non-finite one is."""
+        data = bytearray(_valid_heatmap_bytes())
+        second = data.index(b"PBHMAP01", 1)
+        struct.pack_into("<I", data, second - 4, 0x7F800001)  # the first map's last cell
+        (tmp_path / "m.hm").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="^heatmap at offset 0: grid values must lie in"):
+            fileio.read_heatmaps(tmp_path / "m.hm")
+
 
 class TestModelBlob:
     def test_round_trip(self, tmp_path, rng):

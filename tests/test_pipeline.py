@@ -1,4 +1,5 @@
 """Self-training driver: model specialization, iteration semantics, files."""
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -120,16 +121,97 @@ class TestThinNegatives:
         assert rows[0] == 0 and rows[-1] == n - 1
 
 
-def test_positive_poses_draw_each_annotation_then_its_jitters(rng):
-    """The rng draw order that every pipeline output and train-svm's model
-    depend on: annotation k's keypoints, then its n_synth jitters, in order."""
-    skels = [Skeleton(action_template(a).keypoints + rng.normal(0, 2.0, (14, 2))) for a in range(3)]
-    got = pipeline.positive_poses(skels, PipelineConfig(n_synth=4, eps=0.5), np.random.default_rng(7))
-    assert got.shape == (3, 5, 14, 2)
-    g = np.random.default_rng(7)
-    for skel, rows in zip(skels, got):
-        assert np.array_equal(rows[0], skel.keypoints)
-        assert np.array_equal(rows[1:], svm.synthesize_positives(skel, 4, 0.5, g))
+class TestTrainingSet:
+    def test_each_annotation_then_its_jitters_then_the_negatives(self, rng):
+        """The rng draw order that every pipeline output and train-svm's
+        model depend on: annotation k's row, then its n_synth jitters, in
+        annotation order, labeled +1; then the negatives, labeled -1."""
+        skels = [Skeleton(action_template(a).keypoints + rng.normal(0, 2.0, (14, 2)))
+                 for a in range(3)]
+        negatives = rng.uniform(10, 150, (6, 14, 2))
+        ts = pipeline.training_set(
+            skels, negatives, PipelineConfig(n_synth=4, eps=0.5), np.random.default_rng(7)
+        )
+        g = np.random.default_rng(7)
+        poses = [np.concatenate([s.keypoints[None], svm.synthesize_positives(s, 4, 0.5, g)])
+                 for s in skels]
+        want = relational_features(np.concatenate([*poses, negatives]), normalize=True)
+        assert ts.features.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(ts.labels, [1.0] * 15 + [-1.0] * 6)
+
+    def test_negatives_thinned_to_max_negatives(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_NEGATIVES", 4)
+        skels = [Skeleton(action_template(0).keypoints)]
+        negatives = rng.uniform(10, 150, (10, 14, 2))
+        ts = pipeline.training_set(skels, negatives, PipelineConfig(n_synth=0), rng)
+        want = relational_features(negatives[[0, 3, 6, 9]], normalize=True)
+        assert ts.features[1:].tobytes() == want.tobytes()
+        np.testing.assert_array_equal(ts.labels, [1.0, -1.0, -1.0, -1.0, -1.0])
+
+
+def first_selectors(scheme, labels, targets=()):
+    """(general, models) of the first round on eight fixed annotations,
+    alternating between two action templates and labeled labels[k], with
+    an action-only image of each action in targets, against fixed junk."""
+    rng = np.random.default_rng(11)
+    fs = [FsExample(f"fs_{k}", Skeleton(action_template(k % 2).keypoints
+                                        + rng.normal(0, 2.0, (14, 2))), a)
+          for k, a in enumerate(labels)]
+    ws = [WsExample(f"target_{a.value}", a) for a in targets]
+    split = DatasetSplit(fs=tuple(fs), ws=tuple(ws), backgrounds=("bg",))
+    cands = {"bg": CandidateSet("bg", rng.uniform(10, 150, (30, 14, 2)), np.zeros(30))}
+    return pipeline._train_selectors(
+        IterationState(), split, cands, fast_cfg(scheme=scheme, n_synth=2),
+        [e.image_id for e in ws],
+    )
+
+
+def same_model(m1, m2):
+    return all(getattr(m1, f).tobytes() == getattr(m2, f).tobytes()
+               for f in ("mean", "std", "weights")) and m1.bias == m2.bias
+
+
+class TestSelectorsReadOnlyTheirLabels:
+    """A selector's rows do not move when labels it does not read change."""
+
+    A, B, C, D = list(ActionLabel)[:4]
+
+    def test_semi_selector_ignores_action_labels(self):
+        interleaved = [self.A, self.B] * 4
+        general, _ = first_selectors(Scheme.SEMI, interleaved)
+        relabeled, _ = first_selectors(Scheme.SEMI, [self.A] * 8)  # every second one
+        assert same_model(general, relabeled)
+
+    def test_weak_selectors_ignore_other_actions_labels(self):
+        """Relabeling every second B annotation C leaves A's selector and
+        the general one, which the unannotated target D needs, unchanged."""
+        before = first_selectors(Scheme.WEAK, [self.A, self.B] * 4, targets=[self.D])
+        after = first_selectors(Scheme.WEAK, [self.A, self.B, self.A, self.C] * 2,
+                                targets=[self.D])
+        assert set(before[1]) == {self.A, self.B} and set(after[1]) == {self.A, self.B, self.C}
+        assert same_model(before[1][self.A], after[1][self.A])
+        assert same_model(before[0], after[0])
+
+
+def test_semi_round_holds_its_training_matrix_about_twice(monkeypatch):
+    """One semi _train_selectors call peaks below 2.5 times the bytes of
+    its training matrix: the featurized rows plus train's standardized
+    copy, and no blocks stacked into a third."""
+    corpus, cands = tiny_corpus(poses_per_action=12)
+    nbytes = []
+    real_train = pipeline.train
+    monkeypatch.setattr(
+        pipeline, "train", lambda ts, **kw: nbytes.append(ts.features.nbytes) or real_train(ts, **kw)
+    )
+    tracemalloc.start()
+    try:
+        pipeline._train_selectors(IterationState(), corpus.split, cands,
+                                  fast_cfg(scheme=Scheme.SEMI), [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [matrix] = nbytes
+    assert peak < 2.5 * matrix, peak / matrix
 
 
 class TestSpecializeModels:

@@ -128,3 +128,15 @@ class TestValidateSplit:
             "coordinate at joint L_KNEE$",
         ):
             DatasetSplit(fs=fs, ws=(), us=(), backgrounds=())
+
+    def test_degenerate_torso_annotation_names_the_image(self, rng):
+        pts = rng.uniform(0, 10, (14, 2))
+        pts[int(JointId.NECK)] = 0.5 * (pts[int(JointId.L_HIP)] + pts[int(JointId.R_HIP)])
+        fs = (FsExample("f0", random_skeleton(rng), ActionLabel.SOCCER),
+              FsExample("f1", Skeleton(pts), ActionLabel.SOCCER))
+        with pytest.raises(
+            ValueError,
+            match="^invalid split: annotation for image 'f1' has a degenerate torso: "
+            "its neck is on its hip midpoint$",
+        ):
+            DatasetSplit(fs=fs)

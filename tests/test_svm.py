@@ -50,13 +50,6 @@ def trained_in_z(X, y, **kw):
 
 
 class TestTrainSet:
-    def test_from_parts_labels(self, rng):
-        pos = [rng.normal(size=(1, 3)), rng.normal(size=(0, 3)), rng.normal(size=(1, 3))]
-        neg = [rng.normal(size=(3, 3))]
-        ts = TrainSet.from_parts(pos, neg)
-        np.testing.assert_array_equal(ts.labels, [1, 1, -1, -1, -1])
-        np.testing.assert_array_equal(ts.features, np.concatenate([*pos, *neg]))
-
     def test_single_class_rejected(self, rng):
         X = rng.normal(size=(4, 2))
         with pytest.raises(ValueError, match="one class"):
@@ -454,7 +447,7 @@ class TestEndToEndSeparation:
             pts[0] = (500.0, 500.0)
             junk.append(Skeleton(pts))
         feats = lambda ss: np.stack([relational_feature(s, normalize=True) for s in ss])
-        ts = TrainSet.from_parts([feats(good)], [feats(junk)])
+        ts = TrainSet(np.concatenate([feats(good), feats(junk)]), np.repeat([1.0, -1.0], 15))
         m = train(ts, tol=1e-6, max_iter=1000)
         preds = np.sign(m.decisions(ts.features))
         np.testing.assert_array_equal(preds, ts.labels)
