@@ -194,31 +194,9 @@ def _given(d: dict, **options: str) -> dict:
 # --- corpus layout ------------------------------------------------------------
 
 
-def _save_corpus(out: Path, corpus) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "heatmaps").mkdir(exist_ok=True)
-    split = corpus.split
-    manifest = {
-        "fs": list(split.fs_ids()),
-        "ws": {e.image_id: e.action.value for e in split.ws},
-        "us": list(split.us),
-        "backgrounds": list(split.backgrounds),
-    }
-    fileio.atomic_write(out / "split.json", json.dumps(manifest, indent=1) + "\n")
-    records = [
-        fileio.PoseRecord(i, skel.keypoints, action)
-        for i, (skel, action) in corpus.truth.items()
-    ]
-    fileio.write_pose_records(out / "truth.jsonl", records)
-    for image_id, maps in corpus.heatmaps.items():
-        fileio.write_heatmaps(
-            out / "heatmaps" / f"{image_id}.hm", [maps[j] for j in JointId]
-        )
-
-
 def _check_manifest(path: Path, manifest) -> None:
     """Raise, naming path and the key, unless manifest has the shape that
-    _save_corpus writes; us and backgrounds may be left out."""
+    synth writes; us and backgrounds may be left out."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: must be a JSON object, got {type(manifest).__name__}")
     for key, kind in (("fs", list), ("ws", dict), ("us", list), ("backgrounds", list)):
@@ -308,11 +286,28 @@ def _cmd_synth(a: dict) -> int:
                  outlier_rate="outlier_rate", seed="seed", ws_fraction="ws_fraction",
                  n_backgrounds="backgrounds")
     )
-    corpus = synth_corpus(cfg)
-    _save_corpus(a["out"], corpus)
+    out: Path = a["out"]
+    (out / "heatmaps").mkdir(parents=True, exist_ok=True)
+    # split.json goes last, so a corpus cut short does not load
+    (out / "split.json").unlink(missing_ok=True)
+    # each image's maps are written as soon as they are drawn: synth holds
+    # one image's maps at a time, and the split and truth
+    corpus = synth_corpus(cfg, lambda image_id, maps: fileio.write_heatmaps(
+        out / "heatmaps" / f"{image_id}.hm", [maps[j] for j in JointId]))
+    fileio.write_pose_records(out / "truth.jsonl", [
+        fileio.PoseRecord(i, skel.keypoints, action) for i, (skel, action) in corpus.truth.items()
+    ])
+    split = corpus.split
+    manifest = {
+        "fs": list(split.fs_ids()),
+        "ws": {e.image_id: e.action.value for e in split.ws},
+        "us": list(split.us),
+        "backgrounds": list(split.backgrounds),
+    }
+    fileio.atomic_write(out / "split.json", json.dumps(manifest, indent=1) + "\n")
     print(
-        f"wrote corpus: {len(corpus.split.fs)} fs, {len(corpus.split.ws)} ws, "
-        f"{len(corpus.split.backgrounds)} backgrounds -> {a['out']}"
+        f"wrote corpus: {len(split.fs)} fs, {len(split.ws)} ws, "
+        f"{len(split.backgrounds)} backgrounds -> {out}"
     )
     return 0
 
@@ -475,6 +470,12 @@ def _cmd_pipeline(a: dict) -> int:
         for image_id, path in heatmaps.items()
         if image_id not in annotated
     }
+    # every background candidate is a negative of the round's training set
+    for i in split.backgrounds:
+        bad = np.flatnonzero(~(torso_lengths(candidates[i].keypoints) > 0.0))
+        if bad.size:
+            raise ValueError(f"{heatmaps[i]}: background image {i!r}: "
+                             f"cannot normalize: degenerate torso in row {bad[0]}")
     gt = truth if a["audit"] else None
     states = run_pipeline(split, candidates, cfg, exchange_dir=a["exchange"], gt=gt)
     for prev, st in zip(states, states[1:]):

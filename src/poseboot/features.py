@@ -89,12 +89,15 @@ def _fill_rows(pts: np.ndarray, scale: Optional[np.ndarray], out: np.ndarray) ->
     ang[(ux * ux + uy * uy == 0.0) | (vx * vx + vy * vy == 0.0)] = 0.0
 
 
-def relational_features(points: np.ndarray, normalize: bool = False) -> np.ndarray:
+def relational_features(
+    points: np.ndarray, normalize: bool = False, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Relational vectors for an (m, n, 2) stack of point sets, shape (m, L).
 
     With normalize=True the points must be skeletons (n = 14) and distances
     are divided by each row's torso length (neck to hip midpoint); raises,
-    naming the first such row, if a torso is degenerate.
+    naming the first such row, if a torso is degenerate. out, an (m, L)
+    float64 array of any strides, receives the rows and is returned.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[2] != 2 or pts.shape[1] < 3:
@@ -107,7 +110,11 @@ def relational_features(points: np.ndarray, normalize: bool = False) -> np.ndarr
         bad = np.flatnonzero(~(scale > 0.0))
         if bad.size:
             raise ValueError(f"cannot normalize: degenerate torso in row {bad[0]}")
-    out = np.empty((pts.shape[0], relational_length(pts.shape[1])))
+    shape = (pts.shape[0], relational_length(pts.shape[1]))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     for s in range(0, pts.shape[0], _BLOCK):
         block = slice(s, s + _BLOCK)
         _fill_rows(pts[block], None if scale is None else scale[block], out[block])

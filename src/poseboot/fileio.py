@@ -96,7 +96,7 @@ class PoseRecord:
     def to_dict(self) -> dict:
         d: dict = {
             "image_id": self.image_id,
-            "keypoints": [[float(x), float(y)] for x, y in self.keypoints],
+            "keypoints": self.keypoints.tolist(),
         }
         if self.action is not None:
             d["action"] = self.action.value

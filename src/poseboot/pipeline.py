@@ -27,7 +27,7 @@ from .fileio import PoseRecord, atomic_write, candidate_set, read_pose_records, 
 # because bench/tests/test_bench.py checks that the tracer restores it
 from .features import relational_feature  # noqa: F401
 from .metrics import MetricsReport, selection_stats
-from .skeleton import N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, Skeleton
+from .skeleton import N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, Skeleton, torso_lengths
 from .svm import SvmModel, TrainSet, select, synthesize_positives, train
 
 __all__ = [
@@ -128,8 +128,13 @@ def training_set(
     negatives = thin_negatives(negatives, MAX_NEGATIVES)
     poses = [np.concatenate([s.keypoints[None], synthesize_positives(s, cfg.n_synth, cfg.eps, rng)])
              for s in annotations]
-    X = relational_features(np.concatenate([*poses, negatives]), normalize=True)
-    return TrainSet(X, np.repeat([1.0, -1.0], [len(X) - len(negatives), len(negatives)]))
+    keypoints = np.concatenate([*poses, negatives])
+    n = len(keypoints)
+    # the features fill all but the last column of the buffer that train
+    # standardizes in place
+    buf = np.empty((n, relational_length(N_JOINTS) + 1))
+    X = relational_features(keypoints, normalize=True, out=buf[:, :-1])
+    return TrainSet(X, np.repeat([1.0, -1.0], [n - len(negatives), len(negatives)]))
 
 
 def _train_selectors(
@@ -149,32 +154,39 @@ def _train_selectors(
     the general action with at least MIN_ACTION_ANNOTATIONS annotations
     gets a selector of its own positives' rows and every negative; general,
     on every row, is trained only when some annotated or scored action
-    lacks its own, and is None otherwise.
+    lacks its own, and is None otherwise. Each per-action subset is a copy
+    trained before general, since train standardizes the whole set in
+    place: the round holds its matrix once, plus one subset at a time.
+
+    A background candidate whose torso is degenerate is an error naming
+    its image and row, whether or not thinning keeps it.
     """
     annotations = [*split.fs, *state.accepted]
     if not annotations:
         raise ValueError("no positive features")
     rng = np.random.default_rng([cfg.seed, state.iteration + 1])
     # detections on background images are false by definition
-    mined = np.concatenate(
-        [np.empty((0, N_JOINTS, 2))]
-        + [candidates_in[i].keypoints for i in split.backgrounds if i in candidates_in]
-    )
+    backgrounds = [candidates_in[i] for i in split.backgrounds if i in candidates_in]
+    for cands in backgrounds:
+        bad = np.flatnonzero(~(torso_lengths(cands.keypoints) > 0.0))
+        if bad.size:
+            raise ValueError(f"background image {cands.image_id!r}: "
+                             f"cannot normalize: degenerate torso in row {bad[0]}")
+    mined = np.concatenate([np.empty((0, N_JOINTS, 2))] + [c.keypoints for c in backgrounds])
     ts = training_set([e.skeleton for e in annotations], mined, cfg, rng)
     if cfg.scheme is Scheme.SEMI:
         return train(ts, reg=cfg.reg), {}
     actions = Counter(e.action for e in annotations)
     own = [a for a, n in actions.items()
            if n >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL]
-    ws_action = split.ws_actions()
-    needs_general = any(a not in own for a in (*actions, *(ws_action[i] for i in scored)))
-    general = train(ts, reg=cfg.reg) if needs_general else None
     models = {}
     for a in own:
         keep = ts.labels < 0  # every negative, and the positives of a's annotations
         keep[~keep] = np.repeat([e.action is a for e in annotations], 1 + cfg.n_synth)
-        models[a] = train(TrainSet(ts.features[keep], ts.labels[keep]), reg=cfg.reg)
-    return general, models
+        models[a] = train(ts.subset(keep), reg=cfg.reg)
+    ws_action = split.ws_actions()
+    needs_general = any(a not in own for a in (*actions, *(ws_action[i] for i in scored)))
+    return (train(ts, reg=cfg.reg) if needs_general else None), models
 
 
 def run_iteration(

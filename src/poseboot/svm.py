@@ -31,9 +31,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainSet:
-    """Finite feature matrix with +/-1 labels; both labels must be present."""
+    """Finite feature matrix with +/-1 labels; both labels must be present.
 
-    features: np.ndarray  # (n, d)
+    The features are the first d columns of an (n, d + 1) float64 buffer,
+    in which train standardizes them, adds its constant column and folds in
+    the labels, all in place: a TrainSet trains one model. Features given
+    as such a view, the first d columns of a C-ordered (n, d + 1) float64
+    array as pipeline.training_set writes them, are that buffer; features
+    in any other layout are copied into one, once, here.
+    """
+
+    features: np.ndarray  # (n, d), a view of the buffer
     labels: np.ndarray  # (n,) values in {-1, +1}
 
     def __post_init__(self) -> None:
@@ -49,8 +57,22 @@ class TrainSet:
         if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
             bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
             raise ValueError(f"features must be finite: row {bad} is not")
+        buf = X.base
+        if not (
+            isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.flags.c_contiguous
+            and buf.flags.writeable and buf.shape == (X.shape[0], X.shape[1] + 1)
+            and X.strides == buf.strides and X.ctypes.data == buf.ctypes.data
+        ):
+            buf = np.empty((X.shape[0], X.shape[1] + 1))
+            buf[:, :-1] = X
+            X = buf[:, :-1]
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
+
+    def subset(self, keep: np.ndarray) -> "TrainSet":
+        """The rows where the boolean mask keep is True, copied into a
+        buffer of their own; taken before this set is trained."""
+        return TrainSet(self.features.base[keep][:, :-1], self.labels[keep])
 
 
 @dataclass(frozen=True)
@@ -125,6 +147,9 @@ TOL = 1e-3  # train's default stopping gap
 # reset a sample shrunk too early is never visited again and the gap drifts
 _FULL_SWEEP_EVERY = 10
 
+# rows per chunk of train's std
+_STATS_ROWS = 64
+
 
 def _primal_and_gap(X: np.ndarray, w: np.ndarray, alpha_sum: float, C: float) -> tuple[float, float]:
     """Primal objective and primal-dual gap at w, over all rows of X (the
@@ -158,6 +183,9 @@ def train(
     epoch, falls to tol or after max_iter epochs (at least 1); the defaults
     are every selector's rule. objective_history (primal) and gap_history
     hold one entry per epoch.
+
+    The solve runs in ts's buffer, standardized in place, so ts holds no
+    features after the call: take any subset of it first.
     """
     for name, value in (("reg", reg), ("tol", tol)):
         if not value > 0:
@@ -167,15 +195,28 @@ def train(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     y = ts.labels
-    n, d = ts.features.shape
-    mean = ts.features.mean(axis=0)
-    std = ts.features.std(axis=0)
+    F = ts.features
+    X = F.base  # (n, d + 1): F, then the constant column
+    n, d = F.shape
+    # np.mean's and np.std's values over the whole matrix, bit for bit, with
+    # (_STATS_ROWS, d) temporaries instead of np.std's (n, d): an axis-0 sum
+    # adds row by row within each column, so each chunk's squares are summed
+    # onto the running total, carried in as the chunk's first row. A single
+    # column is summed pairwise instead, so it is one chunk
+    mean = F.mean(axis=0)
+    squares = np.zeros(d)
+    step = _STATS_ROWS if d > 1 else n
+    for r in range(0, n, step):
+        t = F[r : r + step] - mean
+        t *= t
+        t[0] += squares
+        squares = t.sum(axis=0)
+    std = np.sqrt(squares / n)
     std[std == 0.0] = 1.0
-    # standardized in place in the augmented matrix: one copy of the data;
-    # row i holds y_i * [z_i, 1], exact since y_i is +/-1
-    X = np.empty((n, d + 1))
-    np.subtract(ts.features, mean, out=X[:, :d])
-    X[:, :d] /= std
+    # standardized in place, so the set is held once; row i becomes
+    # y_i * [z_i, 1], exact since y_i is +/-1
+    F -= mean
+    F /= std
     X[:, d] = 1.0
     X *= y[:, None]
 

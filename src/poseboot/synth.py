@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class SynthConfig:
 class SynthCorpus:
     split: DatasetSplit
     truth: dict[str, tuple[Skeleton, ActionLabel]]
-    heatmaps: dict[str, dict[JointId, Heatmap]]
+    heatmaps: dict[str, dict[JointId, Heatmap]]  # empty when synth_corpus had a sink
 
 
 def action_template(action_index: int) -> Skeleton:
@@ -163,19 +164,28 @@ def _background_heatmaps(rng: np.random.Generator) -> dict[JointId, Heatmap]:
     return out
 
 
-def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
+def synth_corpus(
+    cfg: SynthConfig,
+    sink: Optional[Callable[[str, dict[JointId, Heatmap]], None]] = None,
+) -> SynthCorpus:
     """Build the full corpus: split, ground truth, and heatmaps.
 
     Identical configs produce identical corpora, byte for byte once
     serialized. With outlier_rate 0 each heatmap holds exactly one bump, so
     the top-ranked candidate of every image is the true pose.
+
+    Each image's maps go to sink(image_id, maps) as soon as they are drawn,
+    in corpus order, and are not kept: the returned heatmaps are then
+    empty, so memory holds one image's maps whatever the corpus size.
+    Without a sink they are kept in the returned corpus.
     """
+    heatmaps: dict[str, dict[JointId, Heatmap]] = {}
+    put = sink or heatmaps.__setitem__
     rng = np.random.default_rng(cfg.seed)
     actions = list(ActionLabel)[: cfg.n_actions]
     fs: list[FsExample] = []
     ws: list[WsExample] = []
     truth: dict[str, tuple[Skeleton, ActionLabel]] = {}
-    heatmaps: dict[str, dict[JointId, Heatmap]] = {}
     n_fs = int(round(cfg.poses_per_action * (1.0 - cfg.ws_fraction)))
     for ai, action in enumerate(actions):
         template = action_template(ai)
@@ -184,7 +194,7 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
             noise = rng.normal(0.0, cfg.base_noise, size=(N_JOINTS, 2))
             skel = Skeleton(np.clip(template.keypoints + noise, 4.0, CANVAS - 4.0))
             truth[image_id] = (skel, action)
-            heatmaps[image_id] = _pose_heatmaps(skel, rng, cfg.outlier_rate)
+            put(image_id, _pose_heatmaps(skel, rng, cfg.outlier_rate))
             if i < n_fs:
                 fs.append(FsExample(image_id=image_id, skeleton=skel, action=action))
             else:
@@ -193,6 +203,6 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     for i in range(cfg.n_backgrounds):
         image_id = f"bg_{i:04d}"
         backgrounds.append(image_id)
-        heatmaps[image_id] = _background_heatmaps(rng)
+        put(image_id, _background_heatmaps(rng))
     split = DatasetSplit(fs=tuple(fs), ws=tuple(ws), us=(), backgrounds=tuple(backgrounds))
     return SynthCorpus(split=split, truth=truth, heatmaps=heatmaps)

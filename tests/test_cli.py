@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, subcommand flows, config merging."""
+import hashlib
 import json
+import os
 import re
 import shutil
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -149,6 +152,81 @@ class TestSynth:
         assert (a / "truth.jsonl").read_bytes() == (b / "truth.jsonl").read_bytes()
         for f in sorted((a / "heatmaps").iterdir()):
             assert f.read_bytes() == (b / "heatmaps" / f.name).read_bytes()
+
+    # SHA-256 of every file of two small corpora, as written before synth
+    # streamed its maps to disk (x86-64, NumPy 2.4): the streamed writer
+    # keeps their bytes
+    DIGESTS = {
+        "easy": {
+            "heatmaps/athletics_0000.hm": "e0efe8b1ee2caf38b29c3d273f8a1d034a4ab84ff0b1166402cb153664999b75",
+            "heatmaps/athletics_0001.hm": "d97a24b6e0991e84610e28ee0698dad741d74bf33f460e0b9625670fea1796ec",
+            "heatmaps/athletics_0002.hm": "7acf831577b250b0b181835dcdbf8d395147606a2d78a0b5f3fa093d5390ba19",
+            "heatmaps/badminton_0000.hm": "d84e59bb9e703a44a7a382153a94db4b847f9745e9bd3857c08445fc118ea1b6",
+            "heatmaps/badminton_0001.hm": "863a757cbd4128af910afae9ff64c3b6156ac59e8fa61e8fcea5307fc33b3abb",
+            "heatmaps/badminton_0002.hm": "3908d2d7f7bbfccdbc330961c45649168f5a4af7082576613f7c68ed157e3672",
+            "heatmaps/bg_0000.hm": "45dbee7090183adb26a7c7787a6f3561555e6fda4b7bd0f7a4d598d1f217d2c0",
+            "split.json": "75ef5d02d01bc39de4bf7fef22e374070e6292ac818606b289ab9e568a40af3b",
+            "truth.jsonl": "408a149b0eab31e58287b9869c5ddbabc818bd21102cd696a005aaec0c683ac9",
+        },
+        "hard": {
+            "heatmaps/athletics_0000.hm": "8be93abb9c894c064228bff4aadc3a275a4b72163a8bedf0f8f086cd1eda64eb",
+            "heatmaps/athletics_0001.hm": "6ea0352cbd40683f25f5179cada5c4ca6f9737d4fdc5c129fa37dbb152dc8f2e",
+            "heatmaps/athletics_0002.hm": "2f30692c33d8b7a9942cb994d22344c33f4d3b39a5966d2bdea6a2d1c19ae2ba",
+            "heatmaps/badminton_0000.hm": "3dc88ef90bbe68231356c22d1d65c10b61d79cb9ed5c2968d92e7b4c815b12f1",
+            "heatmaps/badminton_0001.hm": "95b79b044513b2fdc49a9e4c4578e11a214b7ec9471a47633b72782e18185431",
+            "heatmaps/badminton_0002.hm": "11811cae15022a6efb04259e70d8d54227b25d769c46d4aaafd2141759f15594",
+            "heatmaps/bg_0000.hm": "f3eacc69db1b38ab6519f645ab4d652bdb46bdf15598d78a84f1a0b8e5132827",
+            "split.json": "75ef5d02d01bc39de4bf7fef22e374070e6292ac818606b289ab9e568a40af3b",
+            "truth.jsonl": "c948785e9f69d54d7029a7ba1e5c30f5558cbffb200a9f5591db95f0cd9f9bfe",
+        },
+    }
+
+    @pytest.mark.parametrize("corpus, extra", [
+        ("easy", []), ("hard", ["--outlier-rate", "0.6", "--noise", "6"])
+    ])
+    def test_files_keep_their_bytes(self, tmp_path, corpus, extra):
+        out = tmp_path / corpus
+        assert cli.main(["synth", "--out", str(out), "--actions", "2", "--poses", "3",
+                         "--backgrounds", "1", "--seed", "4", *extra]) == 0
+        written = {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in out.rglob("*") if f.is_file()}
+        assert written == self.DIGESTS[corpus]
+
+    def test_traced_peak_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch):
+        """synth holds one image's maps at a time: 40 more images raise its
+        traced peak by less than one image's 14 float64 maps (258 KB),
+        where holding them all would add 10 MB."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        peaks = []
+        # the first run also pays one-time costs, so it is not compared
+        for k, poses in enumerate((2, 2, 22)):
+            tracemalloc.start()
+            try:
+                assert cli.main(["synth", "--out", str(tmp_path / str(k)), "--actions", "2",
+                                 "--poses", str(poses), "--backgrounds", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 14 * 48 * 48 * 8, peaks
+
+    def test_a_corpus_cut_short_does_not_load(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        """split.json is written last, and an earlier one is removed first,
+        so a synth that fails midway leaves a directory pipeline rejects."""
+        out = tmp_path / "c"
+        shutil.copytree(corpus_dir, out)
+        written = []
+
+        def fail_third(path, maps):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "write_heatmaps", fail_third)
+        assert cli.main(["synth", "--out", str(out), "--actions", "2", "--poses", "6"]) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not (out / "split.json").exists()
+        assert cli.main(["pipeline", "--corpus", str(out), "--exchange", str(tmp_path / "x"),
+                         "--scheme", "semi"]) == 2
 
     def test_nan_noise_is_data_error_naming_the_field(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -742,19 +820,23 @@ class TestInputErrors:
         assert capsys.readouterr().err == named
         assert read == [] and not exchange.exists()
 
-    def test_pipeline_degenerate_torso_names_the_image(self, corpus_dir, tmp_path, capsys):
-        # the hip maps copy the neck map, so a candidate's neck and hips can
-        # fall on one point and leave it without a torso
-        corpus = tmp_path / "corpus"
-        shutil.copytree(corpus_dir, corpus)
-        ws = sorted(json.loads((corpus / "split.json").read_text())["ws"])[0]
-        hm = corpus / "heatmaps" / f"{ws}.hm"
+    @staticmethod
+    def drop_torso(hm):
+        """Rewrite the .hm file hm with its hip maps copying its neck map, so
+        a candidate's neck and hips can fall on one point and leave it
+        without a torso."""
         maps = fileio.read_heatmaps(hm)
         neck = next(m for m in maps if m.joint is JointId.NECK)
         hips = (JointId.L_HIP, JointId.R_HIP)
         fileio.write_heatmaps(
             hm, [replace(neck, joint=m.joint) if m.joint in hips else m for m in maps]
         )
+
+    def test_pipeline_degenerate_torso_names_the_image(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        ws = sorted(json.loads((corpus / "split.json").read_text())["ws"])[0]
+        self.drop_torso(corpus / "heatmaps" / f"{ws}.hm")
         rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
                        "--scheme", "weak"])
         assert rc == 2
@@ -762,6 +844,24 @@ class TestInputErrors:
         assert re.fullmatch(
             f"error: image {ws!r}: cannot normalize: degenerate torso in row \\d+\n", err
         ), err
+
+    def test_pipeline_degenerate_background_torso_names_the_file(self, tmp_path, capsys):
+        """Every background candidate is a negative of the training set, so
+        one without a torso is an error naming its image, its .hm file and
+        its row, not a row of the round's internal matrix."""
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "6",
+                         "--seed", "5"]) == 0
+        hm = corpus / "heatmaps" / "bg_0001.hm"
+        self.drop_torso(hm)
+        capsys.readouterr()
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "semi"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {hm}: background image 'bg_0001': "
+            "cannot normalize: degenerate torso in row 0\n"
+        )
 
 
 class TestClusterAndOutliers:

@@ -228,6 +228,22 @@ class TestBatched:
     def test_empty_stack(self):
         assert relational_features(np.zeros((0, N_JOINTS, 2)), normalize=True).shape == (0, 1274)
 
+    def test_out_receives_the_rows_bit_for_bit(self, rng):
+        """Rows written into a strided out, all but the last column of a
+        wider array as pipeline.training_set passes it, over more than one
+        internal block, are those of a fresh array; the rest is untouched."""
+        pts = rng.normal(0.0, 40.0, size=(70, N_JOINTS, 2))
+        buf = np.full((70, 1275), 7.0)
+        got = relational_features(pts, normalize=True, out=buf[:, :-1])
+        assert got.base is buf
+        assert buf[:, :-1].tobytes() == relational_features(pts, normalize=True).tobytes()
+        assert (buf[:, -1] == 7.0).all()
+
+    @pytest.mark.parametrize("out", [np.empty((4, 1274)), np.empty((5, 1274), np.float32)])
+    def test_out_of_another_shape_or_type_is_rejected(self, rng, out):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            relational_features(rng.normal(0.0, 40.0, size=(5, N_JOINTS, 2)), out=out)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             relational_features(np.zeros((N_JOINTS, 2)))

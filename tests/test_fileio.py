@@ -30,6 +30,20 @@ class TestPoseRecords:
         fileio.write_pose_records(path, recs)
         assert fileio.read_pose_records(path) == recs
 
+    def test_line_bytes(self, tmp_path):
+        """Each coordinate is written as the shortest repr of its double,
+        negative zero and subnormals included, in fixed key order."""
+        kp = np.zeros((14, 2))
+        kp[0] = (-0.0, 0.1)
+        kp[1] = (5e-324, 1e22)
+        kp[2] = (123456789.123, 3.0)
+        path = tmp_path / "p.jsonl"
+        fileio.write_pose_records(path, [fileio.PoseRecord("a", kp, ActionLabel.TENNIS, 0.5, "svm")])
+        coords = ",".join(["[-0.0,0.1]", "[5e-324,1e+22]", "[123456789.123,3.0]"] + ["[0.0,0.0]"] * 11)
+        assert path.read_text() == (
+            f'{{"image_id":"a","keypoints":[{coords}],"action":"tennis","score":0.5,"provenance":"svm"}}\n'
+        )
+
     def test_blank_lines_skipped(self, tmp_path, keypoints):
         path = tmp_path / "r.jsonl"
         fileio.write_pose_records(path, [fileio.PoseRecord("a", keypoints)])

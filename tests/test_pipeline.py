@@ -31,6 +31,7 @@ from poseboot.skeleton import (
     CandidateSet,
     DatasetSplit,
     FsExample,
+    JointId,
     Skeleton,
     WsExample,
 )
@@ -193,25 +194,61 @@ class TestSelectorsReadOnlyTheirLabels:
         assert same_model(before[0], after[0])
 
 
-def test_semi_round_holds_its_training_matrix_about_twice(monkeypatch):
-    """One semi _train_selectors call peaks below 2.5 times the bytes of
-    its training matrix: the featurized rows plus train's standardized
-    copy, and no blocks stacked into a third."""
+def round_peak(monkeypatch, scheme):
+    """(traced peak of one first-round _train_selectors call, bytes of its
+    training buffer, bytes of each buffer train was given) on a corpus
+    whose matrix (2,068 x 1,275) dwarfs featurization's block temporaries."""
     corpus, cands = tiny_corpus(poses_per_action=12)
-    nbytes = []
-    real_train = pipeline.train
+    sets, trained = [], []
+    real_set, real_train = pipeline.training_set, pipeline.train
+    monkeypatch.setattr(pipeline, "training_set", lambda *a: sets.append(real_set(*a)) or sets[-1])
     monkeypatch.setattr(
-        pipeline, "train", lambda ts, **kw: nbytes.append(ts.features.nbytes) or real_train(ts, **kw)
+        pipeline, "train", lambda ts, **kw: trained.append(ts.features.base.nbytes) or real_train(ts, **kw)
     )
     tracemalloc.start()
     try:
         pipeline._train_selectors(IterationState(), corpus.split, cands,
-                                  fast_cfg(scheme=Scheme.SEMI), [])
+                                  fast_cfg(scheme=scheme, n_synth=150),
+                                  [e.image_id for e in corpus.split.ws])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    [matrix] = nbytes
-    assert peak < 2.5 * matrix, peak / matrix
+    [ts] = sets
+    return peak, ts.features.base.nbytes, trained
+
+
+def test_semi_round_holds_its_training_matrix_once(monkeypatch):
+    """A semi round peaks below 1.35 times its training buffer (1.27
+    measured): train standardizes the featurized rows in place, so the
+    rest is featurization's block temporaries. Standardizing a copy, as
+    train once did, read 2.04."""
+    peak, matrix, trained = round_peak(monkeypatch, Scheme.SEMI)
+    assert trained == [matrix]
+    assert peak < 1.35 * matrix, peak / matrix
+
+
+def test_weak_round_holds_its_training_matrix_and_one_subset(monkeypatch):
+    """A weak round peaks at its training buffer plus less than 1.25 times
+    its largest per-action subset (1.11 measured): each subset is copied
+    once and trained in that copy, one at a time. Copying each subset
+    twice, as train once did, read 2.06."""
+    peak, matrix, trained = round_peak(monkeypatch, Scheme.WEAK)
+    assert len(trained) == 2 and max(trained) < matrix  # two actions, no general selector
+    assert peak - matrix < 1.25 * max(trained), (peak - matrix) / max(trained)
+
+
+def test_degenerate_background_torso_names_the_image_and_row(monkeypatch):
+    """A background candidate without a torso is an error naming its image
+    and row, even when thinning to MAX_NEGATIVES would drop it."""
+    monkeypatch.setattr(pipeline, "MAX_NEGATIVES", 1)
+    corpus, cands = tiny_corpus()
+    bg = corpus.split.backgrounds[1]
+    kp = cands[bg].keypoints.copy()
+    kp[2, JointId.NECK] = 0.5 * (kp[2, JointId.L_HIP] + kp[2, JointId.R_HIP])
+    cands[bg] = CandidateSet(bg, kp, cands[bg].scores)
+    with pytest.raises(ValueError, match=f"^background image {bg!r}: "
+                                         "cannot normalize: degenerate torso in row 2$"):
+        run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 
 
 class TestSpecializeModels:
@@ -427,9 +464,9 @@ class TestRunIteration:
         featurized = Counter()
         real = pipeline.relational_features
 
-        def counting(points, normalize=False):
+        def counting(points, normalize=False, out=None):
             featurized.update(kp.tobytes() for kp in np.ascontiguousarray(points))
-            return real(points, normalize)
+            return real(points, normalize, out)
 
         monkeypatch.setattr(pipeline, "relational_features", counting)
         monkeypatch.setattr(svm, "relational_features", counting)

@@ -68,6 +68,58 @@ class TestTrainSet:
             TrainSet(X, np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
 
 
+class TestBuffer:
+    """A TrainSet's features are the first d columns of an (n, d + 1)
+    buffer, which train standardizes in place."""
+
+    def test_a_view_of_such_a_buffer_is_kept(self, rng):
+        buf = rng.normal(size=(6, 4))
+        assert TrainSet(buf[:, :3], np.array([1.0, -1.0] * 3)).features.base is buf
+
+    @pytest.mark.parametrize("make", [
+        lambda X: X,  # owns its data
+        lambda X: np.hstack([X, X])[:, :3],  # a view with more than one spare column
+        lambda X: np.asfortranarray(np.hstack([X, X[:, :1]]))[:, :3],  # not C-ordered
+    ])
+    def test_other_layouts_are_copied_once_and_left_alone(self, rng, make):
+        X = make(rng.normal(size=(6, 3)))
+        before = X.copy()
+        ts = TrainSet(X, np.array([1.0, -1.0] * 3))
+        assert ts.features.base.shape == (6, 4) and not np.shares_memory(ts.features, X)
+        assert np.array_equal(ts.features, X)
+        train(ts)
+        assert np.array_equal(X, before)
+
+    @pytest.mark.parametrize("n", [2, 129, 300])
+    @pytest.mark.parametrize("d", [1, 2, 65, 1274])
+    def test_trains_in_place_with_the_whole_matrix_statistics(self, rng, n, d):
+        """train's mean and std, its squares summed by chunks of rows (129
+        leaves a one-row chunk), are np.mean's and np.std's over the whole
+        matrix bit for bit, and the buffer ends as y_i * [z_i, 1]. Rounding
+        differences show in some draws only, so there are eight."""
+        y = np.resize([1.0, -1.0], n)
+        for _ in range(8):
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 50.0, d) + 20.0 * rng.normal(size=d)
+            buf = np.empty((n, d + 1))
+            buf[:, :d] = X
+            m = train(TrainSet(buf[:, :d], y), max_iter=1)
+            assert m.mean.tobytes() == X.mean(axis=0).tobytes()
+            assert m.std.tobytes() == X.std(axis=0).tobytes()
+            want = y[:, None] * np.column_stack([(X - m.mean) / m.std, np.ones(n)])
+            assert buf.tobytes() == want.tobytes()
+            copied = train(TrainSet(X, y), max_iter=1)
+            assert copied.weights.tobytes() == m.weights.tobytes() and copied.bias == m.bias
+
+    def test_subset_copies_its_rows_into_a_buffer_of_their_own(self, rng):
+        buf = rng.normal(size=(6, 4))
+        y = np.array([1.0, -1.0] * 3)
+        keep = np.array([True, True, False, True, False, False])
+        sub = TrainSet(buf[:, :3], y).subset(keep)
+        assert sub.features.base.shape == (3, 4) and not np.shares_memory(sub.features, buf)
+        assert np.array_equal(sub.features, buf[keep, :3])
+        np.testing.assert_array_equal(sub.labels, y[keep])
+
+
 @pytest.fixture(scope="module")
 def noisy_set():
     """300 overlapping samples in 20 dims: many bounded and free duals."""
@@ -447,7 +499,7 @@ class TestEndToEndSeparation:
             pts[0] = (500.0, 500.0)
             junk.append(Skeleton(pts))
         feats = lambda ss: np.stack([relational_feature(s, normalize=True) for s in ss])
-        ts = TrainSet(np.concatenate([feats(good), feats(junk)]), np.repeat([1.0, -1.0], 15))
-        m = train(ts, tol=1e-6, max_iter=1000)
-        preds = np.sign(m.decisions(ts.features))
-        np.testing.assert_array_equal(preds, ts.labels)
+        X, y = np.concatenate([feats(good), feats(junk)]), np.repeat([1.0, -1.0], 15)
+        m = train(TrainSet(X, y), tol=1e-6, max_iter=1000)
+        preds = np.sign(m.decisions(X))
+        np.testing.assert_array_equal(preds, y)

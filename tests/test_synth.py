@@ -39,6 +39,25 @@ class TestDeterminism:
         )
 
 
+    def test_sink_gets_each_image_as_drawn_and_nothing_is_kept(self):
+        """With a sink, every image's maps go to it in corpus order, equal to
+        the maps kept without one, and the corpus keeps none of them."""
+        kept = synth_corpus(small())
+        got = []
+        streamed = synth_corpus(small(), lambda image_id, maps: got.append((image_id, maps)))
+        assert streamed.heatmaps == {}
+        assert [i for i, _ in got] == list(kept.heatmaps)
+        for image_id, maps in got:
+            for j in JointId:
+                assert maps[j].grid.tobytes() == kept.heatmaps[image_id][j].grid.tobytes()
+        assert streamed.split.fs_ids() == kept.split.fs_ids()
+        assert streamed.split.ws == kept.split.ws
+        assert streamed.split.backgrounds == kept.split.backgrounds
+        for image_id, (skel, action) in kept.truth.items():
+            assert streamed.truth[image_id][0].keypoints.tobytes() == skel.keypoints.tobytes()
+            assert streamed.truth[image_id][1] is action
+
+
 class TestSplitShape:
     def test_counts_and_rounding(self):
         corpus = synth_corpus(small(poses_per_action=7, ws_fraction=0.5))
