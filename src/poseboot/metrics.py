@@ -11,7 +11,6 @@ import numpy as np
 from .skeleton import LIMBS, ActionLabel, CandidateSet, JointId, Skeleton
 
 __all__ = [
-    "pcp_correct",
     "pck_correct",
     "ReferenceLength",
     "MetricsReport",
@@ -28,7 +27,7 @@ def pcp_correct(gt: Skeleton, est: Skeleton, eps: float) -> tuple[np.ndarray, bo
     ground-truth limb counts as correct only when both endpoint errors are
     exactly zero.
     """
-    flags = _pcp_flags(gt, est.keypoints, eps)
+    flags = _pcp_flags(gt, est.keypoints, _pcp_tolerances(gt, eps))
     return flags, bool(flags.all())
 
 
@@ -36,15 +35,19 @@ _LIMB_A = [int(i) for i, _ in LIMBS]
 _LIMB_B = [int(j) for _, j in LIMBS]
 
 
-def _pcp_flags(gt: Skeleton, keypoints: np.ndarray, eps: float) -> np.ndarray:
-    """Per-limb PCP flags, shape (..., 13), of a (..., 14, 2) stack of
-    estimates against one ground truth."""
+def _pcp_tolerances(gt: Skeleton, eps: float) -> np.ndarray:
+    """eps times the 13 true limb lengths, each the root of one dot product
+    as a 1-D np.linalg.norm takes it (norm(axis=1) rounds differently)."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
+    limb = gt.keypoints[_LIMB_A] - gt.keypoints[_LIMB_B]  # (13, 2)
+    return eps * np.sqrt((limb[:, None, :] @ limb[:, :, None])[:, 0, 0])
+
+
+def _pcp_flags(gt: Skeleton, keypoints: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per-limb PCP flags, shape (..., 13), of a (..., 14, 2) stack of
+    estimates against one ground truth with limb tolerances tol."""
     err = np.linalg.norm(keypoints - gt.keypoints, axis=-1)  # (..., 14)
-    tol = eps * np.array(
-        [float(np.linalg.norm(gt.keypoints[i] - gt.keypoints[j])) for i, j in zip(_LIMB_A, _LIMB_B)]
-    )
     return (err[..., _LIMB_A] <= tol) & (err[..., _LIMB_B] <= tol)
 
 
@@ -120,13 +123,14 @@ def selection_stats(
         if has_truth:
             atp += 1
         cands = candidates.get(image_id)
+        tol = _pcp_tolerances(gt, eps) if has_truth else None
         # batched PCP tests: the first row alone, as it is usually the true
         # pose, then the rest
         detected = (
             has_truth
             and cands is not None
             and any(
-                _pcp_flags(gt, kp, eps).all(axis=1).any()
+                _pcp_flags(gt, kp, tol).all(axis=1).any()
                 for kp in (cands.keypoints[:1], cands.keypoints[1:])
             )
         )
@@ -135,7 +139,7 @@ def selection_stats(
         sel = selected.get(image_id)
         if sel is not None:
             stp += 1
-            if has_truth and pcp_correct(gt, sel, eps)[1]:
+            if has_truth and _pcp_flags(gt, sel.keypoints, tol).all():
                 atp_stp += 1
     report = MetricsReport(counts=(atp, stp, atp_stp, cp_atp))
     if n_images > 0:

@@ -162,15 +162,25 @@ class TestHeatmapBlobs:
         with pytest.raises(ValueError, match=f"heatmap at offset {second}: {named}"):
             fileio.read_heatmaps(tmp_path / "m.hm")
 
-    def test_signalling_nan_cell_names_its_offset(self, tmp_path):
-        """Widening a float32 signalling NaN raises NumPy's invalid flag; the
-        cell is rejected as any other non-finite one is."""
-        data = bytearray(_valid_heatmap_bytes())
+    @pytest.mark.parametrize(
+        "bits",
+        [0x7F800001, 0x7FC00000, 0x7F800000, 0xFF800000],
+        ids=["signalling-nan", "quiet-nan", "+inf", "-inf"],
+    )
+    def test_non_finite_cell_names_its_offset(self, tmp_path, bits):
+        """A NaN or infinite float32 cell, in the first map or the second, is
+        rejected by the range check and named by its map's offset. Widening
+        a signalling NaN raises NumPy's invalid flag, which is not an error."""
+        data = _valid_heatmap_bytes()
         second = data.index(b"PBHMAP01", 1)
-        struct.pack_into("<I", data, second - 4, 0x7F800001)  # the first map's last cell
-        (tmp_path / "m.hm").write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="^heatmap at offset 0: grid values must lie in"):
-            fileio.read_heatmaps(tmp_path / "m.hm")
+        # the first map's last cell, then the second map's first
+        for cell, offset in ((second - 4, 0), (second + fileio._HM_HEADER.size, second)):
+            bad = bytearray(data)
+            struct.pack_into("<I", bad, cell, bits)
+            (tmp_path / "m.hm").write_bytes(bytes(bad))
+            named = f"^heatmap at offset {offset}: grid values must lie in"
+            with pytest.raises(ValueError, match=named):
+                fileio.read_heatmaps(tmp_path / "m.hm")
 
 
 class TestModelBlob:

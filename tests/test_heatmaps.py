@@ -1,4 +1,5 @@
 """Per-joint score maps: peak finding and assembly."""
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poseboot import cli, fileio
 from poseboot.heatmaps import CandidateGenConfig, Heatmap, _joint_peaks, enumerate_candidates
 from poseboot.skeleton import N_JOINTS, JointId
 
@@ -36,6 +38,20 @@ class TestHeatmap:
     def test_values_must_be_unit_interval(self):
         with pytest.raises(ValueError):
             grid_map([[0.0, 1.2]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        g = np.full((3, 3), 0.5)
+        g[1, 2] = bad
+        with pytest.raises(ValueError, match="grid values must lie in"):
+            grid_map(g)
+
+    def test_float32_grid_widened_to_a_copy(self):
+        g = np.full((2, 3), 0.1, dtype=np.float32)
+        h = grid_map(g)
+        assert h.grid.dtype == np.float64 and h.grid.tolist() == g.astype(np.float64).tolist()
+        g[0, 0] = 0.9
+        assert h.grid[0, 0] == np.float32(0.1)
 
     def test_grid_read_only(self):
         h = grid_map(np.zeros((3, 3)))
@@ -130,6 +146,31 @@ class TestBeamAssemble:
     def test_deterministic_tie_order(self):
         got = assemble([[0.5, 0.5], [0.2]], beam=10)
         assert [i for i, _ in got] == [(0, 0), (1, 0)]
+
+    @pytest.mark.parametrize("beam", [1, 2, 5, 7, 26, 80, 81, 200])
+    @pytest.mark.parametrize(
+        "per_joint",
+        [
+            [[0.5] * 3] * 4,  # every total ties
+            [[0.5, 0.25, 0.5], [0.25, 0.5, 0.25], [0.5, 0.5, 0.25], [0.25, 0.25, 0.5]],
+        ],
+        ids=["all-equal", "two-levels"],
+    )
+    def test_ties_straddling_the_cut(self, per_joint, beam):
+        """The cut keeps the lowest-index partials among those tied at the
+        beam-th largest total, as the reference's sort does."""
+        assert assemble(per_joint, beam) == beam_assemble_reference(per_joint, beam)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bench_scale_beam(self, seed):
+        """14 joints of 5 peaks on a few levels and beam 500: expansions of
+        2,500 partials with many ties at each cut."""
+        rng = np.random.default_rng(seed)
+        levels = np.array([0.25, 0.5, 0.625, 0.75, 0.9, 1.0])
+        per_joint = [list(rng.choice(levels, size=5)) for _ in range(N_JOINTS)]
+        got = assemble(per_joint, 500)
+        assert len(got) == 500
+        assert got == beam_assemble_reference(per_joint, 500)
 
 
 class TestEnumerateCandidates:
@@ -249,3 +290,33 @@ class TestBatchedAgainstReference:
     def test_beam_assemble(self, per_joint, beam):
         assert assemble(per_joint, beam) == beam_assemble_reference(per_joint, beam)
 
+
+class TestHardCorpusDigests:
+    """Candidates at the benchmark's scale: the property tests stop at 7 x 7
+    maps and 5 peaks per joint, while a hard corpus (distractor rate 0.6,
+    noise 6 px) makes 48 x 48 maps and beam expansions of 1,500 partials."""
+
+    # (candidates, SHA-256 of the keypoint then the score bytes) per image,
+    # computed with the per-step argsort beam that the partition beam replaced
+    DIGESTS = {
+        "athletics_0000": (500, "5bbf18b62583af6b268bd80f588567efc683dc6b848f8560803079b44da3bef0"),
+        "athletics_0001": (500, "0cde5ba44aad9c66dc56a600ae10d5296bef1d64e30adf827ac23b2be360e140"),
+        "athletics_0002": (32, "f3ed91900a85355facc94f3f5dcf5d557c4a1bbb94c13d3cfd9ef50619ba89fc"),
+        "badminton_0000": (256, "1a5a378b94b2a8765a5a737d2e1e0d2cb591628c7c76a64f1347079ed66eb3bf"),
+        "badminton_0001": (500, "736e1b1840ca1ecde7330e24e460a61e7f416dcf6cd185af9e4de383a1f7215d"),
+        "badminton_0002": (256, "d60353eaab7c51894025144097c04f612b14323e1ec22ba86b5fc8f052b8e171"),
+        "bg_0000": (500, "6376b7945be982903f9f7d7eb5963e26f91b775e12d56ccc9fab7c06809cbfb9"),
+    }
+
+    def test_candidates_keep_their_bytes(self, tmp_path):
+        out = tmp_path / "hard"
+        assert cli.main(["synth", "--out", str(out), "--actions", "2", "--poses", "3",
+                         "--backgrounds", "1", "--seed", "4", "--outlier-rate", "0.6",
+                         "--noise", "6"]) == 0
+        got = {}
+        for path in sorted((out / "heatmaps").glob("*.hm")):
+            maps = fileio.read_heatmaps(path)
+            cands = enumerate_candidates(maps, CandidateGenConfig(), path.stem)
+            digest = hashlib.sha256(cands.keypoints.tobytes() + cands.scores.tobytes())
+            got[path.stem] = (len(cands), digest.hexdigest())
+        assert got == self.DIGESTS

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from poseboot import metrics
 from poseboot.metrics import (
     ReferenceLength,
     format_pck_table,
@@ -75,6 +76,15 @@ class TestPcp:
         est = displaced(gt, a, 1e-9)
         flags, _ = pcp_correct(gt, est, eps=0.7)
         assert not flags[0]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 150.0, 1e6])
+    def test_tolerances_match_one_dimensional_norm(self, rng, scale):
+        """Each limb's tolerance is eps times its 1-D np.linalg.norm, bit for
+        bit (norm(axis=1) differs by an ulp on some limbs)."""
+        for _ in range(200):
+            pts = rng.normal(0.0, scale, (14, 2))
+            want = [0.7 * float(np.linalg.norm(pts[int(a)] - pts[int(b)])) for a, b in LIMBS]
+            assert metrics._pcp_tolerances(Skeleton(pts), 0.7).tolist() == want
 
 
 class TestPck:
@@ -216,3 +226,23 @@ class TestSelectionStats:
             one = CandidateSet("i", rows[k : k + 1], [1.0])
             r = selection_stats([("i", gt)], {"i": one}, {}, eps=0.7)
             assert r.counts[3] == int(pcp_correct(gt, Skeleton(rows[k]), 0.7)[1])
+
+    def test_tolerances_computed_once_per_image(self, rng, monkeypatch):
+        """Row 0, the other rows and the selected pose of an image share one
+        tolerance computation; an image without truth makes none."""
+        calls = []
+        tolerances = metrics._pcp_tolerances
+
+        def counted(gt, eps):
+            calls.append(gt)
+            return tolerances(gt, eps)
+
+        monkeypatch.setattr(metrics, "_pcp_tolerances", counted)
+        truth = self._fixture(rng, n=4)
+        junk = {i: Skeleton(s.keypoints + 1e5) for i, s in truth.items()}
+        candidates = {i: make_set(i, [junk[i], s]) for i, s in truth.items()}
+        ws = list(truth.items()) + [("none", None)]
+        candidates["none"] = make_set("none", [junk["i0"]])
+        r = selection_stats(ws, candidates, dict(truth, none=junk["i0"]), eps=0.7)
+        assert r.counts == (4, 5, 4, 4)
+        assert [id(gt) for gt in calls] == [id(s) for s in truth.values()]
