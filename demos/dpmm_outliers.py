@@ -35,7 +35,7 @@ X = np.vstack(feats)
 scores = np.concatenate([rng.uniform(0.6, 1.0, 50), [0.2, 0.2]])
 
 cfg = DpmmConfig(gamma=1.0, alpha=1 / 3, seed=0)
-Z = project(X, 8)  # light projection keeps the sampler cheap
+Z = project(X, cfg)  # light projection keeps the sampler cheap
 partition = gibbs_cluster(Z, cfg)
 print(f"found {partition.n_clusters} clusters with sizes {partition.sizes()}")
 for k in range(partition.n_clusters):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio
 from .dpmm import (
-    RESTARTS, DpmmConfig, detect_outliers, format_outlier_report, gibbs_cluster, project_features
+    RESTARTS, DpmmConfig, detect_outliers, format_outlier_report, gibbs_cluster, project
 )
 from .features import relational_features
 from .heatmaps import CandidateGenConfig, enumerate_candidates
@@ -234,12 +234,15 @@ def _load_corpus(corpus_dir: Path):
             ws.append(WsExample(i, ActionLabel.parse(a)))
         except ValueError as e:
             raise ValueError(f"{split_path}: image {i!r}: {e}") from None
-    split = DatasetSplit(
-        fs=tuple(fs),
-        ws=tuple(ws),
-        us=tuple(manifest.get("us", ())),
-        backgrounds=tuple(manifest.get("backgrounds", ())),
-    )
+    try:
+        split = DatasetSplit(
+            fs=tuple(fs),
+            ws=tuple(ws),
+            us=tuple(manifest.get("us", ())),
+            backgrounds=tuple(manifest.get("backgrounds", ())),
+        )
+    except ValueError as e:
+        raise ValueError(f"{split_path}: {e}") from None
     heatmaps = {f.stem: f for f in sorted((corpus_dir / "heatmaps").glob("*.hm"))}
     needed = [*split.ws_actions(), *split.us, *split.backgrounds]
     for i in needed:
@@ -426,7 +429,7 @@ def _dpmm_config(a: dict) -> DpmmConfig:
 def _cmd_cluster(a: dict) -> int:
     cfg = _dpmm_config(a)
     _, X, _ = _features_and_scores(a["poses"])
-    X = project_features(X, cfg)
+    X = project(X, cfg)
     p = gibbs_cluster(X, cfg)
     sizes = ",".join(str(s) for s in p.sizes())
     text = (
@@ -442,7 +445,7 @@ def _cmd_cluster(a: dict) -> int:
 def _cmd_outliers(a: dict) -> int:
     cfg = _dpmm_config(a)
     records, X, scores = _features_and_scores(a["poses"])
-    X = project_features(X, cfg)
+    X = project(X, cfg)
     p = gibbs_cluster(X, cfg)
     report = detect_outliers(X, scores, p, cfg)
     fileio.atomic_write(a["out"], format_outlier_report(report))

@@ -24,7 +24,6 @@ __all__ = [
     "NigBase",
     "DpmmConfig",
     "project",
-    "project_features",
     "cluster_log_marginal",
     "sample_partitions",
     "gibbs_cluster",
@@ -147,15 +146,18 @@ class DpmmConfig:
             raise ValueError("small_cluster_max must be >= 1")
 
 
-def project(features: np.ndarray, d: int) -> np.ndarray:
-    """Center and project onto the top-d principal directions. Centered,
-    n rows span at most n - 1 directions, so d is at most min(dim, n - 1)."""
+def project(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
+    """Features as the sampler sees them: centered and projected onto the
+    top cfg.pca_dim principal directions when that is fewer than their
+    dimension, unchanged otherwise. Centered, n rows span at most n - 1
+    directions, so no more are kept."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least 2 features")
     n, dim = X.shape
-    if not (1 <= d <= min(dim, n - 1)):
-        raise ValueError(f"d must be in [1, {min(dim, n - 1)}], got {d}")
+    if cfg.pca_dim >= dim:
+        return X
+    d = min(cfg.pca_dim, n - 1)
     mean = X.mean(axis=0)
     _, _, vt = np.linalg.svd(X - mean, full_matrices=False)
     basis = vt[:d].T.copy()
@@ -165,16 +167,6 @@ def project(features: np.ndarray, d: int) -> np.ndarray:
         if basis[j, c] < 0:
             basis[:, c] = -basis[:, c]
     return (X - mean) @ basis
-
-
-def project_features(features: np.ndarray, cfg: DpmmConfig) -> np.ndarray:
-    """Features as the sampler sees them: projected onto the top cfg.pca_dim
-    principal directions, and at most n - 1 for n rows (centered rows span
-    no more), when that is fewer than their dimension; unchanged otherwise."""
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if cfg.pca_dim < X.shape[1]:
-        X = project(X, min(cfg.pca_dim, X.shape[0] - 1, X.shape[1]))
-    return X
 
 
 # Cephes lgam (S. L. Moshier, Methods and Programs for Mathematical
@@ -300,41 +292,25 @@ def _partition_log_evidence(X: np.ndarray, p: Partition, base: NigBase) -> float
     return float(sum(cluster_log_marginal(X[p.members(k)], base) for k in range(p.n_clusters)))
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a finite 1-D array, rounded as SciPy 1.17 rounds it.
-
-    The m entries tied at the maximum are left out of the sum s of
-    exp(a - max) over the rest; the result is log1p(s/m) + log(m) + max, with
-    s left at 0 when it is 0. Doing these steps here keeps the sampler's draws
-    the same under any SciPy version.
-    """
-    values = a.tolist()
-    top = max(values)
-    m = values.count(top)
-    e = np.exp(a - top)
-    if m == 1:
-        e[values.index(top)] = 0.0
-    else:
-        e[a == top] = 0.0
-    s = np.add.reduce(e)
-    if s != 0:
-        s = s / m
-    return np.log1p(s) + np.log(np.float64(m)) + top
-
-
-# Widest rows _logsumexp_rows may normalize. NumPy sums a row of 8 or more
-# with unrolled partial sums, so the -inf padding of a shorter row would
-# change the rounding of its sum; up to 7 the sum runs left to right and
-# the padding adds exact zeros.
+# Rows this narrow share one batch, -inf padded to the widest of them;
+# each wider row is batched with the rows of its own width. NumPy sums a
+# row of 8 or more with unrolled partial sums, so padding would change the
+# rounding of its sum; up to 7 the sum runs left to right and the padding
+# adds exact zeros.
 _ROWS_MAX_WIDTH = 7
 
 
 def _logsumexp_rows(w: np.ndarray) -> np.ndarray:
-    """_logsumexp of every row of w, (rows, width) with width <= 7.
+    """log(sum(exp(row))) of every row of w, rounded as SciPy 1.17 rounds it.
 
-    Each row holds its finite weights, then -inf padding. Every value is the
-    double _logsumexp gives for the row without its padding: s/m is 0/m = 0
-    where s is 0, and the padding's exp(-inf) adds 0 to s.
+    A row holds finite weights, then, when at most 7 wide, any -inf padding.
+    The m entries tied at the row's maximum are left out of the sum s of
+    exp(w - max) over the rest; the result is log1p(s/m) + log(m) + max.
+    The padding's exp(-inf) adds exact zeros to s, and NumPy sums each row
+    of a C-ordered array as it sums that row alone, so every value is the
+    one the row gives without its padding and without the other rows.
+    Doing these steps here keeps the sampler's draws the same under any
+    SciPy version.
     """
     top = np.maximum.reduce(w, axis=1, keepdims=True)
     tied = w == top
@@ -368,9 +344,10 @@ def sample_partitions(
     The chains run in lockstep: at each step every chain still in its pass
     seats or reseats its i-th point. One marginal evaluation covers, for
     every such chain, its clusters with the point added and the cluster the
-    point left, and one log-sum-exp normalizes all their weights while the
-    padded width is at most 7 (each chain alone otherwise). Only
-    elementwise operations and row sums of equal length are batched, so
+    point left. _logsumexp_rows then normalizes the weights in batches:
+    the chains with at most 7 weights share one -inf padded batch, and each
+    wider chain shares one with the chains of its own width. Only
+    elementwise operations and row sums that pad exactly are batched, so
     every chain's samples and scores equal those of the chain run alone,
     bit for bit, and there is nothing to tune.
     """
@@ -483,13 +460,14 @@ def sample_partitions(
             logw -= cache[:a, :width]
             for c in live[i]:
                 logw[c, k[c]] = new_w[c][i]
-            if a > 1 and width <= _ROWS_MAX_WIDTH:
-                probs = np.exp(logw - _logsumexp_rows(logw)[:, None]).tolist()
-            else:
-                probs = []
-                for c in live[i]:
-                    w = logw[c, : k[c] + 1]
-                    probs.append(np.exp(w - _logsumexp(w)).tolist())
+            groups: dict[int, list[int]] = {}
+            for c in live[i]:
+                groups.setdefault(max(k[c] + 1, _ROWS_MAX_WIDTH), []).append(c)
+            probs = [None] * a
+            for wg, cs in groups.items():
+                w = logw[cs, :wg]
+                for c, p in zip(cs, np.exp(w - _logsumexp_rows(w)[:, None]).tolist()):
+                    probs[c] = p
 
             for c in live[i]:
                 # first cumulative probability at or above the draw (inverse CDF)
@@ -713,7 +691,7 @@ def recover_poses(
     if len(seeds) != len(pools):
         raise ValueError("need one seed per pool")
     projected = {
-        j: project_features(features, cfg)
+        j: project(features, cfg)
         for j, (features, _, _) in enumerate(pools)
         if len(features) >= 4
     }

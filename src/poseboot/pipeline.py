@@ -338,12 +338,19 @@ def write_iteration_files(
     atomic_write(exchange_dir / f"report_iter{t}.txt", "\n".join(lines) + "\n")
 
 
-def read_candidate_dir(path: Path) -> dict[str, CandidateSet]:
-    """Ingest refreshed candidates: one <image_id>.jsonl per image, whose
-    records become that image's set in file order. A record of another
-    image is an error that names the file and both ids."""
+def read_candidate_dir(path: Path, split: DatasetSplit) -> dict[str, CandidateSet]:
+    """Ingest refreshed candidates: one <image_id>.jsonl per image of split,
+    whose records become that image's set in file order. A file of an image
+    the split does not list is an error that names the file, checked before
+    any file is read; a record of another image is one that names the file
+    and both ids."""
+    images = {*split.fs_ids(), *split.ws_ids(), *split.us, *split.backgrounds}
+    files = sorted(path.glob("*.jsonl"))
+    for f in files:
+        if f.stem not in images:
+            raise ValueError(f"{f}: names no image of the split")
     out = {}
-    for f in sorted(path.glob("*.jsonl")):
+    for f in files:
         records = read_pose_records(f)
         for r in records:
             if r.image_id != f.stem:
@@ -376,7 +383,7 @@ def run_pipeline(
         if exchange_dir is not None:
             refresh = exchange_dir / f"candidates_iter{t}"
             if refresh.is_dir():
-                cands = {**cands, **read_candidate_dir(refresh)}
+                cands = {**cands, **read_candidate_dir(refresh, split)}
         new = run_iteration(states[-1], split, cands, cfg, gt=gt)
         if exchange_dir is not None:
             write_iteration_files(exchange_dir, new, split, cfg)

@@ -639,6 +639,23 @@ class TestInputErrors:
         )
         assert not (tmp_path / "x" / "annotations_iter1.jsonl").exists()
 
+    def test_pipeline_refresh_of_an_image_not_in_the_split_is_data_error(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        donor = sorted(json.loads((corpus_dir / "split.json").read_text())["ws"])[0]
+        record = fileio.read_pose_index(corpus_dir / "truth.jsonl")[donor]
+        refresh = tmp_path / "x" / "candidates_iter1"
+        refresh.mkdir(parents=True)
+        path = refresh / "stranger.jsonl"
+        fileio.write_pose_records(
+            path, [fileio.PoseRecord("stranger", record.keypoints, record.action, 0.9)]
+        )
+        rc = cli.main(["pipeline", "--corpus", str(corpus_dir), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "semi", "--audit"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: names no image of the split\n"
+        assert not (tmp_path / "x" / "annotations_iter1.jsonl").exists()
+
     def _maps(self, corpus_dir):
         hm = sorted((corpus_dir / "heatmaps").glob("*.hm"))[0]
         return fileio.read_heatmaps(hm)
@@ -762,7 +779,9 @@ class TestInputErrors:
         rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(exchange),
                        "--scheme", "weak"])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: invalid split: image {fs!r} is in both fs and ws\n"
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'split.json'}: invalid split: image {fs!r} is in both fs and ws\n"
+        )
         assert read == [] and not exchange.exists()
 
     @pytest.mark.parametrize(
@@ -1086,7 +1105,7 @@ class TestDefaults:
         poses = tmp_path / "p.jsonl"
         write_template_poses(poses, rng, 6)
         argv = [command, "--poses", str(poses), "--out", str(tmp_path / "x"), *seed_flag]
-        cfg = built_config(monkeypatch, "project_features", argv, cli.DpmmConfig)
+        cfg = built_config(monkeypatch, "project", argv, cli.DpmmConfig)
         assert cfg == cli.DpmmConfig(**seeded)
 
     def test_candidates(self, corpus_dir, tmp_path, monkeypatch):
@@ -1281,8 +1300,8 @@ class TestEverySettingHasAnOption:
             "synth": ("synth_corpus", ["--out", str(tmp_path / "c")]),
             "candidates": ("_image_candidates", ["--heatmaps", str(corpus_dir / "heatmaps"),
                                                  "--out", str(tmp_path / "c.jsonl")]),
-            "cluster": ("project_features", ["--poses", str(poses), "--out", str(tmp_path / "o")]),
-            "outliers": ("project_features", ["--poses", str(poses), "--out", str(tmp_path / "o")]),
+            "cluster": ("project", ["--poses", str(poses), "--out", str(tmp_path / "o")]),
+            "outliers": ("project", ["--poses", str(poses), "--out", str(tmp_path / "o")]),
             "pipeline": ("run_pipeline", ["--corpus", str(corpus_dir), "--exchange",
                                           str(tmp_path / "x"), "--scheme", "weakC"]),
             "train-svm": ("training_set", ["--positives", str(poses), "--negatives", str(poses),
@@ -1317,8 +1336,8 @@ class TestInputErrorsNameTheirRecord:
                        "--scheme", "semi"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: invalid split: annotation for image {image!r} has a degenerate torso: "
-            "its neck is on its hip midpoint\n"
+            f"error: {corpus / 'split.json'}: invalid split: annotation for image {image!r} "
+            "has a degenerate torso: its neck is on its hip midpoint\n"
         )
 
     @pytest.mark.parametrize("bad_file", ["positives", "negatives"])

@@ -1,4 +1,5 @@
 """Infinite-mixture clustering: priors, marginals, Gibbs, outlier pruning."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -171,7 +172,7 @@ class TestClusterMarginal:
 class TestProjection:
     def test_reduces_dimension_and_centers(self, rng):
         X = rng.normal(size=(40, 10))
-        Z = project(X, 3)
+        Z = project(X, DpmmConfig(pca_dim=3))
         assert Z.shape == (40, 3)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
 
@@ -182,15 +183,15 @@ class TestProjection:
         a[:, 2] -= 8.0
         b[:, 2] += 8.0
         X = np.vstack([a, b])
-        Z = project(X, 1)
+        Z = project(X, DpmmConfig(pca_dim=1))
         signs = np.sign(Z[:, 0])
         assert len(set(signs[:25])) == 1 and len(set(signs[25:])) == 1
         assert signs[0] != signs[-1]
 
     def test_sign_convention_deterministic(self, rng):
         X = rng.normal(size=(12, 5))
-        Z1 = project(X, 2)
-        Z2 = project(X.copy(), 2)
+        Z1 = project(X, DpmmConfig(pca_dim=2))
+        Z2 = project(X.copy(), DpmmConfig(pca_dim=2))
         np.testing.assert_array_equal(Z1, Z2)
         # the basis, recovered from the centered rows (full column rank):
         # each direction points toward its largest-magnitude component
@@ -200,17 +201,13 @@ class TestProjection:
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            project(np.zeros((1, 4)), 1)
-
-    def test_d_above_the_rank_of_the_centered_rows_rejected(self, rng):
-        with pytest.raises(ValueError, match=r"d must be in \[1, 3\], got 4"):
-            project(rng.normal(size=(4, 10)), 4)
+            project(np.zeros((1, 4)), DpmmConfig(pca_dim=1))
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_small_pools_keep_only_directions_with_spread(self, rng, n):
         """n centered rows span n - 1 directions; a projection onto n would
         add a column of rounding noise, in which every point agrees."""
-        Z = dpmm.project_features(rng.normal(size=(n, 1275)), DpmmConfig())
+        Z = project(rng.normal(size=(n, 1275)), DpmmConfig())
         assert Z.shape == (n, min(8, n - 1))
         spread = np.ptp(Z, axis=0)
         assert spread.min() > 1e-6 * spread.max()
@@ -368,28 +365,43 @@ class TestSamplerAgainstReference:
         the maximum weight, and clusters open, empty and get relabelled."""
         X = np.repeat(np.array([[0.0], [0.5], [4.0]]), 6, axis=0)
         cfg = DpmmConfig(gamma=5.0, gibbs_iters=30, burn_in=0, seed=7)
-        ties = []
-        normalizer = dpmm._logsumexp
+        ties, widths = [], []
+        normalizer = dpmm._logsumexp_rows
 
-        def counting(a):
-            ties.append(int(np.count_nonzero(a == a.max())))
-            return normalizer(a)
+        def counting(w):
+            ties.extend(np.count_nonzero(w == w.max(axis=1, keepdims=True), axis=1).tolist())
+            widths.append(w.shape[1])
+            return normalizer(w)
 
-        monkeypatch.setattr(dpmm, "_logsumexp", counting)
+        monkeypatch.setattr(dpmm, "_logsumexp_rows", counting)
         (samples,) = sample_partitions(X, cfg, [(len(X), cfg.seed)])
         assert max(ties) > 1
+        # normalized both in the padded batch and alone at its own width
+        assert min(widths) <= 7 < max(widths)
         sizes = [max(z) + 1 for z, _ in samples]
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
         assert samples == reference_samples(X, cfg)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=70),
-        st.integers(0, 5),
+        st.lists(
+            st.lists(st.sampled_from([-3.0, 0.0, 0.5, 2.0]) | st.floats(-700.0, 700.0),
+                     min_size=1, max_size=70),
+            min_size=1, max_size=5,
+        ),
+        st.booleans(),
     )
-    def test_normalizer_rounds_like_scipy(self, values, extra_ties):
-        a = np.array(values + [max(values)] * extra_ties)
-        assert dpmm._logsumexp(a) == logsumexp(a)
+    def test_normalizer_rounds_like_scipy(self, rows, padded):
+        """Rows of one width, or rows of up to 7 weights -inf padded to the
+        widest of them: every value is SciPy's for the row alone."""
+        if padded:
+            rows = [r[:7] for r in rows]
+        else:
+            rows = [(r * 70)[: len(rows[0])] for r in rows]
+        w = np.full((len(rows), max(len(r) for r in rows)), -np.inf)
+        for i, r in enumerate(rows):
+            w[i, : len(r)] = r
+        assert dpmm._logsumexp_rows(w).tolist() == [logsumexp(r) for r in rows]
 
 
 @st.composite
@@ -454,9 +466,10 @@ class TestLockstepChains:
 
     def test_wide_normalizer_and_emptied_clusters(self, monkeypatch):
         """Three chains of equal length, so all three are in every step: a
-        spread-out chain opens many clusters and pads the others' rows to 8
-        or more, where each chain is normalized alone; narrower steps are
-        normalized together. Clusters also empty and get swap-deleted."""
+        spread-out chain opens 8 or more clusters, and its weights are
+        normalized with the chains of its own width while the narrower
+        chains share a -inf padded batch. Clusters also empty and get
+        swap-deleted."""
         rng = np.random.default_rng(2)
         blocks = [
             rng.normal(size=(20, 2)) * 30.0,
@@ -465,25 +478,20 @@ class TestLockstepChains:
         ]
         seeds = [5, 6, 7]
         cfg = DpmmConfig(gamma=3.0, gibbs_iters=40, burn_in=0)
-        together, alone = [], []
-        rows, single = dpmm._logsumexp_rows, dpmm._logsumexp
+        padded, exact = [], []
+        normalizer = dpmm._logsumexp_rows
 
-        def batched(w):
-            together.append(w.shape)
-            return rows(w)
+        def grouped(w):
+            (padded if w.shape[1] <= 7 else exact).append((w.shape[0], bool(np.isinf(w).any())))
+            return normalizer(w)
 
-        def per_chain(a):
-            alone.append(len(a))
-            return single(a)
-
-        monkeypatch.setattr(dpmm, "_logsumexp_rows", batched)
-        monkeypatch.setattr(dpmm, "_logsumexp", per_chain)
+        monkeypatch.setattr(dpmm, "_logsumexp_rows", grouped)
         got = run_chains(blocks, seeds, cfg)
-        assert together and max(width for _, width in together) <= 7
-        assert {n for n, _ in together} == {3}
-        # per-chain normalization happens only in steps padded to 8 or more,
-        # and there some chain's own row is narrower than the padding
-        assert len(alone) % 3 == 0 and max(alone) >= 8 and min(alone) < 8
+        # some padded batch pads a row, and no batch wider than 7 does
+        assert any(pad for _, pad in padded) and exact and not any(pad for _, pad in exact)
+        # every step normalizes all 3 chains, so a padded batch of fewer
+        # rows shares its step with an exact-width one
+        assert min(n for n, _ in padded) < 3
         for block, seed, samples in zip(blocks, seeds, got):
             assert samples == reference_samples(block, replace(cfg, seed=seed))
         emptied = [
@@ -501,17 +509,72 @@ class TestLockstepChains:
         )
     )
     def test_row_normalizer_equals_the_single_one(self, rows):
+        """A -inf padded batch gives every row the value it gives alone."""
         width = max(len(r) for r in rows)
         w = np.full((len(rows), width), -np.inf)
         for i, r in enumerate(rows):
             w[i, : len(r)] = r
         got = dpmm._logsumexp_rows(w)
-        assert got.tolist() == [dpmm._logsumexp(np.array(r)) for r in rows]
+        assert got.tolist() == [dpmm._logsumexp_rows(np.array([r]))[0] for r in rows]
 
     @pytest.mark.parametrize("chains", [[], [(3, 0)], [(4, 0), (3, 1)], [(6, 0), (0, 1)]])
     def test_chain_sizes_must_cover_the_rows(self, chains):
         with pytest.raises(ValueError, match="chain sizes"):
             sample_partitions(np.zeros((6, 1)), DpmmConfig(gibbs_iters=2, burn_in=0), chains)
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# A digest pins every last bit of NumPy's float64 exp and log, which run
+# NumPy's own AVX-512 kernels where the CPU has them and the C library's
+# elsewhere; the two may round a value differently.
+needs_avx512 = pytest.mark.skipif(
+    not __cpu_features__.get("AVX512F"),
+    reason="the digest was recorded with NumPy's AVX-512 exp and log",
+)
+
+
+@needs_avx512
+class TestBenchScale:
+    """The sampler at the scale recover_poses runs it keeps its draws."""
+
+    # SHA-256 of repr(samples) below, recorded with the per-chain
+    # normalizer that the sampler used before its width groups
+    DIGEST = "7259b191a829a039f6a7b05e2bdc6056dd21613d14570fa405f1ee84d6d61fb8"
+
+    def test_samples_keep_their_digest(self, monkeypatch):
+        """4 pools of 60-80 rows in 8-D, six clusters and scattered rows
+        each, run as RESTARTS chains apiece (16 chains, seeded [pool, r]),
+        with 8 or more clusters in some chains. The rows are not projected,
+        so BLAS threading cannot move the digest."""
+        wide = []
+        normalizer = dpmm._logsumexp_rows
+
+        def recording(w):
+            if w.shape[1] > 7:
+                wide.append((w.shape[1], bool(np.isinf(w).any())))
+            return normalizer(w)
+
+        monkeypatch.setattr(dpmm, "_logsumexp_rows", recording)
+        rng = np.random.default_rng(24)
+        pools = []
+        for n in (60, 67, 74, 80):
+            centers = rng.normal(size=(6, 8)) * 4.0
+            X = centers[rng.integers(0, 6, n)] + rng.normal(size=(n, 8)) * 0.5
+            X[: n // 8] = rng.normal(size=(n // 8, 8)) * 8.0
+            pools.append(X)
+        samples = sample_partitions(
+            np.vstack([X for X in pools for _ in range(RESTARTS)]),
+            DpmmConfig(),
+            [(len(X), [j, r]) for j, X in enumerate(pools) for r in range(RESTARTS)],
+        )
+        assert max(max(z) + 1 for chain in samples for z, _ in chain) >= 8
+        # chains of several widths above 7, none of them padded
+        assert len({width for width, _ in wide}) > 1 and not any(pad for _, pad in wide)
+        assert hashlib.sha256(repr(samples).encode()).hexdigest() == self.DIGEST
 
 
 class TestMergeSet:

@@ -585,7 +585,7 @@ class TestExchangeFiles:
             tmp_path / f"{image_id}.jsonl",
             [PoseRecord(image_id, skel.keypoints, action, score=0.75)],
         )
-        out = read_candidate_dir(tmp_path)
+        out = read_candidate_dir(tmp_path, corpus.split)
         assert list(out) == [image_id] and len(out[image_id]) == 1
         cands = out[image_id]
         assert cands.image_id == image_id
@@ -599,11 +599,20 @@ class TestExchangeFiles:
         write_pose_records(path, [PoseRecord(mine, skel.keypoints, action),
                                   PoseRecord(other, skel.keypoints, action)])
         with pytest.raises(ValueError) as e:
-            read_candidate_dir(tmp_path)
+            read_candidate_dir(tmp_path, corpus.split)
         assert str(e.value) == f"{path}: record for image {other!r} in the file of image {mine!r}"
 
+    def test_file_of_an_image_the_split_does_not_list_is_rejected(self, tmp_path):
+        corpus, _ = tiny_corpus()
+        skel, action = corpus.truth[corpus.split.ws[0].image_id]
+        path = tmp_path / "stranger.jsonl"
+        write_pose_records(path, [PoseRecord("stranger", skel.keypoints, action)])
+        with pytest.raises(ValueError) as e:
+            read_candidate_dir(tmp_path, corpus.split)
+        assert str(e.value) == f"{path}: names no image of the split"
+
     def test_read_candidate_dir_empty(self, tmp_path):
-        assert read_candidate_dir(tmp_path) == {}
+        assert read_candidate_dir(tmp_path, tiny_corpus()[0].split) == {}
 
 
 class TestRunPipeline:
@@ -629,7 +638,10 @@ class TestRunPipeline:
             assert states[-1].report.counts[1] >= states[1].report.counts[1]
 
     def test_candidate_refresh_is_ingested(self, tmp_path):
+        """An unlabeled image of the split with no candidates at first gets
+        its first ones from the refresh before iteration 2."""
         corpus, cands = tiny_corpus()
+        split = replace(corpus.split, us=corpus.split.us + ("extra_0000",))
         donor = corpus.split.ws[0].image_id
         skel, _ = corpus.truth[donor]
         refresh = tmp_path / "candidates_iter2"
@@ -638,9 +650,7 @@ class TestRunPipeline:
             refresh / "extra_0000.jsonl",
             [PoseRecord("extra_0000", skel.keypoints, score=0.9)],
         )
-        states = run_pipeline(
-            corpus.split, cands, fast_cfg(scheme=Scheme.SEMI), tmp_path
-        )
+        states = run_pipeline(split, cands, fast_cfg(scheme=Scheme.SEMI), tmp_path)
         assert "extra_0000" not in {a.image_id for a in states[1].accepted}
         assert "extra_0000" in {a.image_id for a in states[-1].accepted}
 
