@@ -227,6 +227,10 @@ def _load_corpus(corpus_dir: Path):
             raise ValueError(f"{truth_path}: no record for annotated image {i!r}")
         if rec.action is None:
             raise ValueError(f"{truth_path}: truth record for {i!r} lacks an action")
+        # the reader has rejected a non-finite one; DatasetSplit would name split.json
+        if not torso_lengths(rec.keypoints[None])[0] > 0.0:
+            raise ValueError(f"{truth_path}: annotation for image {i!r} has a degenerate "
+                             "torso: its neck is on its hip midpoint")
         fs.append(FsExample(i, rec.skeleton(), rec.action))
     ws = []
     for i, a in manifest["ws"].items():

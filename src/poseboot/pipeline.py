@@ -117,6 +117,15 @@ def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
     return keypoints[np.linspace(0, n - 1, cap).round().astype(int)]
 
 
+def _positive_keypoints(
+    annotations: Sequence[Skeleton], cfg: PipelineConfig, rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Per annotation, its keypoints then its cfg.n_synth jitters of radius
+    cfg.eps, (1 + n_synth, 14, 2), drawn from rng in annotation order."""
+    return [np.concatenate([s.keypoints[None], synthesize_positives(s, cfg.n_synth, cfg.eps, rng)])
+            for s in annotations]
+
+
 def training_set(
     annotations: Sequence[Skeleton], negatives: np.ndarray,
     cfg: PipelineConfig, rng: np.random.Generator,
@@ -126,15 +135,24 @@ def training_set(
     annotation order, labeled +1; then the negative keypoints (m, 14, 2),
     thinned to MAX_NEGATIVES, labeled -1."""
     negatives = thin_negatives(negatives, MAX_NEGATIVES)
-    poses = [np.concatenate([s.keypoints[None], synthesize_positives(s, cfg.n_synth, cfg.eps, rng)])
-             for s in annotations]
-    keypoints = np.concatenate([*poses, negatives])
+    keypoints = np.concatenate([*_positive_keypoints(annotations, cfg, rng), negatives])
     n = len(keypoints)
     # the features fill all but the last column of the buffer that train
     # standardizes in place
     buf = np.empty((n, relational_length(N_JOINTS) + 1))
     X = relational_features(keypoints, normalize=True, out=buf[:, :-1])
     return TrainSet(X, np.repeat([1.0, -1.0], [n - len(negatives), len(negatives)]))
+
+
+def _own_set(positives: np.ndarray, negatives: np.ndarray) -> TrainSet:
+    """The positive keypoints (p, 14, 2), featurized, labeled +1, then the
+    negatives' feature rows (m, L), copied, labeled -1, in a buffer laid
+    out as training_set's. The buffer lives only while its selector trains."""
+    p, m = len(positives), len(negatives)
+    buf = np.empty((p + m, negatives.shape[1] + 1))
+    relational_features(positives, normalize=True, out=buf[:p, :-1])
+    buf[p:, :-1] = negatives
+    return TrainSet(buf[:, :-1], np.repeat([1.0, -1.0], [p, m]))
 
 
 def _train_selectors(
@@ -145,7 +163,7 @@ def _train_selectors(
     scored: Sequence[str],
 ) -> tuple[Optional[SvmModel], dict[ActionLabel, SvmModel]]:
     """Selectors for the images in scored, each train(ts, reg=cfg.reg) on
-    rows of the round's one training_set: the annotations, then the poses
+    rows of the round's training_set: the annotations, then the poses
     accepted so far, against negatives mined from the backgrounds.
     Returns (general, {action: model}).
 
@@ -154,9 +172,17 @@ def _train_selectors(
     the general action with at least MIN_ACTION_ANNOTATIONS annotations
     gets a selector of its own positives' rows and every negative; general,
     on every row, is trained only when some annotated or scored action
-    lacks its own, and is None otherwise. Each per-action subset is a copy
-    trained before general, since train standardizes the whole set in
-    place: the round holds its matrix once, plus one subset at a time.
+    lacks its own, and is None otherwise.
+
+    Memory: the background keypoints are dropped once thinned. When some
+    selector trains on every row, the round builds training_set's matrix
+    once and copies out each per-action subset, trained before general in
+    place: it holds the matrix plus one subset at a time. Otherwise it
+    builds no such matrix: the positives are drawn as training_set draws
+    them, and each per-action selector's buffer holds its own positives'
+    features and a copy of the negatives', featurized once. A row's
+    features do not depend on the rows computed with it, so both ways
+    train the same models bit for bit.
 
     A background candidate whose torso is degenerate is an error naming
     its image and row, whether or not thinning keeps it.
@@ -172,21 +198,33 @@ def _train_selectors(
         if bad.size:
             raise ValueError(f"background image {cands.image_id!r}: "
                              f"cannot normalize: degenerate torso in row {bad[0]}")
-    mined = np.concatenate([np.empty((0, N_JOINTS, 2))] + [c.keypoints for c in backgrounds])
-    ts = training_set([e.skeleton for e in annotations], mined, cfg, rng)
+    negatives = thin_negatives(
+        np.concatenate([np.empty((0, N_JOINTS, 2))] + [c.keypoints for c in backgrounds]),
+        MAX_NEGATIVES,
+    )
+    skeletons = [e.skeleton for e in annotations]
     if cfg.scheme is Scheme.SEMI:
-        return train(ts, reg=cfg.reg), {}
+        return train(training_set(skeletons, negatives, cfg, rng), reg=cfg.reg), {}
     actions = Counter(e.action for e in annotations)
     own = [a for a, n in actions.items()
            if n >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL]
-    models = {}
-    for a in own:
-        keep = ts.labels < 0  # every negative, and the positives of a's annotations
-        keep[~keep] = np.repeat([e.action is a for e in annotations], 1 + cfg.n_synth)
-        models[a] = train(ts.subset(keep), reg=cfg.reg)
     ws_action = split.ws_actions()
-    needs_general = any(a not in own for a in (*actions, *(ws_action[i] for i in scored)))
-    return (train(ts, reg=cfg.reg) if needs_general else None), models
+    models = {}
+    # general trains on every row, so the round builds that matrix
+    if any(a not in own for a in (*actions, *(ws_action[i] for i in scored))):
+        ts = training_set(skeletons, negatives, cfg, rng)
+        for a in own:
+            keep = ts.labels < 0  # every negative, and the positives of a's annotations
+            keep[~keep] = np.repeat([e.action is a for e in annotations], 1 + cfg.n_synth)
+            models[a] = train(ts.subset(keep), reg=cfg.reg)
+        return train(ts, reg=cfg.reg), models
+    # no selector trains on every row: each gets a buffer of its own
+    poses = _positive_keypoints(skeletons, cfg, rng)
+    negatives = relational_features(negatives, normalize=True)
+    for a in own:
+        positives = np.concatenate([k for k, e in zip(poses, annotations) if e.action is a])
+        models[a] = train(_own_set(positives, negatives), reg=cfg.reg)
+    return None, models
 
 
 def run_iteration(
@@ -202,10 +240,10 @@ def run_iteration(
     background images (their detections are the negative pool); the set of
     image i must carry image_id == i. The round reads each set's arrays:
     select featurizes its rows best first and stops at the pick (usually
-    the first row), the recovery pool is the RECOVER_PER_IMAGE best scores,
-    by stable sort, whose features select has already computed, and the
-    selectors train on rows of one training_set, whose negatives are the
-    concatenated background keypoints, thinned by index.
+    the first row), the recovery pool is a copy of the features select has
+    already computed for the RECOVER_PER_IMAGE best scores, by stable sort,
+    and the selectors train on rows of the round's training_set, whose
+    negatives are the background keypoints, thinned by index.
     A candidate stays a row of its set until it is accepted. A row's
     feature does not depend on the rows it is computed with, so the round
     is bit for bit that of featurizing every row; there is no knob. Target
@@ -260,7 +298,8 @@ def run_iteration(
                 # features are the first it returned
                 best = np.argsort(-cands.scores, kind="stable")[:RECOVER_PER_IMAGE]
                 rows.extend((i, j) for j in best.tolist())
-                pool_feats.append(feats[: len(best)])
+                # a copy, so the pool does not pin every row select scored
+                pool_feats.append(feats[: len(best)].copy())
 
     it = state.iteration + 1
     if recover:

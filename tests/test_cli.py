@@ -1336,8 +1336,25 @@ class TestInputErrorsNameTheirRecord:
                        "--scheme", "semi"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {corpus / 'split.json'}: invalid split: annotation for image {image!r} "
+            f"error: {corpus / 'truth.jsonl'}: annotation for image {image!r} "
             "has a degenerate torso: its neck is on its hip midpoint\n"
+        )
+
+    def test_pipeline_non_finite_annotation_names_its_truth_line(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        image = json.loads((corpus / "split.json").read_text())["fs"][2]
+        lines = (corpus / "truth.jsonl").read_text().splitlines(keepends=True)
+        k = next(k for k, line in enumerate(lines) if json.loads(line)["image_id"] == image)
+        rec = json.loads(lines[k])
+        rec["keypoints"][3][0] = float("nan")  # json.dumps writes the NaN literal
+        lines[k] = json.dumps(rec) + "\n"
+        (corpus / "truth.jsonl").write_text("".join(lines))
+        rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "semi"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'truth.jsonl'}: line {k + 1}: keypoints must be finite\n"
         )
 
     @pytest.mark.parametrize("bad_file", ["positives", "negatives"])
