@@ -27,7 +27,7 @@ from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
 from .pipeline import PipelineConfig, Scheme, run_pipeline, training_set
 from .skeleton import (
-    ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample, torso_lengths
+    N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample, torso_lengths
 )
 from .svm import TOL, select, train
 from .synth import SynthConfig, synth_corpus
@@ -272,19 +272,23 @@ def _image_candidates(path: Path, cfg: CandidateGenConfig) -> CandidateSet:
 # --- subcommands --------------------------------------------------------------
 
 
-def _read_poses(path: Path, normalize: bool = True) -> tuple[list[fileio.PoseRecord], np.ndarray]:
-    """The pose records of a file and their (m, 14, 2) keypoints. An empty
-    file is an error naming it, and so is a torso that normalize cannot
-    scale, named by its record's position and image."""
-    records = fileio.read_pose_records(path)
-    if not records:
-        raise ValueError(f"{path}: no pose records")
-    keypoints = np.stack([r.keypoints for r in records])
+def _keypoints(path: Path, records: list[fileio.PoseRecord], normalize: bool = True) -> np.ndarray:
+    """The records' (m, 14, 2) keypoints; when normalize, a torso it cannot
+    scale is an error naming path, the record's position and its image."""
+    keypoints = np.reshape([r.keypoints for r in records], (-1, N_JOINTS, 2))
     bad = np.flatnonzero(~(torso_lengths(keypoints) > 0.0)) if normalize else ()
     if len(bad):
         raise ValueError(f"{path}: record {bad[0] + 1} (image {records[bad[0]].image_id!r}): "
                          "cannot normalize: degenerate torso")
-    return records, keypoints
+    return keypoints
+
+
+def _read_poses(path: Path, normalize: bool = True) -> tuple[list[fileio.PoseRecord], np.ndarray]:
+    """A file's pose records and their _keypoints; an empty file is an error naming it."""
+    records = fileio.read_pose_records(path)
+    if not records:
+        raise ValueError(f"{path}: no pose records")
+    return records, _keypoints(path, records, normalize)
 
 
 def _cmd_synth(a: dict) -> int:
@@ -379,6 +383,7 @@ def _cmd_select(a: dict) -> int:
     model = fileio.load_svm_model(a["model"])
     records = fileio.read_pose_records(a["candidates"])
     margin = PipelineConfig(**_given(a, margin="margin")).margin  # checked finite there
+    _keypoints(a["candidates"], records)  # names the record, where select names the row
     by_image: dict[str, list] = {}
     for r in records:
         by_image.setdefault(r.image_id, []).append(r)

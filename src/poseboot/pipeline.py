@@ -227,6 +227,59 @@ def _train_selectors(
     return None, models
 
 
+def _select(
+    open_ids: Sequence[str], candidates_in: dict[str, CandidateSet], cfg: PipelineConfig,
+    ws_action: dict[str, ActionLabel], general: Optional[SvmModel],
+    models: dict[ActionLabel, SvmModel],
+) -> tuple[list[AcceptedPose], dict[ActionLabel, list]]:
+    """The svm picks of the open images, in order, and the recovery pools:
+    per action, the (image id, row, score, features) of each row to cluster.
+
+    An image with candidates is scored by its action's selector, or by
+    general if it has none. Under weakC an image without a pick adds its
+    RECOVER_PER_IMAGE best rows by stable sort to its action's pool, their
+    features copied from the rows select scored, so that no other scored
+    row outlives its image. An image without candidates adds its action
+    with no rows, so each action keeps its seed index.
+    """
+    picks, pools = [], {}
+    for i in open_ids:
+        cands = candidates_in[i]
+        # semi has no per-action models, so every image gets the general one
+        model = models.get(ws_action.get(i), general)
+        pick, feats = select(model, cands, cfg.margin) if cands else (None, None)
+        if pick is not None:
+            row_action = None if cands.actions is None else cands.actions[pick]
+            action = ws_action.get(i, row_action or ActionLabel.GENERAL)
+            picks.append(AcceptedPose(i, Skeleton(cands.keypoints[pick]), action, "svm"))
+        elif cfg.scheme is Scheme.WEAKC:
+            # select featurized every row best first, so the pool's features
+            # are the first rows it returned
+            best = np.argsort(-cands.scores, kind="stable")[:RECOVER_PER_IMAGE].tolist()
+            pools.setdefault(ws_action[i], []).extend(
+                (i, j, cands.scores[j], feats[k].copy()) for k, j in enumerate(best))
+    return picks, pools
+
+
+def _recover(pools: dict[ActionLabel, list], candidates_in: dict[str, CandidateSet],
+             cfg: PipelineConfig, it: int) -> list[AcceptedPose]:
+    """Second chance for the images the selectors left empty: the pools are
+    clustered, one chain per action seeded [cfg.seed, it, its index by label],
+    all run together, and plausible rows are recovered as "cluster" poses."""
+    actions = sorted(pools, key=lambda a: a.value)
+    seeds = [int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])
+             for ai in range(len(actions))]
+    arrays = [(np.reshape([f for *_, f in pools[a]], (-1, relational_length(N_JOINTS))),
+               np.array([s for _, _, s, _ in pools[a]]), [i for i, *_ in pools[a]])
+              for a in actions]
+    recovered = []
+    for pool, row in recover_poses(arrays, cfg.dpmm, seeds):
+        i, j, _, _ = pools[actions[pool]][row]
+        recovered.append(AcceptedPose(i, Skeleton(candidates_in[i].keypoints[j]),
+                                      actions[pool], "cluster"))
+    return recovered
+
+
 def run_iteration(
     state: IterationState,
     split: DatasetSplit,
@@ -234,27 +287,17 @@ def run_iteration(
     cfg: PipelineConfig,
     gt: Optional[dict[str, Skeleton]] = None,
 ) -> IterationState:
-    """One training-selection round; returns the successor state.
+    """One round in four stages, train (_train_selectors), select (_select),
+    recover (_recover, weakC only) and score; returns the successor state.
 
     candidates_in maps image ids to candidate sets and must cover the
     background images (their detections are the negative pool); the set of
-    image i must carry image_id == i. The round reads each set's arrays:
-    select featurizes its rows best first and stops at the pick (usually
-    the first row), the recovery pool is a copy of the features select has
-    already computed for the RECOVER_PER_IMAGE best scores, by stable sort,
-    and the selectors train on rows of the round's training_set, whose
-    negatives are the background keypoints, thinned by index.
-    A candidate stays a row of its set until it is accepted. A row's
-    feature does not depend on the rows it is computed with, so the round
-    is bit for bit that of featurizing every row; there is no knob. Target
-    images are the non-background, non-annotated ids; under weak/weakC each
-    target must carry an action label in the split. Only open targets,
-    those with no accepted pose yet, are scored: a pick is accepted at
-    once, and under weakC an open image without one goes to cluster
-    recovery. An image whose action has no selector of its own is scored
-    by the general one. When no open image has candidates the round trains
-    no selector. With gt, the state's report scores every target by its
-    accepted pose.
+    image i must carry image_id == i. Target images are the non-background,
+    non-annotated ids; under weak/weakC each must carry an action label in
+    the split. Only open targets, those with no accepted pose yet, are
+    scored, and a pick is accepted at once. When no open image has
+    candidates the round trains no selector. With gt, the state's report
+    scores every target by its accepted pose.
     """
     for i, cands in candidates_in.items():
         if cands.image_id != i:
@@ -273,65 +316,16 @@ def run_iteration(
     general, models = (
         _train_selectors(state, split, candidates_in, cfg, scored) if scored else (None, {})
     )
-
-    recover = cfg.scheme is Scheme.WEAKC
-    new_accepted = list(state.accepted)
-    # per action, the (image id, row) of each pool row and its features
-    pools: dict[ActionLabel, tuple[list[tuple[str, int]], list[np.ndarray]]] = {}
-    for i in open_ids:
-        cands = candidates_in[i]
-        if cands:
-            # semi has no per-action models, so every image gets the general one
-            model = models.get(ws_action.get(i), general)
-            pick, feats = select(model, cands, cfg.margin)
-            if pick is not None:
-                row_action = None if cands.actions is None else cands.actions[pick]
-                action = ws_action.get(i, row_action or ActionLabel.GENERAL)
-                skel = Skeleton(cands.keypoints[pick])
-                new_accepted.append(AcceptedPose(i, skel, action, "svm"))
-                continue
-        if recover:
-            # images without candidates stay, so each action keeps its seed index
-            rows, pool_feats = pools.setdefault(ws_action[i], ([], []))
-            if cands:
-                # select featurized every row best first, so the pool's
-                # features are the first it returned
-                best = np.argsort(-cands.scores, kind="stable")[:RECOVER_PER_IMAGE]
-                rows.extend((i, j) for j in best.tolist())
-                # a copy, so the pool does not pin every row select scored
-                pool_feats.append(feats[: len(best)].copy())
-
+    picks, pools = _select(open_ids, candidates_in, cfg, ws_action, general, models)
     it = state.iteration + 1
-    if recover:
-        # second chance for images the selector left empty: their best few
-        # candidates are clustered per action and plausible ones recovered
-        actions = sorted(pools, key=lambda a: a.value)
-        seeds = [
-            int(np.random.SeedSequence([cfg.seed, it, ai]).generate_state(1)[0])
-            for ai in range(len(actions))
-        ]
-        no_rows = np.empty((0, relational_length(N_JOINTS)))
-        arrays = []
-        for a in actions:
-            rows, pool_feats = pools[a]
-            scores = np.array([candidates_in[i].scores[j] for i, j in rows])
-            arrays.append((np.concatenate([no_rows, *pool_feats]), scores, [i for i, _ in rows]))
-        # one chain per action, all run together
-        for pool, row in recover_poses(arrays, cfg.dpmm, seeds):
-            i, j = pools[actions[pool]][0][row]
-            skel = Skeleton(candidates_in[i].keypoints[j])
-            new_accepted.append(AcceptedPose(i, skel, actions[pool], "cluster"))
-
-    report = None
-    if gt is not None:
-        target_set = set(targets)
-        report = selection_stats(
-            [(i, gt.get(i)) for i in targets],
-            candidates_in,
-            {a.image_id: a.skeleton for a in new_accepted if a.image_id in target_set},
-            cfg.eps,
-        )
-    return IterationState(iteration=it, accepted=tuple(new_accepted), report=report)
+    recovered = _recover(pools, candidates_in, cfg, it) if cfg.scheme is Scheme.WEAKC else []
+    accepted = (*state.accepted, *picks, *recovered)
+    target_set = set(targets)
+    report = None if gt is None else selection_stats(
+        [(i, gt.get(i)) for i in targets], candidates_in,
+        {a.image_id: a.skeleton for a in accepted if a.image_id in target_set}, cfg.eps,
+    )
+    return IterationState(iteration=it, accepted=accepted, report=report)
 
 
 def stop_check(prev: IterationState, cur: IterationState, cfg: PipelineConfig) -> bool:

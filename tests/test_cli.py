@@ -1386,6 +1386,29 @@ class TestInputErrorsNameTheirRecord:
         )
         assert not out.exists()
 
+    def test_select_candidate_without_torso(self, tmp_path, rng, capsys):
+        """select names the candidates file and the record, before any pick;
+        an empty candidates file still selects nothing."""
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        model = tmp_path / "sel.svm"
+        assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                         "--out", str(model)]) == 0
+        cands, picks = tmp_path / "cands.jsonl", tmp_path / "picks.jsonl"
+        good = write_template_poses(cands, rng, 3, prefix="img")
+        fileio.write_pose_records(cands, [good[0], without_torso(good[1]), good[2]])
+        capsys.readouterr()
+        argv = ["select", "--model", str(model), "--candidates", str(cands), "--out", str(picks)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cands}: record 2 (image 'img_001'): cannot normalize: degenerate torso\n"
+        )
+        assert not picks.exists()
+        fileio.write_pose_records(cands, [])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"selected 0 of 0 images -> {picks}\n"
+
     def test_features_raw_needs_no_torso(self, tmp_path, rng):
         poses = tmp_path / "p.jsonl"
         fileio.write_pose_records(poses, [without_torso(r)

@@ -1,6 +1,7 @@
 """Every import in the package, the tests and the demos is used, every
-name the package exports is used by the package, and the package runs
-without SciPy, which only the test oracles import.
+name the package exports is used by the package, the package runs
+without SciPy, which only the test oracles import, and every file parses
+as the oldest Python that pyproject.toml allows.
 
 No linter runs with the tests, so these checks read each file's syntax
 tree: an imported name that no expression in the file reads, and that the
@@ -10,6 +11,7 @@ of the package reads is reached only from tests and demos.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -120,6 +122,38 @@ def test_every_export_is_read_by_the_package():
     package = ROOT / "src" / "poseboot"
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert [n for n in unreached_exports(sources) if n not in KEPT_EXPORTS] == []
+
+
+# the (major, minor) of requires-python's ">=" bound; a regex, because the
+# oldest supported Python has no tomllib
+OLDEST = tuple(int(v) for v in re.search(
+    r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text(), re.M
+).groups())
+
+
+def parses_as(source: str, version: tuple[int, int]) -> bool:
+    """Whether source parses with the grammar of Python version. ast checks
+    only some newer syntax, so this is best effort; it does reject except*
+    before 3.11."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_finds_an_exception_group_before_3_11():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert not parses_as(source, (3, 10)) and parses_as(source, (3, 11))
+
+
+@pytest.mark.parametrize("path", sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src", "tests", "demos", "bench")
+    for path in (ROOT / folder).rglob("*.py")
+))
+def test_parses_as_the_oldest_python(path):
+    assert parses_as((ROOT / path).read_text(), OLDEST), OLDEST
 
 
 # SciPy is blocked, so any import of it raises ImportError. At margin 3

@@ -290,11 +290,12 @@ def test_weak_round_with_a_sparse_action_holds_its_matrix_and_one_subset(monkeyp
 
 def test_recovery_pool_holds_its_rows_not_every_scored_row(monkeypatch):
     """An abstained image's pool rows are copied out of the rows select
-    scored. So when recovery starts, a round on the hard corpus with every
-    image abstaining holds its pools twice (the rows and their
-    concatenation) and the last image's scored rows, below 1.1 times that
-    sum (1.02 measured). Pooling views that pinned every scored row of
-    every abstained image read 4.55."""
+    scored, and those rows die with the selection stage. So when recovery
+    starts, a round on the hard corpus with every image abstaining holds
+    its pools twice (the rows and their concatenation), below 1.5 times
+    that (1.28 measured). Keeping the last image's scored rows alive read
+    11.7, and pooling views that pinned every scored row of every
+    abstained image more still."""
     corpus, cands = tiny_corpus(outlier_rate=0.6, base_noise=6.0)
     held = []
     real = pipeline.recover_poses
@@ -313,9 +314,7 @@ def test_recovery_pool_holds_its_rows_not_every_scored_row(monkeypatch):
         tracemalloc.stop()
     [(now, pool)] = held
     assert {a.provenance for a in state.accepted} <= {"cluster"}
-    last = cands[max(i for i in cands if i in corpus.split.ws_actions())]
-    scored = len(last) * relational_features(last.keypoints[:1], normalize=True).nbytes
-    assert now - start < 1.1 * (2 * pool + scored), (now - start) / (2 * pool + scored)
+    assert now - start < 1.5 * 2 * pool, (now - start) / (2 * pool)
 
 
 def test_degenerate_background_torso_names_the_image_and_row(monkeypatch):
