@@ -151,8 +151,9 @@ def _merged(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
     """Config-file values fill in for options left at None.
 
     Each value is converted by the type of its option. A key that names no
-    option of the command, or an option only the command line sets (on/off
-    flags, options with a default, --config), is an error naming the file.
+    option of the command, an option only the command line sets (on/off
+    flags, options with a default, --config), or an option two keys set
+    (outlier-rate and outlier_rate) is an error naming the file.
     """
     out = dict(vars(args))
     if args.config is None:
@@ -161,10 +162,14 @@ def _merged(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
     for act in command._actions:
         if act.option_strings and act.dest != "help":
             options[act.dest] = options[act.dest.replace("_", "-")] = act
+    key_of = {}  # the key that set each option
     for key, value in fileio.load_config(args.config).items():
         act = options.get(key)
         if act is None:
             raise ValueError(f"{args.config}: unknown config key {key!r}")
+        if key_of.setdefault(act.dest, key) != key:
+            raise ValueError(f"{args.config}: config keys {key_of[act.dest]!r} and {key!r} "
+                             f"both set {act.option_strings[-1]}")
         where = f"{args.config}: config key {key!r}"
         if act.default is not None or act.dest == "config":
             raise ValueError(f"{where}: {act.option_strings[-1]} is set on the command line only")
@@ -227,11 +232,10 @@ def _load_corpus(corpus_dir: Path):
             raise ValueError(f"{truth_path}: no record for annotated image {i!r}")
         if rec.action is None:
             raise ValueError(f"{truth_path}: truth record for {i!r} lacks an action")
-        # the reader has rejected a non-finite one; DatasetSplit would name split.json
-        if not torso_lengths(rec.keypoints[None])[0] > 0.0:
-            raise ValueError(f"{truth_path}: annotation for image {i!r} has a degenerate "
-                             "torso: its neck is on its hip midpoint")
-        fs.append(FsExample(i, rec.skeleton(), rec.action))
+        try:
+            fs.append(FsExample(i, rec.skeleton(), rec.action))
+        except ValueError as e:
+            raise ValueError(f"{truth_path}: {e}") from None
     ws = []
     for i, a in manifest["ws"].items():
         try:
@@ -262,7 +266,7 @@ def _load_corpus(corpus_dir: Path):
 
 def _image_candidates(path: Path, cfg: CandidateGenConfig) -> CandidateSet:
     """The candidates of the image whose maps are in one .hm file; every
-    heatmap error names the file."""
+    heatmap error, and a candidate without a torso, names the file."""
     try:
         return enumerate_candidates(fileio.read_heatmaps(path), cfg, image_id=path.stem)
     except ValueError as e:
@@ -383,7 +387,7 @@ def _cmd_select(a: dict) -> int:
     model = fileio.load_svm_model(a["model"])
     records = fileio.read_pose_records(a["candidates"])
     margin = PipelineConfig(**_given(a, margin="margin")).margin  # checked finite there
-    _keypoints(a["candidates"], records)  # names the record, where select names the row
+    _keypoints(a["candidates"], records)  # names the record, where CandidateSet names the row
     by_image: dict[str, list] = {}
     for r in records:
         by_image.setdefault(r.image_id, []).append(r)
@@ -482,12 +486,6 @@ def _cmd_pipeline(a: dict) -> int:
         for image_id, path in heatmaps.items()
         if image_id not in annotated
     }
-    # every background candidate is a negative of the round's training set
-    for i in split.backgrounds:
-        bad = np.flatnonzero(~(torso_lengths(candidates[i].keypoints) > 0.0))
-        if bad.size:
-            raise ValueError(f"{heatmaps[i]}: background image {i!r}: "
-                             f"cannot normalize: degenerate torso in row {bad[0]}")
     gt = truth if a["audit"] else None
     states = run_pipeline(split, candidates, cfg, exchange_dir=a["exchange"], gt=gt)
     for prev, st in zip(states, states[1:]):

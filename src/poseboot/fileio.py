@@ -145,7 +145,7 @@ def _record_from_line(line: str) -> PoseRecord:
             raise ValueError("action must be a string")
         action = ActionLabel.parse(d["action"])
     score = d.get("score")
-    if score is not None and not isinstance(score, (int, float)):
+    if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
         raise ValueError("score must be numeric")
     if score is not None and not math.isfinite(float(score)):
         raise ValueError("score must be finite")
@@ -318,5 +318,10 @@ def _config_entry(line: str) -> Optional[tuple[str, str]]:
 
 def load_config(path: Union[str, Path]) -> dict[str, str]:
     """Flat key=value lines; blank lines and '#' comments are skipped.
-    Errors name the file and the line."""
-    return dict(kv for _, kv in _numbered_lines(path, _config_entry) if kv is not None)
+    Errors name the file and the line; a key set twice names both lines."""
+    entries = [(n, kv) for n, kv in _numbered_lines(path, _config_entry) if kv is not None]
+    first: dict[str, int] = {}
+    for n, (key, _) in entries:
+        if first.setdefault(key, n) != n:
+            raise ValueError(f"{path}: line {n}: key {key!r} repeats line {first[key]}")
+    return dict(kv for _, kv in entries)

@@ -178,8 +178,9 @@ def enumerate_candidates(
     """The candidate set of one image from its 14 joint heatmaps, best first.
 
     Every joint must have exactly one map; a joint with no surviving local
-    maximum makes the set empty. The whole image is array code: one padded
-    stack for the peaks of all 14 maps, a beam over arrays of partial
+    maximum makes the set empty, and an assembly whose neck is on its hip
+    midpoint is an error (CandidateSet). The whole image is array code: one
+    padded stack for the peaks of all 14 maps, a beam over arrays of partial
     totals, and one gather of the keypoints; no object is made per
     candidate. It makes the comparisons and float steps of a cell-by-cell
     peak search per map and a beam over (total, index tuple) pairs, so

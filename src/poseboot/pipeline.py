@@ -27,7 +27,7 @@ from .fileio import PoseRecord, atomic_write, candidate_set, read_pose_records, 
 # because bench/tests/test_bench.py checks that the tracer restores it
 from .features import relational_feature  # noqa: F401
 from .metrics import MetricsReport, selection_stats
-from .skeleton import N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, Skeleton, torso_lengths
+from .skeleton import N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, Skeleton
 from .svm import SvmModel, TrainSet, select, synthesize_positives, train
 
 __all__ = [
@@ -183,9 +183,6 @@ def _train_selectors(
     features and a copy of the negatives', featurized once. A row's
     features do not depend on the rows computed with it, so both ways
     train the same models bit for bit.
-
-    A background candidate whose torso is degenerate is an error naming
-    its image and row, whether or not thinning keeps it.
     """
     annotations = [*split.fs, *state.accepted]
     if not annotations:
@@ -193,11 +190,6 @@ def _train_selectors(
     rng = np.random.default_rng([cfg.seed, state.iteration + 1])
     # detections on background images are false by definition
     backgrounds = [candidates_in[i] for i in split.backgrounds if i in candidates_in]
-    for cands in backgrounds:
-        bad = np.flatnonzero(~(torso_lengths(cands.keypoints) > 0.0))
-        if bad.size:
-            raise ValueError(f"background image {cands.image_id!r}: "
-                             f"cannot normalize: degenerate torso in row {bad[0]}")
     negatives = thin_negatives(
         np.concatenate([np.empty((0, N_JOINTS, 2))] + [c.keypoints for c in backgrounds]),
         MAX_NEGATIVES,
@@ -376,7 +368,7 @@ def read_candidate_dir(path: Path, split: DatasetSplit) -> dict[str, CandidateSe
     whose records become that image's set in file order. A file of an image
     the split does not list is an error that names the file, checked before
     any file is read; a record of another image is one that names the file
-    and both ids."""
+    and both ids, and a set CandidateSet rejects is one that names the file."""
     images = {*split.fs_ids(), *split.ws_ids(), *split.us, *split.backgrounds}
     files = sorted(path.glob("*.jsonl"))
     for f in files:
@@ -390,7 +382,10 @@ def read_candidate_dir(path: Path, split: DatasetSplit) -> dict[str, CandidateSe
                 raise ValueError(
                     f"{f}: record for image {r.image_id!r} in the file of image {f.stem!r}"
                 )
-        out[f.stem] = candidate_set(f.stem, records)
+        try:
+            out[f.stem] = candidate_set(f.stem, records)
+        except ValueError as e:
+            raise ValueError(f"{f}: {e}") from None
     return out
 
 

@@ -65,7 +65,7 @@ LIMBS: tuple[tuple[JointId, JointId], ...] = (
 class Skeleton:
     """A 2-D pose: one (x, y) position per joint.
 
-    Coordinates may be non-finite: a DatasetSplit rejects a non-finite
+    Coordinates may be non-finite: an FsExample rejects a non-finite
     annotation, naming its joint, so bad data is reported where it is used.
     """
 
@@ -114,7 +114,9 @@ class CandidateSet:
     feature and decision do not depend on the rows computed with it; there
     is no knob. A candidate is named by its row index until it is accepted
     as a pose. actions, when not None, holds one optional label per row
-    (pose files may carry them).
+    (pose files may carry them). A row whose neck is on its hip midpoint,
+    which torso normalization cannot scale, raises ValueError naming the
+    image and the first such row.
     """
 
     image_id: str
@@ -134,6 +136,10 @@ class CandidateSet:
             raise ValueError("candidate score must be finite")
         if self.actions is not None and len(self.actions) != len(scores):
             raise ValueError(f"{len(self.actions)} actions for {len(scores)} candidates")
+        bad = np.flatnonzero(~(torso_lengths(kp) > 0.0))
+        if bad.size:
+            raise ValueError(f"image {self.image_id!r}: cannot normalize: "
+                             f"degenerate torso in row {bad[0]}")
         for name, arr in (("keypoints", kp), ("scores", scores)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -165,11 +171,22 @@ class ActionLabel(Enum):
 
 @dataclass(frozen=True)
 class FsExample:
-    """Fully supervised example: pose annotation plus action label."""
+    """Fully supervised example: pose annotation plus action label. An
+    annotation with a non-finite coordinate (its joint named) or a degenerate
+    torso (its neck on its hip midpoint) raises ValueError naming the image."""
 
     image_id: str
     skeleton: Skeleton
     action: ActionLabel
+
+    def __post_init__(self) -> None:
+        bad = ~np.isfinite(self.skeleton.keypoints).all(axis=1)
+        if bad.any():
+            raise ValueError(f"annotation for image {self.image_id!r} has a non-finite "
+                             f"coordinate at joint {JointId(int(bad.argmax())).name}")
+        if not torso_lengths(self.skeleton.keypoints[None])[0] > 0.0:
+            raise ValueError(f"annotation for image {self.image_id!r} has a "
+                             "degenerate torso: its neck is on its hip midpoint")
 
 
 @dataclass(frozen=True)
@@ -185,9 +202,8 @@ class DatasetSplit:
     """Disjoint image sets: annotated, action-only, unlabeled, background.
 
     Construction raises ValueError on the first broken invariant it finds:
-    an id repeated within a set, an id in two sets, or an annotation with a
-    non-finite coordinate or a degenerate torso (its neck on its hip
-    midpoint), which torso normalization cannot scale.
+    an id repeated within a set or an id in two sets. Each annotation has
+    checked itself (FsExample).
     """
 
     fs: tuple[FsExample, ...] = ()
@@ -206,16 +222,6 @@ class DatasetSplit:
                 if i in owner:
                     raise ValueError(f"invalid split: image {i!r} is in both {owner[i]} and {name}")
                 owner[i] = name
-        for ex in self.fs:
-            bad = ~np.isfinite(ex.skeleton.keypoints).all(axis=1)
-            if bad.any():
-                raise ValueError(
-                    f"invalid split: annotation for image {ex.image_id!r} has a "
-                    f"non-finite coordinate at joint {JointId(int(bad.argmax())).name}"
-                )
-            if not torso_lengths(ex.skeleton.keypoints[None])[0] > 0.0:
-                raise ValueError(f"invalid split: annotation for image {ex.image_id!r} has a "
-                                 "degenerate torso: its neck is on its hip midpoint")
 
     def fs_ids(self) -> tuple[str, ...]:
         return tuple(e.image_id for e in self.fs)

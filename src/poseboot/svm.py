@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .features import relational_features
-from .skeleton import LIMBS, N_JOINTS, CandidateSet, Skeleton, torso_lengths
+from .skeleton import LIMBS, N_JOINTS, CandidateSet, Skeleton
 
 __all__ = [
     "TrainSet",
@@ -289,9 +289,7 @@ def select(
     if it falls short, the rest in one call. The first row in that order
     that clears the margin is the first with the highest score among all
     rows that do, so it is the pick a full scan would make: a row's feature
-    and decision do not depend on the rows computed with it. There is no
-    knob. Every row's torso is checked first, so a degenerate one raises,
-    naming the image and the row, wherever the pick falls.
+    and decision do not depend on the rows computed with it. There is no knob.
 
     Returns the pick's row index, None when no row clears the margin, and
     the feature rows scored, in that best-first order: the first row's
@@ -299,11 +297,6 @@ def select(
     """
     if not candidates:
         return None, np.zeros((0, model.dim))
-    bad = np.flatnonzero(~(torso_lengths(candidates.keypoints) > 0.0))
-    if bad.size:
-        raise ValueError(
-            f"image {candidates.image_id!r}: cannot normalize: degenerate torso in row {bad[0]}"
-        )
     order = np.argsort(-candidates.scores, kind="stable")
     scored = []
     for rows in (order[:1], order[1:]):

@@ -855,18 +855,20 @@ class TestInputErrors:
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_dir, corpus)
         ws = sorted(json.loads((corpus / "split.json").read_text())["ws"])[0]
-        self.drop_torso(corpus / "heatmaps" / f"{ws}.hm")
+        hm = corpus / "heatmaps" / f"{ws}.hm"
+        self.drop_torso(hm)
         rc = cli.main(["pipeline", "--corpus", str(corpus), "--exchange", str(tmp_path / "x"),
                        "--scheme", "weak"])
         assert rc == 2
         err = capsys.readouterr().err
         assert re.fullmatch(
-            f"error: image {ws!r}: cannot normalize: degenerate torso in row \\d+\n", err
+            re.escape(f"error: {hm}: image {ws!r}: cannot normalize: degenerate torso in row ")
+            + "\\d+\n", err
         ), err
 
     def test_pipeline_degenerate_background_torso_names_the_file(self, tmp_path, capsys):
         """Every background candidate is a negative of the training set, so
-        one without a torso is an error naming its image, its .hm file and
+        one without a torso is an error naming its .hm file, its image and
         its row, not a row of the round's internal matrix."""
         corpus = tmp_path / "corpus"
         assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "6",
@@ -878,9 +880,25 @@ class TestInputErrors:
                        "--scheme", "semi"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {hm}: background image 'bg_0001': "
-            "cannot normalize: degenerate torso in row 0\n"
+            f"error: {hm}: image 'bg_0001': cannot normalize: degenerate torso in row 0\n"
         )
+
+    def test_candidates_without_torso_names_the_file(self, tmp_path, capsys):
+        """candidates writes no record that select, train-svm or cluster
+        would reject."""
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "6",
+                         "--seed", "5"]) == 0
+        hm = corpus / "heatmaps" / "bg_0001.hm"
+        self.drop_torso(hm)
+        capsys.readouterr()
+        out = tmp_path / "cands.jsonl"
+        assert cli.main(["candidates", "--heatmaps", str(corpus / "heatmaps"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {hm}: image 'bg_0001': cannot normalize: degenerate torso in row 0\n"
+        )
+        assert not out.exists()
 
 
 class TestClusterAndOutliers:
@@ -1215,6 +1233,24 @@ class TestConfigFile:
         )
         assert not (tmp_path / "c").exists()
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=1\n# two seeds\nposes=3\nseed=2\n")
+        rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 4: key 'seed' repeats line 1\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_two_spellings_of_one_option_name_both_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("outlier-rate=0.1\noutlier_rate=0.2\n")
+        rc = cli.main(["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config keys 'outlier-rate' and 'outlier_rate' both set --outlier-rate\n"
+        )
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("command, key", [("features", "raw"), ("pipeline", "audit")])
     def test_flag_key_is_data_error(self, corpus_dir, tmp_path, capsys, command, key):
         cfg = tmp_path / "c.cfg"
@@ -1385,6 +1421,21 @@ class TestInputErrorsNameTheirRecord:
             f"error: {poses}: record 4 (image 'good_003'): cannot normalize: degenerate torso\n"
         )
         assert not out.exists()
+
+    def test_pipeline_refresh_record_without_torso(self, corpus_dir, tmp_path, capsys):
+        ws = sorted(json.loads((corpus_dir / "split.json").read_text())["ws"])[0]
+        truth = fileio.read_pose_index(corpus_dir / "truth.jsonl")[ws]
+        refresh = tmp_path / "x" / "candidates_iter1"
+        refresh.mkdir(parents=True)
+        path = refresh / f"{ws}.jsonl"
+        fileio.write_pose_records(path, [truth, without_torso(truth)])
+        rc = cli.main(["pipeline", "--corpus", str(corpus_dir), "--exchange", str(tmp_path / "x"),
+                       "--scheme", "weak"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: image {ws!r}: cannot normalize: degenerate torso in row 1\n"
+        )
+        assert not (tmp_path / "x" / "annotations_iter1.jsonl").exists()
 
     def test_select_candidate_without_torso(self, tmp_path, rng, capsys):
         """select names the candidates file and the record, before any pick;

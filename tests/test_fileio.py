@@ -81,6 +81,14 @@ class TestPoseRecords:
         with pytest.raises(ValueError, match="line 1"):
             fileio.read_pose_records(tmp_path / "r.jsonl")
 
+    def test_boolean_score_rejected(self, tmp_path, keypoints):
+        rec = {"image_id": "a", "keypoints": keypoints.tolist(), "score": True}
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValueError) as e:
+            fileio.read_pose_records(path)
+        assert str(e.value) == f"{path}: line 1: score must be numeric"
+
     def test_invalid_utf8_names_the_line(self, tmp_path):
         data = _valid_pose_bytes().splitlines(keepends=True)
         data[1] = data[1].replace(b"bg_002", b"bg_\xff02")

@@ -16,6 +16,7 @@ from _oracles import (
     enumerate_candidates_reference,
     exhaustive_assemblies,
     local_maxima_reference,
+    torso_length_per_pose,
 )
 from conftest import assemble
 
@@ -268,11 +269,19 @@ class TestBatchedAgainstReference:
     )
     def test_enumerate_candidates(self, maps, threshold, top_k, nms_radius, beam):
         cfg = CandidateGenConfig(threshold=threshold, top_k=top_k, nms_radius=nms_radius, beam=beam)
-        got = enumerate_candidates(maps, cfg, "img")
         want = enumerate_candidates_reference(maps, cfg)
-        assert len(got) == len(want)
-        assert got.scores.tolist() == [score for _, score in want]
-        assert np.array_equal(got.keypoints, np.array([kp for kp, _ in want]).reshape(-1, 14, 2))
+        # tiny grids often put a neck on its hips' midpoint, which CandidateSet rejects
+        no_torso = [k for k, (kp, _) in enumerate(want) if not torso_length_per_pose(kp) > 0.0]
+        if no_torso:
+            with pytest.raises(ValueError, match=f"^image 'img': cannot normalize: "
+                                                 f"degenerate torso in row {no_torso[0]}$"):
+                enumerate_candidates(maps, cfg, "img")
+        else:
+            got = enumerate_candidates(maps, cfg, "img")
+            assert len(got) == len(want)
+            assert got.scores.tolist() == [score for _, score in want]
+            want_kp = np.array([kp for kp, _ in want]).reshape(-1, 14, 2)
+            assert np.array_equal(got.keypoints, want_kp)
         for h in maps:
             peaks = local_maxima(h, cfg)
             ref = local_maxima_reference(h, cfg)

@@ -317,18 +317,21 @@ def test_recovery_pool_holds_its_rows_not_every_scored_row(monkeypatch):
     assert now - start < 1.5 * 2 * pool, (now - start) / (2 * pool)
 
 
-def test_degenerate_background_torso_names_the_image_and_row(monkeypatch):
-    """A background candidate without a torso is an error naming its image
-    and row, even when thinning to MAX_NEGATIVES would drop it."""
-    monkeypatch.setattr(pipeline, "MAX_NEGATIVES", 1)
+def test_degenerate_background_torso_names_the_image_and_row(tmp_path):
+    """A refreshed background set with a row that has no torso is an error
+    naming its file, its image and the row, before any round trains."""
     corpus, cands = tiny_corpus()
     bg = corpus.split.backgrounds[1]
     kp = cands[bg].keypoints.copy()
     kp[2, JointId.NECK] = 0.5 * (kp[2, JointId.L_HIP] + kp[2, JointId.R_HIP])
-    cands[bg] = CandidateSet(bg, kp, cands[bg].scores)
-    with pytest.raises(ValueError, match=f"^background image {bg!r}: "
-                                         "cannot normalize: degenerate torso in row 2$"):
-        run_iteration(IterationState(), corpus.split, cands, fast_cfg())
+    refresh = tmp_path / "candidates_iter1"
+    refresh.mkdir()
+    path = refresh / f"{bg}.jsonl"
+    write_pose_records(path, [PoseRecord(bg, k, score=s) for k, s in zip(kp, cands[bg].scores)])
+    with pytest.raises(ValueError) as e:
+        run_pipeline(corpus.split, cands, fast_cfg(), tmp_path)
+    assert str(e.value) == f"{path}: image {bg!r}: cannot normalize: degenerate torso in row 2"
+    assert not (tmp_path / "annotations_iter1.jsonl").exists()
 
 
 class TestSpecializeModels:
@@ -489,7 +492,7 @@ class TestRunIteration:
         s2 = run_iteration(state, corpus.split, cands, cfg, gt=gt)
         general, models = trained[-1]
         model = models.get(ws.action, general)
-        assert select(model, cands[ws.image_id], cfg.margin) is not None
+        assert select(model, cands[ws.image_id], cfg.margin)[0] == 0
 
         atp, stp, atp_stp, _ = s2.report.counts
         assert stp == len(s2.accepted)

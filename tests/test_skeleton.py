@@ -96,6 +96,14 @@ class TestCandidateSet:
         with pytest.raises(ValueError, match="candidate score must be finite"):
             CandidateSet("a", [s.keypoints, s.keypoints], [1.0, float("nan")])
 
+    def test_rejects_degenerate_torso_naming_the_first_row(self, rng):
+        kp = np.stack([random_skeleton(rng).keypoints for _ in range(4)])
+        kp[[1, 3], JointId.NECK] = 0.5 * (kp[[1, 3], JointId.L_HIP] + kp[[1, 3], JointId.R_HIP])
+        with pytest.raises(
+            ValueError, match="^image 'a': cannot normalize: degenerate torso in row 1$"
+        ):
+            CandidateSet("a", kp, np.zeros(4))
+
 
 class TestValidateSplit:
     def _split(self, rng, ws_ids=("w1", "w2"), fs_ids=("f1",), us=("u1",),
@@ -121,22 +129,18 @@ class TestValidateSplit:
     def test_non_finite_annotation_names_the_joint(self, rng):
         pts = rng.uniform(0, 10, (14, 2))
         pts[int(JointId.L_KNEE), 0] = np.inf
-        fs = (FsExample("f1", Skeleton(pts), ActionLabel.SOCCER),)
         with pytest.raises(
             ValueError,
-            match="^invalid split: annotation for image 'f1' has a non-finite "
-            "coordinate at joint L_KNEE$",
+            match="^annotation for image 'f1' has a non-finite coordinate at joint L_KNEE$",
         ):
-            DatasetSplit(fs=fs, ws=(), us=(), backgrounds=())
+            FsExample("f1", Skeleton(pts), ActionLabel.SOCCER)
 
     def test_degenerate_torso_annotation_names_the_image(self, rng):
         pts = rng.uniform(0, 10, (14, 2))
         pts[int(JointId.NECK)] = 0.5 * (pts[int(JointId.L_HIP)] + pts[int(JointId.R_HIP)])
-        fs = (FsExample("f0", random_skeleton(rng), ActionLabel.SOCCER),
-              FsExample("f1", Skeleton(pts), ActionLabel.SOCCER))
         with pytest.raises(
             ValueError,
-            match="^invalid split: annotation for image 'f1' has a degenerate torso: "
+            match="^annotation for image 'f1' has a degenerate torso: "
             "its neck is on its hip midpoint$",
         ):
-            DatasetSplit(fs=fs)
+            FsExample("f1", Skeleton(pts), ActionLabel.SOCCER)

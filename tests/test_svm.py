@@ -378,19 +378,6 @@ class TestSelect:
         pick, feats = select(m, empty, 0.0)
         assert pick is None and feats.shape == (0, 2)
 
-    def test_degenerate_torso_after_the_pick_names_the_image(self, rng):
-        # row 0 is the pick, and no row after it is scored, but its torso
-        # check still covers row 2
-        m = self._model_preferring_positive_x()
-        cands = self._cands(rng, "img_7", [(0.9, 4.0), (0.5, 3.0), (0.2, -1.0)])
-        kp = cands.keypoints.copy()
-        kp[2, JointId.NECK] = 0.5 * (kp[2, JointId.L_HIP] + kp[2, JointId.R_HIP])
-        bad = CandidateSet("img_7", kp, cands.scores)
-        with pytest.raises(
-            ValueError, match="image 'img_7': cannot normalize: degenerate torso in row 2"
-        ):
-            select(m, bad, 0.0)
-
 
 def _random_model(rng, d):
     return SvmModel(
