@@ -32,7 +32,7 @@ print(f"trained on {n_pos} positives / {len(ts.labels) - n_pos} negatives, "
 # a fresh "image": one good pose hidden among junk candidates
 truth = Skeleton(action_template(0).keypoints + rng.normal(0, 2.0, (14, 2)))
 junk = [rng.uniform(10, 150, (14, 2)) for _ in range(4)]
-cands = CandidateSet("img", [truth.keypoints, *junk], [0.8] + [0.9] * 4)
+cands = CandidateSet.from_keypoints("img", [truth.keypoints, *junk], [0.8] + [0.9] * 4)
 feats = relational_features(cands.keypoints, normalize=True)
 
 scored = model.decisions(feats)

@@ -371,15 +371,18 @@ def _cmd_candidates(a: dict) -> int:
     files = sorted(src.glob("*.hm")) if src.is_dir() else [src]
     if not files:
         raise ValueError(f"no heatmap files under {src}")
-    records = []
-    for f in files:
-        cands = _image_candidates(f, cfg)
-        records.extend(
-            fileio.PoseRecord(cands.image_id, kp, score=score)
-            for kp, score in zip(cands.keypoints, cands.scores.tolist())
-        )
-    fileio.write_pose_records(a["out"], records)
-    print(f"wrote {len(records)} candidates from {len(files)} images -> {a['out']}")
+    written = []  # candidates per image
+
+    def records():
+        # each image's records are made, and written, after the last one's
+        for f in files:
+            cands = _image_candidates(f, cfg)
+            written.append(len(cands))
+            for kp, score in zip(cands.keypoints, cands.scores.tolist()):
+                yield fileio.PoseRecord(cands.image_id, kp, score=score)
+
+    fileio.write_pose_records(a["out"], records())
+    print(f"wrote {sum(written)} candidates from {len(files)} images -> {a['out']}")
     return 0
 
 
@@ -399,7 +402,7 @@ def _cmd_select(a: dict) -> int:
             out.append(
                 fileio.PoseRecord(
                     image_id,
-                    cands.keypoints[pick],
+                    cands.take(pick),
                     None if cands.actions is None else cands.actions[pick],
                     score=cands.scores[pick],
                     provenance="svm",

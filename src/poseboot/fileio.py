@@ -2,7 +2,9 @@
 and flat key=value config files.
 
 All writers go through an atomic write-temp-then-rename so partially
-written files never appear under the target name.
+written files never appear under the target name. Pose files are written
+a line at a time as their records are drawn, so a writer that makes its
+records as it goes never holds the whole file.
 
 Binary layouts (all little-endian):
   heatmap record: magic b"PBHMAP01", joint u32, width u32, height u32,
@@ -19,7 +21,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,15 +47,19 @@ _HEATMAP_MAGIC = b"PBHMAP01"
 _MODEL_MAGIC = b"PBSVMD01"
 
 
-def atomic_write(path: Union[str, Path], data: Union[bytes, str]) -> None:
-    """Write to a temp file in the target directory, then rename over path."""
+def atomic_write(
+    path: Union[str, Path], data: Union[bytes, str, Iterable[Union[bytes, str]]]
+) -> None:
+    """Write data to a temp file in the target directory, fsync it, then
+    rename it over path. data is bytes, or str written as UTF-8, or an
+    iterable of such chunks, each written as it is drawn."""
     path = Path(path)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    chunks = (data,) if isinstance(data, (bytes, str)) else data
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -156,12 +162,13 @@ def _record_from_line(line: str) -> PoseRecord:
 
 
 def candidate_set(image_id: str, records: Sequence[PoseRecord]) -> CandidateSet:
-    """Pose records as the candidates of image_id, in file order; a missing
-    score counts as 0."""
+    """Pose records as the candidates of image_id, in file order, their
+    positions factored by bit pattern (CandidateSet.from_keypoints); a
+    missing score counts as 0."""
     actions = tuple(r.action for r in records)
-    return CandidateSet(
+    return CandidateSet.from_keypoints(
         image_id,
-        np.array([r.keypoints for r in records]).reshape(len(records), N_JOINTS, 2),
+        np.reshape([r.keypoints for r in records], (-1, N_JOINTS, 2)),
         [0.0 if r.score is None else r.score for r in records],
         actions if any(a is not None for a in actions) else None,
     )
@@ -207,9 +214,29 @@ def _numbered_lines(path: Union[str, Path], parse: Callable[[str], Any]) -> list
     return out
 
 
-def write_pose_records(path: Union[str, Path], records: Sequence[PoseRecord]) -> None:
-    text = "".join(json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in records)
-    atomic_write(path, text)
+class _Encoded:
+    """The UTF-8 bytes of an iterable of str chunks, encoded one chunk at a
+    time as they are drawn. len() is the number of bytes drawn so far, so
+    once atomic_write has written it, it is the file's size, as len() of
+    bytes data is; bench/spans.py counts fileio.bytes_written by it."""
+
+    def __init__(self, chunks: Iterable[str]):
+        self._chunks, self._size = chunks, 0
+
+    def __iter__(self) -> Iterator[bytes]:
+        for chunk in self._chunks:
+            data = chunk.encode("utf-8")
+            self._size += len(data)
+            yield data
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def write_pose_records(path: Union[str, Path], records: Iterable[PoseRecord]) -> None:
+    """One JSON line per record, each written as it is drawn from records."""
+    atomic_write(path, _Encoded(
+        json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in records))
 
 
 # --- heatmap binary ---------------------------------------------------------

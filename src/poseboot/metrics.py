@@ -130,8 +130,8 @@ def selection_stats(
             has_truth
             and cands is not None
             and any(
-                _pcp_flags(gt, kp, tol).all(axis=1).any()
-                for kp in (cands.keypoints[:1], cands.keypoints[1:])
+                _pcp_flags(gt, cands.take(rows), tol).all(axis=1).any()
+                for rows in (slice(1), slice(1, None))
             )
         )
         if detected:

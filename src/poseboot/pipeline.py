@@ -111,10 +111,12 @@ def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
     """At most cap rows of keypoints, evenly spaced by index from the first
     row to the last; keypoints itself when it has no more than cap rows.
     Even thinning keeps coverage across background images deterministic."""
-    n = len(keypoints)
-    if n <= cap:
-        return keypoints
-    return keypoints[np.linspace(0, n - 1, cap).round().astype(int)]
+    return keypoints if len(keypoints) <= cap else keypoints[_thinned_rows(len(keypoints), cap)]
+
+
+def _thinned_rows(n: int, cap: int) -> np.ndarray:
+    """The rows, of n, that thin_negatives keeps."""
+    return np.arange(n) if n <= cap else np.linspace(0, n - 1, cap).round().astype(int)
 
 
 def _positive_keypoints(
@@ -174,26 +176,29 @@ def _train_selectors(
     on every row, is trained only when some annotated or scored action
     lacks its own, and is None otherwise.
 
-    Memory: the background keypoints are dropped once thinned. When some
-    selector trains on every row, the round builds training_set's matrix
-    once and copies out each per-action subset, trained before general in
-    place: it holds the matrix plus one subset at a time. Otherwise it
-    builds no such matrix: the positives are drawn as training_set draws
-    them, and each per-action selector's buffer holds its own positives'
-    features and a copy of the negatives', featurized once. A row's
-    features do not depend on the rows computed with it, so both ways
-    train the same models bit for bit.
+    Memory: of the background sets, only the rows that thinning keeps are
+    gathered. When some selector trains on every row, the round builds
+    training_set's matrix once and copies out each per-action subset,
+    trained before general in place: it holds the matrix plus one subset at
+    a time. Otherwise it builds no such matrix: the positives are drawn as
+    training_set draws them, and each per-action selector's buffer holds
+    its own positives' features and a copy of the negatives', featurized
+    once. A row's features do not depend on the rows computed with it, so
+    both ways train the same models bit for bit.
     """
     annotations = [*split.fs, *state.accepted]
     if not annotations:
         raise ValueError("no positive features")
     rng = np.random.default_rng([cfg.seed, state.iteration + 1])
-    # detections on background images are false by definition
+    # detections on background images are false by definition: the rows of
+    # their sets, in order, thinned, each gathered from its own set
     backgrounds = [candidates_in[i] for i in split.backgrounds if i in candidates_in]
-    negatives = thin_negatives(
-        np.concatenate([np.empty((0, N_JOINTS, 2))] + [c.keypoints for c in backgrounds]),
-        MAX_NEGATIVES,
-    )
+    first = np.cumsum([0, *map(len, backgrounds)])  # each set's first row
+    rows = _thinned_rows(first[-1], MAX_NEGATIVES)
+    negatives = np.concatenate([np.empty((0, N_JOINTS, 2))] + [
+        c.take(r - lo) for c, r, lo in
+        zip(backgrounds, np.split(rows, np.searchsorted(rows, first[1:-1])), first)
+    ])
     skeletons = [e.skeleton for e in annotations]
     if cfg.scheme is Scheme.SEMI:
         return train(training_set(skeletons, negatives, cfg, rng), reg=cfg.reg), {}
@@ -243,7 +248,7 @@ def _select(
         if pick is not None:
             row_action = None if cands.actions is None else cands.actions[pick]
             action = ws_action.get(i, row_action or ActionLabel.GENERAL)
-            picks.append(AcceptedPose(i, Skeleton(cands.keypoints[pick]), action, "svm"))
+            picks.append(AcceptedPose(i, Skeleton(cands.take(pick)), action, "svm"))
         elif cfg.scheme is Scheme.WEAKC:
             # select featurized every row best first, so the pool's features
             # are the first rows it returned
@@ -267,7 +272,7 @@ def _recover(pools: dict[ActionLabel, list], candidates_in: dict[str, CandidateS
     recovered = []
     for pool, row in recover_poses(arrays, cfg.dpmm, seeds):
         i, j, _, _ = pools[actions[pool]][row]
-        recovered.append(AcceptedPose(i, Skeleton(candidates_in[i].keypoints[j]),
+        recovered.append(AcceptedPose(i, Skeleton(candidates_in[i].take(j)),
                                       actions[pool], "cluster"))
     return recovered
 

@@ -96,19 +96,43 @@ def torso_lengths(keypoints: np.ndarray) -> np.ndarray:
     takes of a single vector, so each length is that row's norm to the last
     bit, whatever rows it is computed with.
     """
-    hip_mid = 0.5 * (keypoints[:, JointId.L_HIP] + keypoints[:, JointId.R_HIP])
-    t = keypoints[:, JointId.NECK] - hip_mid
+    return _torso_lengths(*(keypoints[:, j] for j in _TORSO))
+
+
+# the joints of the torso, in _torso_lengths' argument order
+_TORSO = [JointId.NECK, JointId.L_HIP, JointId.R_HIP]
+
+
+def _torso_lengths(neck: np.ndarray, l_hip: np.ndarray, r_hip: np.ndarray) -> np.ndarray:
+    """torso_lengths of the (m, 2) positions of each row's torso joints."""
+    t = neck - 0.5 * (l_hip + r_hip)
     return np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which keeps its own flags."""
+    v = a.view()
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Every candidate pose of one image, held as arrays: row j of the
-    read-only keypoints (m, 14, 2) and scores (m,) is candidate j.
+    """Every candidate pose of one image, held compactly: the image's
+    distinct positions once, as read-only points (P, 2), and candidate j as
+    row j of the read-only index (m, 14) into them, in the smallest unsigned
+    dtype that holds P - 1, with its score scores[j]. An enumerated set
+    keeps at most 14 x top_k peaks (42 by default), so its index is uint8:
+    14 bytes of index and 8 of score per candidate, where (14, 2) float64
+    keypoints take 224. points and scores are taken without a copy.
 
-    heatmaps.enumerate_candidates builds one per image, best first, and the
-    selector, the recovery pool, negative mining and the audit read the rows
-    directly. svm.select featurizes and scores the rows best first, in
+    keypoints gathers every row as a read-only (m, 14, 2) array and
+    take(rows) the rows given; a reader gathers only the rows it reads.
+    heatmaps.enumerate_candidates builds one per image, best first, over
+    its kept peaks; from_keypoints builds one from (m, 14, 2) keypoints, as
+    pose files give them, factoring the positions by bit pattern (so -0.0
+    and 0.0 stay distinct and every gathered row is the given one to the
+    last bit). svm.select featurizes and scores the rows best first, in
     stable (-score, row) order, and stops at the first that clears the
     margin: that row is the pick the full scan would make, because a row's
     feature and decision do not depend on the rows computed with it; there
@@ -120,29 +144,63 @@ class CandidateSet:
     """
 
     image_id: str
-    keypoints: np.ndarray  # (m, 14, 2) float64
+    points: np.ndarray  # (P, 2) float64
+    index: np.ndarray  # (m, 14) unsigned, values below P
     scores: np.ndarray  # (m,) float64, finite
     actions: Optional[tuple[Optional["ActionLabel"], ...]] = None
 
     def __post_init__(self) -> None:
-        kp = np.array(self.keypoints, dtype=np.float64)
-        scores = np.array(self.scores, dtype=np.float64)
-        if scores.ndim != 1 or kp.shape != (len(scores), N_JOINTS, 2):
+        points = np.asarray(self.points, dtype=np.float64)
+        index = np.asarray(self.index)
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if (points.ndim != 2 or points.shape[1] != 2 or scores.ndim != 1
+                or index.shape != (len(scores), N_JOINTS) or index.dtype.kind not in "ui"):
             raise ValueError(
-                f"need (m, {N_JOINTS}, 2) keypoints and (m,) scores, "
-                f"got {kp.shape} and {scores.shape}"
+                f"need (P, 2) points, (m, {N_JOINTS}) integer index and (m,) scores, "
+                f"got {points.shape}, {index.dtype} {index.shape} and {scores.shape}"
             )
+        if index.size and not 0 <= index.min() <= index.max() < len(points):
+            raise ValueError(f"index must lie in [0, {len(points)})")
         if not np.isfinite(scores).all():
             raise ValueError("candidate score must be finite")
         if self.actions is not None and len(self.actions) != len(scores):
             raise ValueError(f"{len(self.actions)} actions for {len(scores)} candidates")
-        bad = np.flatnonzero(~(torso_lengths(kp) > 0.0))
+        index = index.astype(np.min_scalar_type(max(len(points) - 1, 0)), copy=False)
+        torso = _torso_lengths(*points.take(index[:, _TORSO].T, axis=0))
+        bad = np.flatnonzero(~(torso > 0.0))
         if bad.size:
             raise ValueError(f"image {self.image_id!r}: cannot normalize: "
                              f"degenerate torso in row {bad[0]}")
-        for name, arr in (("keypoints", kp), ("scores", scores)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, arr in (("points", points), ("index", index), ("scores", scores)):
+            object.__setattr__(self, name, _read_only(arr))
+
+    @classmethod
+    def from_keypoints(
+        cls, image_id: str, keypoints, scores,
+        actions: Optional[tuple[Optional["ActionLabel"], ...]] = None,
+    ) -> "CandidateSet":
+        """The set whose row j is keypoints[j], of (m, 14, 2) keypoints:
+        the positions factored by bit pattern."""
+        kp = np.asarray(keypoints, dtype=np.float64)
+        if kp.ndim != 3 or kp.shape[1:] != (N_JOINTS, 2):
+            raise ValueError(f"need (m, {N_JOINTS}, 2) keypoints, got {kp.shape}")
+        bits = np.ascontiguousarray(kp).reshape(-1, 2).view(np.uint64)
+        xs, ix = np.unique(bits[:, 0], return_inverse=True)
+        ys, iy = np.unique(bits[:, 1], return_inverse=True)
+        codes, index = np.unique(ix * len(ys) + iy, return_inverse=True)
+        points = np.stack([xs[codes // len(ys)], ys[codes % len(ys)]], axis=1)
+        return cls(image_id, points.view(np.float64), index.reshape(-1, N_JOINTS),
+                   scores, actions)
+
+    @property
+    def keypoints(self) -> np.ndarray:
+        """Every row's keypoints, (m, 14, 2), gathered anew on each read."""
+        return _read_only(self.take(slice(None)))
+
+    def take(self, rows) -> np.ndarray:
+        """The keypoints of rows, an index (14, 2), or an index array or
+        slice (k, 14, 2), gathered from points."""
+        return self.points.take(self.index[rows], axis=0)
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -302,7 +302,7 @@ def select(
     for rows in (order[:1], order[1:]):
         if not rows.size:
             break
-        scored.append(relational_features(candidates.keypoints[rows], normalize=True))
+        scored.append(relational_features(candidates.take(rows), normalize=True))
         above = np.flatnonzero(model.decisions(scored[-1]) > margin)
         if above.size:
             return int(rows[above[0]]), np.concatenate(scored)

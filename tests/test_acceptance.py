@@ -347,13 +347,13 @@ def test_criterion_11(criterion):
         candidates, selected = {}, {}
         for k, i in enumerate(sorted(truth)):
             junk = truth[i].keypoints + 1e5
-            candidates[i] = CandidateSet(i, [truth[i].keypoints, junk], [1.0, 2.0])
+            candidates[i] = CandidateSet.from_keypoints(i, [truth[i].keypoints, junk], [1.0, 2.0])
             selected[i] = Skeleton(candidates[i].keypoints[1 if k < 2 else 0])
         r = selection_stats(list(truth.items()), candidates, selected, eps=0.7)
         assert r.counts == (10, 10, 8, 10)
         assert r.precision == 8 / 10 and r.recall == 8 / 10
 
-        perfect = {i: CandidateSet(i, [truth[i].keypoints], [1.0]) for i in truth}
+        perfect = {i: CandidateSet.from_keypoints(i, [truth[i].keypoints], [1.0]) for i in truth}
         r = selection_stats(
             list(truth.items()), perfect, dict(truth), eps=0.7
         )

@@ -475,6 +475,35 @@ class TestSelectionFlow:
         recs = fileio.read_pose_records(out)
         assert recs and all(r.image_id == hm.stem for r in recs)
 
+    def test_candidates_traced_peak_does_not_grow_with_the_images(self, tmp_path, monkeypatch):
+        """candidates writes each image's lines as they are made and holds
+        one image's set at a time: 20 more hard images (6,068 more
+        candidates) raise its traced peak by less than one image's 14
+        float64 maps (258 KB). Holding every record and the file's text
+        until the end added 10.6 MB."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        corpus = tmp_path / "hard"
+        assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "11",
+                         "--backgrounds", "1", "--seed", "4", "--outlier-rate", "0.6",
+                         "--noise", "6"]) == 0
+        files = sorted((corpus / "heatmaps").glob("*.hm"))
+        peaks = []
+        # the first run also pays one-time costs, so it is not compared
+        for k, n in enumerate((3, 3, 23)):
+            hm = tmp_path / f"hm{k}"
+            hm.mkdir()
+            for f in files[:n]:
+                shutil.copyfile(f, hm / f.name)
+            tracemalloc.start()
+            try:
+                assert cli.main(["candidates", "--heatmaps", str(hm),
+                                 "--out", str(tmp_path / f"c{k}.jsonl")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(fileio.read_pose_records(tmp_path / "c2.jsonl")) == 7100
+        assert peaks[2] - peaks[1] < 14 * 48 * 48 * 8, peaks
+
     def test_eval_identical_poses_scores_100(self, corpus_dir, capsys):
         truth = str(corpus_dir / "truth.jsonl")
         assert cli.main(["eval", "--gt", truth, "--est", truth]) == 0

@@ -250,6 +250,24 @@ class TestAtomicWrite:
         fileio.atomic_write(target, "two")
         assert target.read_text() == "two"
 
+    def test_chunks_are_written_in_order(self, tmp_path):
+        target = tmp_path / "out.txt"
+        fileio.atomic_write(target, (c for c in ["é,", b"two,", "three"]))
+        assert target.read_text(encoding="utf-8") == "é,two,three"
+
+    def test_failure_midway_through_chunks_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        fileio.atomic_write(target, "old")
+
+        def chunks():
+            yield "new"
+            raise ValueError("bad image")
+
+        with pytest.raises(ValueError, match="bad image"):
+            fileio.atomic_write(target, chunks())
+        assert target.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [target]
+
 
 def _valid_pose_bytes() -> bytes:
     kp = np.arange(28, dtype=float).reshape(14, 2) * 1.5 + 0.25

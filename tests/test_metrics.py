@@ -156,7 +156,7 @@ class TestPckReport:
 def make_set(image_id, skels, scores=None):
     """The candidate set of one image from skeletons, in order."""
     scores = [1.0] * len(skels) if scores is None else scores
-    return CandidateSet(image_id, [s.keypoints for s in skels], scores)
+    return CandidateSet.from_keypoints(image_id, [s.keypoints for s in skels], scores)
 
 
 class TestSelectionStats:
@@ -223,7 +223,7 @@ class TestSelectionStats:
         edge[int(JointId.L_WRIST), 0] += 0.7 * gt.limb_lengths()[limb]
         rows.append(edge)
         for k in range(len(rows)):
-            one = CandidateSet("i", rows[k : k + 1], [1.0])
+            one = CandidateSet.from_keypoints("i", rows[k : k + 1], [1.0])
             r = selection_stats([("i", gt)], {"i": one}, {}, eps=0.7)
             assert r.counts[3] == int(pcp_correct(gt, Skeleton(rows[k]), 0.7)[1])
 

@@ -160,7 +160,8 @@ def first_round(scheme, labels, targets=()):
           for k, a in enumerate(labels)]
     ws = [WsExample(f"target_{a.value}", a) for a in targets]
     split = DatasetSplit(fs=tuple(fs), ws=tuple(ws), backgrounds=("bg",))
-    cands = {"bg": CandidateSet("bg", rng.uniform(10, 150, (30, 14, 2)), np.zeros(30))}
+    cands = {"bg": CandidateSet.from_keypoints("bg", rng.uniform(10, 150, (30, 14, 2)),
+                                               np.zeros(30))}
     return split, cands, fast_cfg(scheme=scheme, n_synth=2)
 
 
@@ -350,7 +351,8 @@ class TestSpecializeModels:
         ]
         ws = [WsExample(f"target_{a.value}", a) for a in targets]
         split = DatasetSplit(fs=tuple(fs), ws=tuple(ws), backgrounds=("bg",))
-        cands = {"bg": CandidateSet("bg", rng.uniform(10, 150, (30, 14, 2)), np.zeros(30))}
+        cands = {"bg": CandidateSet.from_keypoints("bg", rng.uniform(10, 150, (30, 14, 2)),
+                                               np.zeros(30))}
         return pipeline._train_selectors(
             IterationState(), split, cands, fast_cfg(n_synth=0), [e.image_id for e in ws]
         )
@@ -410,14 +412,14 @@ class TestRunIteration:
     def test_weak_requires_action_grouping(self):
         corpus, cands = tiny_corpus()
         skel = corpus.truth[corpus.split.ws[0].image_id][0]
-        cands["mystery_0001"] = CandidateSet("mystery_0001", [skel.keypoints], [1.0])
+        cands["mystery_0001"] = CandidateSet.from_keypoints("mystery_0001", [skel.keypoints], [1.0])
         with pytest.raises(ValueError, match="missing action grouping for image"):
             run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 
     def test_semi_needs_no_action_grouping(self, trained):
         corpus, cands = tiny_corpus()
         skel = corpus.truth[corpus.split.ws[0].image_id][0]
-        cands["mystery_0001"] = CandidateSet("mystery_0001", [skel.keypoints], [1.0])
+        cands["mystery_0001"] = CandidateSet.from_keypoints("mystery_0001", [skel.keypoints], [1.0])
         run_iteration(IterationState(), corpus.split, cands, fast_cfg(scheme=Scheme.SEMI))
         [(general, models)] = trained
         assert general is not None
@@ -485,7 +487,7 @@ class TestRunIteration:
         truth = gt[ws.image_id]
         wrong = Skeleton(truth.keypoints[::-1].copy())
         assert not pcp_correct(truth, wrong, cfg.eps)[1]
-        cands[ws.image_id] = CandidateSet(ws.image_id, [truth.keypoints], [1.0])
+        cands[ws.image_id] = CandidateSet.from_keypoints(ws.image_id, [truth.keypoints], [1.0])
         state = IterationState(
             iteration=1, accepted=(AcceptedPose(ws.image_id, wrong, ws.action, "svm"),)
         )
@@ -508,13 +510,13 @@ class TestRunIteration:
         rng = np.random.default_rng(7)
         split = corpus.split
         cands = {
-            i: CandidateSet(i, rng.uniform(10, 150, (3, 14, 2)), [0.5, 0.4, 0.3])
+            i: CandidateSet.from_keypoints(i, rng.uniform(10, 150, (3, 14, 2)), [0.5, 0.4, 0.3])
             for i in split.backgrounds
         }
         for e in split.ws:
             junk = rng.uniform(10, 150, (14, 2))
             truth = corpus.truth[e.image_id][0].keypoints
-            cands[e.image_id] = CandidateSet(e.image_id, [junk, truth], [0.9, 0.6])
+            cands[e.image_id] = CandidateSet.from_keypoints(e.image_id, [junk, truth], [0.9, 0.6])
         state = run_iteration(IterationState(), split, cands, fast_cfg(scheme=scheme))
         assert state.accepted
         for a in state.accepted:
@@ -587,7 +589,7 @@ class TestRunIteration:
     def test_set_must_carry_its_image_id(self):
         corpus, cands = tiny_corpus()
         i = corpus.split.ws[0].image_id
-        cands[i] = CandidateSet("other", cands[i].keypoints, cands[i].scores)
+        cands[i] = CandidateSet.from_keypoints("other", cands[i].keypoints, cands[i].scores)
         with pytest.raises(ValueError, match=f"candidates for image '{i}' carry image_id 'other'"):
             run_iteration(IterationState(), corpus.split, cands, fast_cfg())
 

@@ -94,7 +94,7 @@ class TestCandidateSet:
     def test_rejects_non_finite_score(self, rng):
         s = random_skeleton(rng)
         with pytest.raises(ValueError, match="candidate score must be finite"):
-            CandidateSet("a", [s.keypoints, s.keypoints], [1.0, float("nan")])
+            CandidateSet.from_keypoints("a", [s.keypoints, s.keypoints], [1.0, float("nan")])
 
     def test_rejects_degenerate_torso_naming_the_first_row(self, rng):
         kp = np.stack([random_skeleton(rng).keypoints for _ in range(4)])
@@ -102,7 +102,32 @@ class TestCandidateSet:
         with pytest.raises(
             ValueError, match="^image 'a': cannot normalize: degenerate torso in row 1$"
         ):
-            CandidateSet("a", kp, np.zeros(4))
+            CandidateSet.from_keypoints("a", kp, np.zeros(4))
+
+    def test_positions_are_held_once_and_rows_keep_their_bits(self, rng):
+        kp = np.stack([random_skeleton(rng).keypoints for _ in range(2)] * 3)
+        kp[1, JointId.HEAD] = -0.0
+        kp[3, JointId.HEAD] = 0.0
+        cands = CandidateSet.from_keypoints("a", kp, np.zeros(6))
+        assert cands.points.shape == (30, 2) and cands.index.dtype == np.uint8
+        assert cands.keypoints.tobytes() == kp.tobytes()  # -0.0 and 0.0 stay apart
+        assert cands.take(3).tobytes() == kp[3].tobytes()
+        assert cands.take([5, 0]).tobytes() == kp[[5, 0]].tobytes()
+        assert not cands.points.flags.writeable and not cands.index.flags.writeable
+
+    def test_index_takes_the_smallest_unsigned_dtype(self, rng):
+        """uint8 holds the indices of 256 points, and 257 need uint16."""
+        points = rng.uniform(10.0, 150.0, (257, 2))
+        index = np.arange(14 * 18).reshape(18, 14)
+        assert CandidateSet("a", points[:256], index, np.zeros(18)).index.dtype == np.uint8
+        assert CandidateSet("a", points, index, np.zeros(18)).index.dtype == np.uint16
+
+    @pytest.mark.parametrize("bad", [-1, 30])
+    def test_index_outside_the_points_is_rejected(self, rng, bad):
+        index = np.arange(14).reshape(1, 14) + np.zeros((2, 1), dtype=int)
+        index[1, 3] = bad
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 30\)"):
+            CandidateSet("a", rng.uniform(10.0, 150.0, (30, 2)), index, np.zeros(2))
 
 
 class TestValidateSplit:

@@ -335,7 +335,7 @@ class TestSelect:
         """A set with the given scores whose row j has feature (x_j, 0)."""
         kp = np.array([random_skeleton(rng).keypoints for _ in scored_xs])
         kp[:, JointId.HEAD] = [(x, 0.0) for _, x in scored_xs]
-        return CandidateSet(image_id, kp, [score for score, _ in scored_xs])
+        return CandidateSet.from_keypoints(image_id, kp, [score for score, _ in scored_xs])
 
     def test_picks_highest_score_among_accepted(self, rng):
         m = self._model_preferring_positive_x()
@@ -374,7 +374,7 @@ class TestSelect:
 
     def test_empty_set_gives_none(self):
         m = self._model_preferring_positive_x()
-        empty = CandidateSet("a", np.zeros((0, 14, 2)), np.zeros(0))
+        empty = CandidateSet.from_keypoints("a", np.zeros((0, 14, 2)), np.zeros(0))
         pick, feats = select(m, empty, 0.0)
         assert pick is None and feats.shape == (0, 2)
 
@@ -425,7 +425,7 @@ class TestBestFirst:
         scores = rng.integers(0, 3, m).astype(float)
         if sorted_set:
             scores = -np.sort(-scores)
-        cands = CandidateSet("img", kp, scores)
+        cands = CandidateSet.from_keypoints("img", kp, scores)
         model = _random_model(rng, relational_length(N_JOINTS))
         d = np.sort(model.decisions(relational_features(kp, normalize=True)))
         if cut == "below_all":
@@ -457,7 +457,7 @@ class TestBestFirst:
     def test_first_row_clearing_the_margin_is_the_only_row_featurized(self, rng, monkeypatch):
         rows = self._count_rows(monkeypatch)
         kp = np.array([random_skeleton(rng).keypoints for _ in range(50)])
-        cands = CandidateSet("img", kp, np.linspace(1.0, 0.0, 50))
+        cands = CandidateSet.from_keypoints("img", kp, np.linspace(1.0, 0.0, 50))
         d = relational_length(N_JOINTS)
         accept_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), 1.0, 1.0)
         assert select(accept_all, cands, 0.0)[0] == 0
@@ -466,7 +466,7 @@ class TestBestFirst:
     def test_rest_is_one_call_when_the_first_row_falls_short(self, rng, monkeypatch):
         rows = self._count_rows(monkeypatch)
         kp = np.array([random_skeleton(rng).keypoints for _ in range(150)])
-        cands = CandidateSet("img", kp, rng.random(150))
+        cands = CandidateSet.from_keypoints("img", kp, rng.random(150))
         d = relational_length(N_JOINTS)
         reject_all = SvmModel(np.zeros(d), np.ones(d), np.zeros(d), -1.0, 1.0)
         pick, feats = select(reject_all, cands, 0.0)
