@@ -27,7 +27,7 @@ from .heatmaps import CandidateGenConfig, enumerate_candidates
 from .metrics import ReferenceLength, format_pck_table, pck_report
 from .pipeline import PipelineConfig, Scheme, run_pipeline, training_set
 from .skeleton import (
-    N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, WsExample, torso_lengths
+    ActionLabel, CandidateSet, DatasetSplit, FsExample, JointId, Skeleton, WsExample
 )
 from .svm import TOL, select, train
 from .synth import SynthConfig, synth_corpus
@@ -276,23 +276,15 @@ def _image_candidates(path: Path, cfg: CandidateGenConfig) -> CandidateSet:
 # --- subcommands --------------------------------------------------------------
 
 
-def _keypoints(path: Path, records: list[fileio.PoseRecord], normalize: bool = True) -> np.ndarray:
-    """The records' (m, 14, 2) keypoints; when normalize, a torso it cannot
-    scale is an error naming path, the record's position and its image."""
-    keypoints = np.reshape([r.keypoints for r in records], (-1, N_JOINTS, 2))
-    bad = np.flatnonzero(~(torso_lengths(keypoints) > 0.0)) if normalize else ()
-    if len(bad):
-        raise ValueError(f"{path}: record {bad[0] + 1} (image {records[bad[0]].image_id!r}): "
-                         "cannot normalize: degenerate torso")
-    return keypoints
-
-
-def _read_poses(path: Path, normalize: bool = True) -> tuple[list[fileio.PoseRecord], np.ndarray]:
-    """A file's pose records and their _keypoints; an empty file is an error naming it."""
-    records = fileio.read_pose_records(path)
-    if not records:
+def _read_poses(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Each record's image id, keypoints (m, 14, 2) and score, 0 where it has
+    none, in file order, from the file's candidate sets; an empty file is an
+    error naming it."""
+    sets = list(fileio.read_candidate_sets(path))
+    if not sets:
         raise ValueError(f"{path}: no pose records")
-    return records, _keypoints(path, records, normalize)
+    ids = [s.image_id for s in sets for _ in range(len(s))]
+    return ids, np.concatenate([s.keypoints for s in sets]), np.concatenate([s.scores for s in sets])
 
 
 def _cmd_synth(a: dict) -> int:
@@ -328,23 +320,22 @@ def _cmd_synth(a: dict) -> int:
 
 
 def _cmd_features(a: dict) -> int:
-    records, keypoints = _read_poses(a["poses"], normalize=not a["raw"])
+    ids, keypoints, _ = _read_poses(a["poses"])
     feats = relational_features(keypoints, normalize=not a["raw"])
-    ids = np.array([r.image_id for r in records])
     buf = io.BytesIO()  # np.savez on a path would append .npz to it
-    np.savez(buf, ids=ids, features=feats)
+    np.savez(buf, ids=np.array(ids), features=feats)
     fileio.atomic_write(a["out"], buf.getvalue())
-    print(f"wrote {len(records)} feature vectors of dim {feats.shape[1]} -> {a['out']}")
+    print(f"wrote {len(ids)} feature vectors of dim {feats.shape[1]} -> {a['out']}")
     return 0
 
 
 def _cmd_train_svm(a: dict) -> int:
     cfg = PipelineConfig(**_given(a, seed="seed", n_synth="synth", eps="eps", reg="reg"))
     tol = _pick(a, "tol", TOL)
-    positives, _ = _read_poses(a["positives"])
-    _, negatives = _read_poses(a["negatives"])
+    _, positives, _ = _read_poses(a["positives"])
+    _, negatives, _ = _read_poses(a["negatives"])
     rng = np.random.default_rng(cfg.seed)
-    ts = training_set([r.skeleton() for r in positives], negatives, cfg, rng)
+    ts = training_set([Skeleton(kp) for kp in positives], negatives, cfg, rng)
     model = train(ts, reg=cfg.reg, tol=tol)
     fileio.save_svm_model(a["out"], model)
     n_pos = int(np.sum(ts.labels > 0))
@@ -388,38 +379,34 @@ def _cmd_candidates(a: dict) -> int:
 
 def _cmd_select(a: dict) -> int:
     model = fileio.load_svm_model(a["model"])
-    records = fileio.read_pose_records(a["candidates"])
     margin = PipelineConfig(**_given(a, margin="margin")).margin  # checked finite there
-    _keypoints(a["candidates"], records)  # names the record, where CandidateSet names the row
-    by_image: dict[str, list] = {}
-    for r in records:
-        by_image.setdefault(r.image_id, []).append(r)
-    out = []
-    for image_id, recs in by_image.items():
-        cands = fileio.candidate_set(image_id, recs)
-        pick, _ = select(model, cands, margin=margin)
-        if pick is not None:
-            out.append(
-                fileio.PoseRecord(
-                    image_id,
+    sets = fileio.read_candidate_sets(a["candidates"])
+    picked = []  # per image, whether it has a pick
+
+    def picks():
+        # each image's pick is made, and written, after the last one's
+        for cands in sets:
+            pick, _ = select(model, cands, margin=margin)
+            picked.append(pick is not None)
+            if pick is not None:
+                yield fileio.PoseRecord(
+                    cands.image_id,
                     cands.take(pick),
                     None if cands.actions is None else cands.actions[pick],
                     score=cands.scores[pick],
                     provenance="svm",
                 )
-            )
-    fileio.write_pose_records(a["out"], out)
-    print(f"selected {len(out)} of {len(by_image)} images -> {a['out']}")
+
+    fileio.write_pose_records(a["out"], picks())
+    print(f"selected {sum(picked)} of {len(picked)} images -> {a['out']}")
     return 0
 
 
 def _features_and_scores(path: Path):
-    records, keypoints = _read_poses(path)
-    if len(records) < 4:
-        raise ValueError(f"{path}: need at least 4 pose records, got {len(records)}")
-    X = relational_features(keypoints, normalize=True)
-    scores = np.array([r.score if r.score is not None else 0.0 for r in records])
-    return records, X, scores
+    ids, keypoints, scores = _read_poses(path)
+    if len(ids) < 4:
+        raise ValueError(f"{path}: need at least 4 pose records, got {len(ids)}")
+    return ids, relational_features(keypoints, normalize=True), scores
 
 
 def _sweeps(a: dict, flag: str) -> dict:
@@ -460,12 +447,12 @@ def _cmd_cluster(a: dict) -> int:
 
 def _cmd_outliers(a: dict) -> int:
     cfg = _dpmm_config(a)
-    records, X, scores = _features_and_scores(a["poses"])
+    ids, X, scores = _features_and_scores(a["poses"])
     X = project(X, cfg)
     p = gibbs_cluster(X, cfg)
     report = detect_outliers(X, scores, p, cfg)
     fileio.atomic_write(a["out"], format_outlier_report(report))
-    flagged = [records[i].image_id for i in report.outlier_indices]
+    flagged = [ids[i] for i in report.outlier_indices]
     print(
         f"{'flagged' if report.accepted else 'kept all'}: "
         f"{len(report.outlier_indices)} outliers {flagged} -> {a['out']}"

@@ -4,7 +4,10 @@ and flat key=value config files.
 All writers go through an atomic write-temp-then-rename so partially
 written files never appear under the target name. Pose files are written
 a line at a time as their records are drawn, so a writer that makes its
-records as it goes never holds the whole file.
+records as it goes never holds the whole file. read_candidate_sets reads
+a pose file one image's run of consecutive lines at a time, as each
+image's CandidateSet, so a reader that uses each set as it comes never
+holds the whole file either.
 
 Binary layouts (all little-endian):
   heatmap record: magic b"PBHMAP01", joint u32, width u32, height u32,
@@ -15,6 +18,7 @@ Binary layouts (all little-endian):
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -31,10 +35,9 @@ from .svm import SvmModel
 
 __all__ = [
     "PoseRecord",
-    "read_pose_records",
+    "read_candidate_sets",
     "read_pose_index",
     "write_pose_records",
-    "candidate_set",
     "atomic_write",
     "read_heatmaps",
     "write_heatmaps",
@@ -161,23 +164,33 @@ def _record_from_line(line: str) -> PoseRecord:
     return PoseRecord(image_id, kp, action, score, provenance)
 
 
-def candidate_set(image_id: str, records: Sequence[PoseRecord]) -> CandidateSet:
-    """Pose records as the candidates of image_id, in file order, their
-    positions factored by bit pattern (CandidateSet.from_keypoints); a
-    missing score counts as 0."""
-    actions = tuple(r.action for r in records)
-    return CandidateSet.from_keypoints(
-        image_id,
-        np.reshape([r.keypoints for r in records], (-1, N_JOINTS, 2)),
-        [0.0 if r.score is None else r.score for r in records],
-        actions if any(a is not None for a in actions) else None,
-    )
-
-
-def read_pose_records(path: Union[str, Path]) -> list[PoseRecord]:
-    """Parse a line-delimited pose file; errors name the file and the
-    offending line."""
-    return [r for _, r in _numbered_lines(path, _record_from_line)]
+def read_candidate_sets(path: Union[str, Path]) -> Iterator[CandidateSet]:
+    """Each run of consecutive records of one image, as that image's
+    CandidateSet.from_keypoints: rows in file order, a missing score as 0,
+    and actions None when no record of the run has one. One run is held at
+    a time. An image whose records resume after another image's is an
+    error, and so is a set CandidateSet rejects; each names the file and
+    the line of the run's first record."""
+    done: set[str] = set()
+    lines = _numbered_lines(path, _record_from_line)
+    for image_id, run in itertools.groupby(lines, key=lambda numbered: numbered[1].image_id):
+        run = list(run)
+        first = run[0][0]
+        if image_id in done:
+            raise ValueError(f"{path}: line {first}: image {image_id!r} resumes "
+                             "after another image's records")
+        done.add(image_id)
+        actions = tuple(r.action for _, r in run)
+        try:
+            cands = CandidateSet.from_keypoints(
+                image_id,
+                np.stack([r.keypoints for _, r in run]),
+                [0.0 if r.score is None else r.score for _, r in run],
+                actions if any(a is not None for a in actions) else None,
+            )
+        except ValueError as e:
+            raise ValueError(f"{path}: line {first}: {e}") from None
+        yield cands
 
 
 def read_pose_index(path: Union[str, Path]) -> dict[str, PoseRecord]:
@@ -195,23 +208,22 @@ def read_pose_index(path: Union[str, Path]) -> dict[str, PoseRecord]:
     return out
 
 
-def _numbered_lines(path: Union[str, Path], parse: Callable[[str], Any]) -> list[tuple[int, Any]]:
-    """(number, parse(text)) of each non-blank line of a UTF-8 file, decoded
-    one at a time, so that every error, a bad byte's too, names its line."""
-    out = []
+def _numbered_lines(path: Union[str, Path], parse: Callable[[str], Any]) -> Iterator[tuple[int, Any]]:
+    """(number, parse(text)) of each non-blank line of a UTF-8 file, read
+    and decoded one at a time, so that every error, a bad byte's too, names
+    its line."""
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    out.append((lineno, parse(line)))
+                    yield lineno, parse(line)
             except UnicodeDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}") from None
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
 
 
 class _Encoded:

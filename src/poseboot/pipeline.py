@@ -22,7 +22,7 @@ import numpy as np
 
 from .dpmm import DpmmConfig, recover_poses
 from .features import relational_features, relational_length
-from .fileio import PoseRecord, atomic_write, candidate_set, read_pose_records, write_pose_records
+from .fileio import PoseRecord, atomic_write, read_candidate_sets, write_pose_records
 # relational_feature is not called here; it stays importable from this module
 # because bench/tests/test_bench.py checks that the tracer restores it
 from .features import relational_feature  # noqa: F401
@@ -370,10 +370,11 @@ def write_iteration_files(
 
 def read_candidate_dir(path: Path, split: DatasetSplit) -> dict[str, CandidateSet]:
     """Ingest refreshed candidates: one <image_id>.jsonl per image of split,
-    whose records become that image's set in file order. A file of an image
-    the split does not list is an error that names the file, checked before
-    any file is read; a record of another image is one that names the file
-    and both ids, and a set CandidateSet rejects is one that names the file."""
+    whose records become that image's set in file order; an empty file
+    gives it an empty set. A file of an image the split does not list is
+    an error that names the file, checked before any file is read; a record
+    of another image is one that names the file and both ids, and every
+    error read_candidate_sets raises names the file."""
     images = {*split.fs_ids(), *split.ws_ids(), *split.us, *split.backgrounds}
     files = sorted(path.glob("*.jsonl"))
     for f in files:
@@ -381,16 +382,14 @@ def read_candidate_dir(path: Path, split: DatasetSplit) -> dict[str, CandidateSe
             raise ValueError(f"{f}: names no image of the split")
     out = {}
     for f in files:
-        records = read_pose_records(f)
-        for r in records:
-            if r.image_id != f.stem:
+        for cands in read_candidate_sets(f):
+            if cands.image_id != f.stem:
                 raise ValueError(
-                    f"{f}: record for image {r.image_id!r} in the file of image {f.stem!r}"
+                    f"{f}: record for image {cands.image_id!r} in the file of image {f.stem!r}"
                 )
-        try:
-            out[f.stem] = candidate_set(f.stem, records)
-        except ValueError as e:
-            raise ValueError(f"{f}: {e}") from None
+            out[f.stem] = cands
+        if f.stem not in out:
+            out[f.stem] = CandidateSet.from_keypoints(f.stem, np.empty((0, N_JOINTS, 2)), ())
     return out
 
 

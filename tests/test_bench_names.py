@@ -43,7 +43,7 @@ READERS = [name for name in fileio.__all__ if name.startswith(("read_", "load_")
 
 
 def test_every_reader_is_found():
-    assert READERS == ["read_pose_records", "read_pose_index", "read_heatmaps",
+    assert READERS == ["read_candidate_sets", "read_pose_index", "read_heatmaps",
                        "load_svm_model", "load_config"]
 
 

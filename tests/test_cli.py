@@ -137,7 +137,7 @@ class TestSynth:
         assert len(manifest["fs"]) == 2 * 3  # round(6 * 0.5) fs per action
         assert len(manifest["ws"]) == 2 * 3
         assert len(manifest["backgrounds"]) == 3
-        truth = fileio.read_pose_records(corpus_dir / "truth.jsonl")
+        truth = fileio.read_pose_index(corpus_dir / "truth.jsonl")
         assert len(truth) == 12
         hm_files = sorted((corpus_dir / "heatmaps").glob("*.hm"))
         assert len(hm_files) == 12 + 3
@@ -275,10 +275,9 @@ class TestSelectionFlow:
              "--out", str(cands)]
         )
         assert rc == 0
-        cand_recs = fileio.read_pose_records(cands)
-        pose_ids = {r.image_id for r in fileio.read_pose_records(corpus_dir / "truth.jsonl")}
-        assert pose_ids <= {r.image_id for r in cand_recs}
-        assert all(r.score is not None for r in cand_recs)
+        cand_ids = {s.image_id for s in fileio.read_candidate_sets(cands)}
+        assert set(fileio.read_pose_index(corpus_dir / "truth.jsonl")) <= cand_ids
+        assert all("score" in json.loads(line) for line in cands.read_text().splitlines())
 
         negs = tmp_path / "negs.jsonl"
         write_junk_poses(negs, rng, 20)
@@ -298,9 +297,8 @@ class TestSelectionFlow:
              "--out", str(picks)]
         )
         assert rc == 0
-        picked = fileio.read_pose_records(picks)
+        picked = list(fileio.read_pose_index(picks).values())  # one line per image
         assert picked, "selector rejected every image"
-        assert len({r.image_id for r in picked}) == len(picked)
         # real images should dominate the background detections
         real = [r for r in picked if not r.image_id.startswith("bg_")]
         assert len(real) >= len(picked) - 1
@@ -441,7 +439,7 @@ class TestSelectionFlow:
         assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
                          "--out", str(model)]) == 0
         (junk,) = write_junk_poses(tmp_path / "junk.jsonl", rng, 1, score=0.95, prefix="img")
-        good = fileio.read_pose_records(pos)[0]
+        good = fileio.read_pose_index(pos)["good_000"]
         cands = tmp_path / "cands.jsonl"
         fileio.write_pose_records(cands, [
             junk, fileio.PoseRecord("img_000", good.keypoints, ActionLabel.SOCCER, score=0.5),
@@ -449,7 +447,7 @@ class TestSelectionFlow:
         picks = tmp_path / "picks.jsonl"
         assert cli.main(["select", "--model", str(model), "--candidates", str(cands),
                          "--out", str(picks)]) == 0
-        (pick,) = fileio.read_pose_records(picks)
+        (pick,) = fileio.read_pose_index(picks).values()
         assert pick.image_id == "img_000" and pick.provenance == "svm"
         np.testing.assert_array_equal(pick.keypoints, good.keypoints)
         assert pick.score == 0.5 and pick.action is ActionLabel.SOCCER
@@ -472,8 +470,8 @@ class TestSelectionFlow:
         hm = sorted((corpus_dir / "heatmaps").glob("*.hm"))[0]
         out = tmp_path / "one.jsonl"
         assert cli.main(["candidates", "--heatmaps", str(hm), "--out", str(out)]) == 0
-        recs = fileio.read_pose_records(out)
-        assert recs and all(r.image_id == hm.stem for r in recs)
+        (cands,) = fileio.read_candidate_sets(out)
+        assert cands.image_id == hm.stem and len(cands)
 
     def test_candidates_traced_peak_does_not_grow_with_the_images(self, tmp_path, monkeypatch):
         """candidates writes each image's lines as they are made and holds
@@ -501,8 +499,43 @@ class TestSelectionFlow:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert len(fileio.read_pose_records(tmp_path / "c2.jsonl")) == 7100
+        assert sum(map(len, fileio.read_candidate_sets(tmp_path / "c2.jsonl"))) == 7100
         assert peaks[2] - peaks[1] < 14 * 48 * 48 * 8, peaks
+
+    def test_select_traced_peak_does_not_grow_with_the_images(self, tmp_path, monkeypatch):
+        """select reads, picks and writes one image's run of candidates at a
+        time: 18 more hard images (5,068 more candidates) raise its traced
+        peak by less than the 253 KB that the largest image's 500 records
+        take (3 KB was measured). Holding every record before the first
+        pick added 3.76 MB."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        corpus = tmp_path / "hard"
+        assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "11",
+                         "--backgrounds", "1", "--seed", "4", "--outlier-rate", "0.6",
+                         "--noise", "6"]) == 0
+        cands, bg, model = tmp_path / "c.jsonl", tmp_path / "bg.jsonl", tmp_path / "sel.svm"
+        assert cli.main(["candidates", "--heatmaps", str(corpus / "heatmaps"),
+                         "--out", str(cands)]) == 0
+        assert cli.main(["candidates", "--heatmaps", str(corpus / "heatmaps" / "bg_0000.hm"),
+                         "--out", str(bg)]) == 0
+        assert cli.main(["train-svm", "--positives", str(corpus / "truth.jsonl"),
+                         "--negatives", str(bg), "--out", str(model)]) == 0
+        lines = cands.read_text().splitlines(keepends=True)
+        images = sorted({json.loads(line)["image_id"] for line in lines})
+        peaks = []
+        # the first run also pays one-time costs, so it is not compared
+        for k, n in enumerate((3, 3, 21)):
+            part = tmp_path / f"c{k}.jsonl"
+            part.write_text("".join(ln for ln in lines if json.loads(ln)["image_id"] in images[:n]))
+            tracemalloc.start()
+            try:
+                assert cli.main(["select", "--model", str(model), "--candidates", str(part),
+                                 "--out", str(tmp_path / f"p{k}.jsonl")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sum(map(len, fileio.read_candidate_sets(tmp_path / "c2.jsonl"))) == 6100
+        assert peaks[2] - peaks[1] < 256 * 1024, peaks
 
     def test_eval_identical_poses_scores_100(self, corpus_dir, capsys):
         truth = str(corpus_dir / "truth.jsonl")
@@ -582,7 +615,7 @@ class TestInputErrors:
 
     @pytest.fixture
     def truth(self, corpus_dir):
-        return fileio.read_pose_records(corpus_dir / "truth.jsonl")
+        return list(fileio.read_pose_index(corpus_dir / "truth.jsonl").values())
 
     @pytest.mark.parametrize("true_first", [True, False])
     def test_eval_duplicate_est_id_is_data_error(self, corpus_dir, tmp_path, truth, capsys, true_first):
@@ -1393,7 +1426,7 @@ class TestInputErrorsNameTheirRecord:
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_dir, corpus)
         image = json.loads((corpus / "split.json").read_text())["fs"][2]
-        truth = fileio.read_pose_records(corpus / "truth.jsonl")
+        truth = fileio.read_pose_index(corpus / "truth.jsonl").values()
         fileio.write_pose_records(
             corpus / "truth.jsonl", [without_torso(r) if r.image_id == image else r for r in truth]
         )
@@ -1434,8 +1467,8 @@ class TestInputErrorsNameTheirRecord:
                        "--negatives", str(files["negatives"]), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {files[bad_file]}: record 3 (image {bad[2].image_id!r}): "
-            "cannot normalize: degenerate torso\n"
+            f"error: {files[bad_file]}: line 3: image {bad[2].image_id!r}: "
+            "cannot normalize: degenerate torso in row 0\n"
         )
         assert not out.exists()
 
@@ -1447,7 +1480,7 @@ class TestInputErrorsNameTheirRecord:
         out = tmp_path / "out"
         assert cli.main([command, "--poses", str(poses), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {poses}: record 4 (image 'good_003'): cannot normalize: degenerate torso\n"
+            f"error: {poses}: line 4: image 'good_003': cannot normalize: degenerate torso in row 0\n"
         )
         assert not out.exists()
 
@@ -1462,13 +1495,14 @@ class TestInputErrorsNameTheirRecord:
                        "--scheme", "weak"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: image {ws!r}: cannot normalize: degenerate torso in row 1\n"
+            f"error: {path}: line 1: image {ws!r}: cannot normalize: degenerate torso in row 1\n"
         )
         assert not (tmp_path / "x" / "annotations_iter1.jsonl").exists()
 
     def test_select_candidate_without_torso(self, tmp_path, rng, capsys):
-        """select names the candidates file and the record, before any pick;
-        an empty candidates file still selects nothing."""
+        """select names the candidates file, the line of the image's first
+        record and the image, and writes no picks; an empty candidates file
+        still selects nothing."""
         pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
         write_template_poses(pos, rng, 6)
         write_junk_poses(neg, rng, 10)
@@ -1482,20 +1516,45 @@ class TestInputErrorsNameTheirRecord:
         argv = ["select", "--model", str(model), "--candidates", str(cands), "--out", str(picks)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: {cands}: record 2 (image 'img_001'): cannot normalize: degenerate torso\n"
+            f"error: {cands}: line 2: image 'img_001': cannot normalize: degenerate torso in row 0\n"
         )
         assert not picks.exists()
         fileio.write_pose_records(cands, [])
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == f"selected 0 of 0 images -> {picks}\n"
 
-    def test_features_raw_needs_no_torso(self, tmp_path, rng):
+    def test_features_raw_needs_a_torso(self, tmp_path, rng, capsys):
+        """--raw skips normalization, yet its reader rejects a record with no
+        torso, as every pose-file reader does."""
         poses = tmp_path / "p.jsonl"
         fileio.write_pose_records(poses, [without_torso(r)
                                           for r in write_template_poses(poses, rng, 2)])
         out = tmp_path / "f.npz"
-        assert cli.main(["features", "--poses", str(poses), "--out", str(out), "--raw"]) == 0
-        assert np.load(out)["features"].shape == (2, 1274)
+        assert cli.main(["features", "--poses", str(poses), "--out", str(out), "--raw"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {poses}: line 1: image 'good_000': cannot normalize: degenerate torso in row 0\n"
+        )
+        assert not out.exists()
+
+    def test_select_image_that_resumes(self, tmp_path, rng, capsys):
+        """An image whose records resume after another image's exits 2,
+        naming the file, the line and the image, and writes no picks."""
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        write_template_poses(pos, rng, 6)
+        write_junk_poses(neg, rng, 10)
+        model = tmp_path / "sel.svm"
+        assert cli.main(["train-svm", "--positives", str(pos), "--negatives", str(neg),
+                         "--out", str(model)]) == 0
+        cands, picks = tmp_path / "cands.jsonl", tmp_path / "picks.jsonl"
+        good = write_template_poses(cands, rng, 3, prefix="img")
+        fileio.write_pose_records(cands, [*good, fileio.PoseRecord("img_000", good[2].keypoints)])
+        capsys.readouterr()
+        assert cli.main(["select", "--model", str(model), "--candidates", str(cands),
+                         "--out", str(picks)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cands}: line 4: image 'img_000' resumes after another image's records\n"
+        )
+        assert not picks.exists()
 
     @pytest.mark.parametrize("empty", ["positives", "negatives", "poses"])
     def test_empty_pose_file(self, tmp_path, rng, capsys, empty):
@@ -1515,7 +1574,7 @@ class TestInputErrorsNameTheirRecord:
         assert not out.exists()
 
     def test_eval_pckh_degenerate_reference(self, corpus_dir, tmp_path, capsys):
-        truth = fileio.read_pose_records(corpus_dir / "truth.jsonl")
+        truth = list(fileio.read_pose_index(corpus_dir / "truth.jsonl").values())
         kp = truth[1].keypoints.copy()
         kp[JointId.HEAD] = kp[JointId.NECK]
         gt = tmp_path / "gt.jsonl"

@@ -523,21 +523,6 @@ class TestLockstepChains:
             sample_partitions(np.zeros((6, 1)), DpmmConfig(gibbs_iters=2, burn_in=0), chains)
 
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # NumPy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
-
-# A digest pins every last bit of NumPy's float64 exp and log, which run
-# NumPy's own AVX-512 kernels where the CPU has them and the C library's
-# elsewhere; the two may round a value differently.
-needs_avx512 = pytest.mark.skipif(
-    not __cpu_features__.get("AVX512F"),
-    reason="the digest was recorded with NumPy's AVX-512 exp and log",
-)
-
-
-@needs_avx512
 class TestBenchScale:
     """The sampler at the scale recover_poses runs it keeps its draws."""
 

@@ -28,7 +28,21 @@ class TestPoseRecords:
         ]
         path = tmp_path / "r.jsonl"
         fileio.write_pose_records(path, recs)
-        assert fileio.read_pose_records(path) == recs
+        assert list(fileio.read_pose_index(path).values()) == recs
+
+    def test_candidate_sets_are_runs_of_one_image(self, tmp_path, keypoints):
+        """Each run of one image's lines is its set, rows in file order; a
+        missing score reads as 0, and a run with no action has actions None."""
+        path = tmp_path / "r.jsonl"
+        fileio.write_pose_records(path, [
+            fileio.PoseRecord("a", keypoints, score=0.5),
+            fileio.PoseRecord("a", keypoints * 2),
+            fileio.PoseRecord("b", keypoints, ActionLabel.TENNIS),
+        ])
+        a, b = fileio.read_candidate_sets(path)
+        assert (a.image_id, a.scores.tolist(), a.actions) == ("a", [0.5, 0.0], None)
+        np.testing.assert_array_equal(a.keypoints, [keypoints, keypoints * 2])
+        assert (b.image_id, b.scores.tolist(), b.actions) == ("b", [0.0], (ActionLabel.TENNIS,))
 
     def test_line_bytes(self, tmp_path):
         """Each coordinate is written as the shortest repr of its double,
@@ -48,7 +62,7 @@ class TestPoseRecords:
         path = tmp_path / "r.jsonl"
         fileio.write_pose_records(path, [fileio.PoseRecord("a", keypoints)])
         path.write_text(path.read_text() + "\n\n")
-        assert len(fileio.read_pose_records(path)) == 1
+        assert len(fileio.read_pose_index(path)) == 1
 
     def test_error_messages_carry_line_numbers(self, tmp_path, keypoints):
         path = tmp_path / "r.jsonl"
@@ -56,37 +70,37 @@ class TestPoseRecords:
         good = path.read_text()
         path.write_text(good + "{not json\n")
         with pytest.raises(ValueError, match="line 2: invalid JSON"):
-            fileio.read_pose_records(path)
+            list(fileio.read_candidate_sets(path))
 
     def test_missing_field_rejected(self, tmp_path):
         (tmp_path / "r.jsonl").write_text(json.dumps({"image_id": "a"}) + "\n")
         with pytest.raises(ValueError, match="line 1"):
-            fileio.read_pose_records(tmp_path / "r.jsonl")
+            list(fileio.read_candidate_sets(tmp_path / "r.jsonl"))
 
     def test_wrong_joint_count_rejected(self, tmp_path):
         rec = {"image_id": "a", "keypoints": [[0.0, 0.0]] * 13}
         (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match="14"):
-            fileio.read_pose_records(tmp_path / "r.jsonl")
+            list(fileio.read_candidate_sets(tmp_path / "r.jsonl"))
 
     def test_unknown_action_rejected(self, tmp_path, keypoints):
         rec = {"image_id": "a", "keypoints": keypoints.tolist(), "action": "chess"}
         (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match="line 1"):
-            fileio.read_pose_records(tmp_path / "r.jsonl")
+            list(fileio.read_candidate_sets(tmp_path / "r.jsonl"))
 
     def test_non_finite_score_rejected(self, tmp_path, keypoints):
         rec = {"image_id": "a", "keypoints": keypoints.tolist(), "score": float("inf")}
         (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match="line 1"):
-            fileio.read_pose_records(tmp_path / "r.jsonl")
+            list(fileio.read_candidate_sets(tmp_path / "r.jsonl"))
 
     def test_boolean_score_rejected(self, tmp_path, keypoints):
         rec = {"image_id": "a", "keypoints": keypoints.tolist(), "score": True}
         path = tmp_path / "r.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError) as e:
-            fileio.read_pose_records(path)
+            list(fileio.read_candidate_sets(path))
         assert str(e.value) == f"{path}: line 1: score must be numeric"
 
     def test_invalid_utf8_names_the_line(self, tmp_path):
@@ -94,13 +108,13 @@ class TestPoseRecords:
         data[1] = data[1].replace(b"bg_002", b"bg_\xff02")
         (tmp_path / "r.jsonl").write_bytes(b"".join(data))
         with pytest.raises(ValueError, match="line 2: invalid UTF-8 at byte 16"):
-            fileio.read_pose_records(tmp_path / "r.jsonl")
+            list(fileio.read_candidate_sets(tmp_path / "r.jsonl"))
 
     def test_non_string_action_rejected(self, tmp_path, keypoints):
         rec = {"image_id": "a", "keypoints": keypoints.tolist(), "action": 5}
         (tmp_path / "r.jsonl").write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match="line 1: action must be a string"):
-            fileio.read_pose_records(tmp_path / "r.jsonl")
+            list(fileio.read_candidate_sets(tmp_path / "r.jsonl"))
 
     def test_skeleton_view(self, keypoints):
         rec = fileio.PoseRecord("a", keypoints)
@@ -313,7 +327,7 @@ class TestReadersUnderDamage:
         path = fuzz_dir / "r.jsonl"
         path.write_bytes(data)
         try:
-            fileio.read_pose_records(path)
+            list(fileio.read_candidate_sets(path))
         except ValueError as e:
             assert re.search(r"\bline \d+", str(e)), str(e)
 

@@ -11,7 +11,7 @@ import poseboot.pipeline as pipeline
 import poseboot.svm as svm
 from poseboot.dpmm import DpmmConfig
 from poseboot.features import relational_features
-from poseboot.fileio import PoseRecord, read_pose_records, write_pose_records
+from poseboot.fileio import PoseRecord, read_pose_index, write_pose_records
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
 from poseboot.metrics import pcp_correct
 from poseboot.pipeline import (
@@ -320,7 +320,8 @@ def test_recovery_pool_holds_its_rows_not_every_scored_row(monkeypatch):
 
 def test_degenerate_background_torso_names_the_image_and_row(tmp_path):
     """A refreshed background set with a row that has no torso is an error
-    naming its file, its image and the row, before any round trains."""
+    naming its file, the line of its first record, its image and the row,
+    before any round trains."""
     corpus, cands = tiny_corpus()
     bg = corpus.split.backgrounds[1]
     kp = cands[bg].keypoints.copy()
@@ -331,7 +332,9 @@ def test_degenerate_background_torso_names_the_image_and_row(tmp_path):
     write_pose_records(path, [PoseRecord(bg, k, score=s) for k, s in zip(kp, cands[bg].scores)])
     with pytest.raises(ValueError) as e:
         run_pipeline(corpus.split, cands, fast_cfg(), tmp_path)
-    assert str(e.value) == f"{path}: image {bg!r}: cannot normalize: degenerate torso in row 2"
+    assert str(e.value) == (
+        f"{path}: line 1: image {bg!r}: cannot normalize: degenerate torso in row 2"
+    )
     assert not (tmp_path / "annotations_iter1.jsonl").exists()
 
 
@@ -616,7 +619,7 @@ class TestRunIteration:
         assert s2.accepted == state.accepted
         assert trained == []
         write_iteration_files(tmp_path, s2, corpus.split, cfg)
-        recs = read_pose_records(tmp_path / "annotations_iter2.jsonl")
+        recs = read_pose_index(tmp_path / "annotations_iter2.jsonl")
         assert len(recs) == len(corpus.split.fs) + len(state.accepted)
         assert "counts atp=" in (tmp_path / "report_iter2.txt").read_text()
 
@@ -651,7 +654,7 @@ class TestExchangeFiles:
         state = run_iteration(IterationState(), corpus.split, cands, cfg, gt=gt)
         write_iteration_files(tmp_path, state, corpus.split, cfg)
 
-        recs = read_pose_records(tmp_path / "annotations_iter1.jsonl")
+        recs = read_pose_index(tmp_path / "annotations_iter1.jsonl").values()
         assert len(recs) == len(corpus.split.fs) + len(state.accepted)
         assert {r.provenance for r in recs} <= {"fs", "svm", "cluster"}
         fs_ids = set(corpus.split.fs_ids())
@@ -695,6 +698,13 @@ class TestExchangeFiles:
         with pytest.raises(ValueError) as e:
             read_candidate_dir(tmp_path, corpus.split)
         assert str(e.value) == f"{path}: names no image of the split"
+
+    def test_empty_file_gives_an_empty_set(self, tmp_path):
+        corpus, _ = tiny_corpus()
+        image_id = corpus.split.ws[0].image_id
+        (tmp_path / f"{image_id}.jsonl").write_text("")
+        (cands,) = read_candidate_dir(tmp_path, corpus.split).values()
+        assert cands.image_id == image_id and cands.keypoints.shape == (0, 14, 2)
 
     def test_read_candidate_dir_empty(self, tmp_path):
         assert read_candidate_dir(tmp_path, tiny_corpus()[0].split) == {}
