@@ -20,9 +20,11 @@ annotations = [
     Skeleton(action_template(0).keypoints + rng.normal(0, 2.0, (14, 2)))
     for _ in range(6)
 ]
+# the junk poses of one background image
+background = CandidateSet.from_keypoints("bg", rng.uniform(10, 150, (40, 14, 2)), np.zeros(40))
 # each annotation's keypoints, then its 10 jittered copies, then the junk,
 # featurized in one call as the pipeline builds every selector's rows
-ts = training_set(annotations, rng.uniform(10, 150, (40, 14, 2)), PipelineConfig(), rng)
+ts = training_set(annotations, [background], PipelineConfig(), rng)
 model = train(ts, tol=1e-5, max_iter=1000)
 n_pos = int((ts.labels > 0).sum())
 print(f"trained on {n_pos} positives / {len(ts.labels) - n_pos} negatives, "

@@ -276,13 +276,18 @@ def _image_candidates(path: Path, cfg: CandidateGenConfig) -> CandidateSet:
 # --- subcommands --------------------------------------------------------------
 
 
-def _read_poses(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Each record's image id, keypoints (m, 14, 2) and score, 0 where it has
-    none, in file order, from the file's candidate sets; an empty file is an
-    error naming it."""
+def _read_sets(path: Path) -> list[CandidateSet]:
+    """The file's candidate sets, in order; an empty file is an error naming it."""
     sets = list(fileio.read_candidate_sets(path))
     if not sets:
         raise ValueError(f"{path}: no pose records")
+    return sets
+
+
+def _read_poses(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Each record's image id, keypoints (m, 14, 2) and score, 0 where it has
+    none, in file order, from the file's candidate sets."""
+    sets = _read_sets(path)
     ids = [s.image_id for s in sets for _ in range(len(s))]
     return ids, np.concatenate([s.keypoints for s in sets]), np.concatenate([s.scores for s in sets])
 
@@ -333,9 +338,9 @@ def _cmd_train_svm(a: dict) -> int:
     cfg = PipelineConfig(**_given(a, seed="seed", n_synth="synth", eps="eps", reg="reg"))
     tol = _pick(a, "tol", TOL)
     _, positives, _ = _read_poses(a["positives"])
-    _, negatives, _ = _read_poses(a["negatives"])
     rng = np.random.default_rng(cfg.seed)
-    ts = training_set([Skeleton(kp) for kp in positives], negatives, cfg, rng)
+    # training_set gathers only the negatives' rows it keeps
+    ts = training_set([Skeleton(kp) for kp in positives], _read_sets(a["negatives"]), cfg, rng)
     model = train(ts, reg=cfg.reg, tol=tol)
     fileio.save_svm_model(a["out"], model)
     n_pos = int(np.sum(ts.labels > 0))

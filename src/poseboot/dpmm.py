@@ -682,11 +682,11 @@ def recover_poses(
     The chains of all the pools with equal projected dimension run in
     lockstep in one sample_partitions call, each bit for bit as if run
     alone. A pool of fewer than 4 rows has nothing to cluster and recovers
-    nothing. When a pool's outlier screen accepts, small-cluster members are
-    dropped; when it does not, only members of large clusters survive (the
-    cautious fallback). At most one row per image is kept from each pool
-    (highest score, earliest wins ties). Returns (pool, row) for every kept
-    row, in pool order.
+    nothing. An accepted outlier screen drops the small clusters it
+    screened, a rejected one every small cluster: the verdict matters only
+    past MERGE_ENUM_CAP small clusters, the most it screens. At most one
+    row per image is kept from each pool (highest score, earliest wins
+    ties). Returns (pool, row) for every kept row, in pool order.
     """
     if len(seeds) != len(pools):
         raise ValueError("need one seed per pool")
@@ -717,7 +717,9 @@ def _screen_pool(
     cfg: DpmmConfig,
 ) -> list[int]:
     """The rows of one pool that its partition and outlier screen keep, one
-    per image, in order of each image's first kept row."""
+    per image, in order of each image's first kept row. With at most
+    MERGE_ENUM_CAP small clusters both verdicts keep the same rows; with
+    more, an accepted screen keeps the ones it did not screen."""
     report = detect_outliers(X, scores, p, cfg)
     if report.accepted:
         keep = np.setdiff1d(np.arange(len(ids)), report.outlier_indices)

@@ -17,7 +17,10 @@ __all__ = [
     "selection_stats",
     "pck_report",
     "format_pck_table",
+    "PCP_THRESHOLD",
 ]
+
+PCP_THRESHOLD = 0.7  # the pipeline audit's eps: a correct pose has every limb PCP-correct at it
 
 
 def pcp_correct(gt: Skeleton, est: Skeleton, eps: float) -> tuple[np.ndarray, bool]:

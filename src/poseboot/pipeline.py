@@ -26,7 +26,7 @@ from .fileio import PoseRecord, atomic_write, read_candidate_sets, write_pose_re
 # relational_feature is not called here; it stays importable from this module
 # because bench/tests/test_bench.py checks that the tracer restores it
 from .features import relational_feature  # noqa: F401
-from .metrics import MetricsReport, selection_stats
+from .metrics import PCP_THRESHOLD, MetricsReport, selection_stats
 from .skeleton import N_JOINTS, ActionLabel, CandidateSet, DatasetSplit, Skeleton
 from .svm import SvmModel, TrainSet, select, synthesize_positives, train
 
@@ -35,7 +35,7 @@ __all__ = [
     "PipelineConfig",
     "AcceptedPose",
     "IterationState",
-    "thin_negatives",
+    "negative_keypoints",
     "training_set",
     "run_iteration",
     "stop_check",
@@ -107,16 +107,24 @@ class IterationState:
         return {a.image_id for a in self.accepted}
 
 
-def thin_negatives(keypoints: np.ndarray, cap: int) -> np.ndarray:
-    """At most cap rows of keypoints, evenly spaced by index from the first
-    row to the last; keypoints itself when it has no more than cap rows.
-    Even thinning keeps coverage across background images deterministic."""
-    return keypoints if len(keypoints) <= cap else keypoints[_thinned_rows(len(keypoints), cap)]
-
-
 def _thinned_rows(n: int, cap: int) -> np.ndarray:
-    """The rows, of n, that thin_negatives keeps."""
+    """At most cap of the rows 0..n-1, evenly spaced by index from the first
+    to the last, so coverage across background images is deterministic."""
     return np.arange(n) if n <= cap else np.linspace(0, n - 1, cap).round().astype(int)
+
+
+def negative_keypoints(backgrounds: Sequence[CandidateSet]) -> np.ndarray:
+    """The mined negatives (m, 14, 2), false by definition: the rows of the
+    background sets in order, thinned by _thinned_rows to MAX_NEGATIVES,
+    each gathered from its own set. No row at all is an error."""
+    first = np.cumsum([0, *map(len, backgrounds)])  # each set's first row
+    if first[-1] == 0:
+        raise ValueError("no negatives: no background image has a candidate")
+    rows = _thinned_rows(first[-1], MAX_NEGATIVES)
+    return np.concatenate([
+        c.take(r - lo) for c, r, lo in
+        zip(backgrounds, np.split(rows, np.searchsorted(rows, first[1:-1])), first)
+    ])
 
 
 def _positive_keypoints(
@@ -129,14 +137,14 @@ def _positive_keypoints(
 
 
 def training_set(
-    annotations: Sequence[Skeleton], negatives: np.ndarray,
+    annotations: Sequence[Skeleton], backgrounds: Sequence[CandidateSet],
     cfg: PipelineConfig, rng: np.random.Generator,
 ) -> TrainSet:
     """A selector's training set, featurized in one call: each annotation,
     then its cfg.n_synth jitters of radius cfg.eps drawn from rng in
-    annotation order, labeled +1; then the negative keypoints (m, 14, 2),
-    thinned to MAX_NEGATIVES, labeled -1."""
-    negatives = thin_negatives(negatives, MAX_NEGATIVES)
+    annotation order, labeled +1; then negative_keypoints(backgrounds),
+    labeled -1."""
+    negatives = negative_keypoints(backgrounds)
     keypoints = np.concatenate([*_positive_keypoints(annotations, cfg, rng), negatives])
     n = len(keypoints)
     # the features fill all but the last column of the buffer that train
@@ -176,32 +184,24 @@ def _train_selectors(
     on every row, is trained only when some annotated or scored action
     lacks its own, and is None otherwise.
 
-    Memory: of the background sets, only the rows that thinning keeps are
-    gathered. When some selector trains on every row, the round builds
-    training_set's matrix once and copies out each per-action subset,
-    trained before general in place: it holds the matrix plus one subset at
-    a time. Otherwise it builds no such matrix: the positives are drawn as
-    training_set draws them, and each per-action selector's buffer holds
-    its own positives' features and a copy of the negatives', featurized
-    once. A row's features do not depend on the rows computed with it, so
-    both ways train the same models bit for bit.
+    Memory: negative_keypoints runs once. When some selector trains on
+    every row, the round builds training_set's matrix once and copies out
+    each per-action subset, trained before general in place: it holds the
+    matrix plus one subset at a time. Otherwise it builds no such matrix:
+    the positives are drawn as training_set draws them, and each
+    per-action selector's buffer holds its own positives' features and a
+    copy of the negatives', featurized once. A row's features do not
+    depend on the rows computed with it, so both ways train the same
+    models bit for bit.
     """
     annotations = [*split.fs, *state.accepted]
     if not annotations:
         raise ValueError("no positive features")
     rng = np.random.default_rng([cfg.seed, state.iteration + 1])
-    # detections on background images are false by definition: the rows of
-    # their sets, in order, thinned, each gathered from its own set
     backgrounds = [candidates_in[i] for i in split.backgrounds if i in candidates_in]
-    first = np.cumsum([0, *map(len, backgrounds)])  # each set's first row
-    rows = _thinned_rows(first[-1], MAX_NEGATIVES)
-    negatives = np.concatenate([np.empty((0, N_JOINTS, 2))] + [
-        c.take(r - lo) for c, r, lo in
-        zip(backgrounds, np.split(rows, np.searchsorted(rows, first[1:-1])), first)
-    ])
     skeletons = [e.skeleton for e in annotations]
     if cfg.scheme is Scheme.SEMI:
-        return train(training_set(skeletons, negatives, cfg, rng), reg=cfg.reg), {}
+        return train(training_set(skeletons, backgrounds, cfg, rng), reg=cfg.reg), {}
     actions = Counter(e.action for e in annotations)
     own = [a for a, n in actions.items()
            if n >= MIN_ACTION_ANNOTATIONS and a is not ActionLabel.GENERAL]
@@ -209,15 +209,15 @@ def _train_selectors(
     models = {}
     # general trains on every row, so the round builds that matrix
     if any(a not in own for a in (*actions, *(ws_action[i] for i in scored))):
-        ts = training_set(skeletons, negatives, cfg, rng)
+        ts = training_set(skeletons, backgrounds, cfg, rng)
         for a in own:
             keep = ts.labels < 0  # every negative, and the positives of a's annotations
             keep[~keep] = np.repeat([e.action is a for e in annotations], 1 + cfg.n_synth)
             models[a] = train(ts.subset(keep), reg=cfg.reg)
         return train(ts, reg=cfg.reg), models
     # no selector trains on every row: each gets a buffer of its own
+    negatives = relational_features(negative_keypoints(backgrounds), normalize=True)
     poses = _positive_keypoints(skeletons, cfg, rng)
-    negatives = relational_features(negatives, normalize=True)
     for a in own:
         positives = np.concatenate([k for k, e in zip(poses, annotations) if e.action is a])
         models[a] = train(_own_set(positives, negatives), reg=cfg.reg)
@@ -294,7 +294,8 @@ def run_iteration(
     the split. Only open targets, those with no accepted pose yet, are
     scored, and a pick is accepted at once. When no open image has
     candidates the round trains no selector. With gt, the state's report
-    scores every target by its accepted pose.
+    scores every target by its accepted pose at metrics.PCP_THRESHOLD,
+    whatever cfg.eps.
     """
     for i, cands in candidates_in.items():
         if cands.image_id != i:
@@ -320,7 +321,7 @@ def run_iteration(
     target_set = set(targets)
     report = None if gt is None else selection_stats(
         [(i, gt.get(i)) for i in targets], candidates_in,
-        {a.image_id: a.skeleton for a in accepted if a.image_id in target_set}, cfg.eps,
+        {a.image_id: a.skeleton for a in accepted if a.image_id in target_set}, PCP_THRESHOLD,
     )
     return IterationState(iteration=it, accepted=accepted, report=report)
 

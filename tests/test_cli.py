@@ -537,6 +537,37 @@ class TestSelectionFlow:
         assert sum(map(len, fileio.read_candidate_sets(tmp_path / "c2.jsonl"))) == 6100
         assert peaks[2] - peaks[1] < 256 * 1024, peaks
 
+    def test_train_svm_traced_peak_does_not_grow_with_the_negatives(self, tmp_path, monkeypatch):
+        """train-svm holds its negatives as compact candidate sets and
+        gathers only the rows it keeps: 18 more hard background images
+        (8,500 more records) raise its traced peak by less than 256 KB
+        (-2.5 KB was measured). Joining every record into one keypoints
+        array added 1.97 MB, 232 B per record."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        corpus = tmp_path / "hard"
+        assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "6",
+                         "--backgrounds", "21", "--seed", "4", "--outlier-rate", "0.6",
+                         "--noise", "6"]) == 0
+        split = json.loads((corpus / "split.json").read_text())
+        peaks = []
+        # the first run also pays one-time costs, so it is not compared
+        for k, n in enumerate((3, 3, 21)):
+            bg = tmp_path / f"bg{k}"
+            bg.mkdir()
+            for i in split["backgrounds"][:n]:
+                shutil.copyfile(corpus / "heatmaps" / f"{i}.hm", bg / f"{i}.hm")
+            neg = tmp_path / f"neg{k}.jsonl"
+            assert cli.main(["candidates", "--heatmaps", str(bg), "--out", str(neg)]) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main(["train-svm", "--positives", str(corpus / "truth.jsonl"),
+                                 "--negatives", str(neg), "--out", str(tmp_path / f"m{k}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sum(map(len, fileio.read_candidate_sets(tmp_path / "neg2.jsonl"))) == 10000
+        assert peaks[2] - peaks[1] < 256 * 1024, peaks
+
     def test_eval_identical_poses_scores_100(self, corpus_dir, capsys):
         truth = str(corpus_dir / "truth.jsonl")
         assert cli.main(["eval", "--gt", truth, "--est", truth]) == 0
@@ -1144,6 +1175,20 @@ class TestPipelineCommand:
                            "--exchange", str(tmp_path / scheme), "--scheme", scheme])
             assert rc == 2
             assert capsys.readouterr().err == "error: no positive features\n"
+
+    def test_no_background_candidate_is_data_error(self, tmp_path, capsys):
+        """A corpus without background candidates has no negatives, and
+        the error says so under every scheme."""
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--out", str(corpus), "--actions", "2", "--poses", "6",
+                         "--backgrounds", "0"]) == 0
+        for scheme in ("semi", "weak", "weakC"):
+            rc = cli.main(["pipeline", "--corpus", str(corpus),
+                           "--exchange", str(tmp_path / scheme), "--scheme", scheme])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: no negatives: no background image has a candidate\n"
+            )
 
     def test_bad_scheme_is_data_error(self, corpus_dir, tmp_path, capsys):
         rc = cli.main(

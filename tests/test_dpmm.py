@@ -656,6 +656,41 @@ class TestMergeCap:
         assert rep.outlier_indices == tuple(range(22, 34))
 
 
+class TestScreenVerdict:
+    """The verdict of _screen_pool's screen, forced through alpha: a huge
+    alpha lowers every merge's bound so the screen accepts, a tiny one
+    raises it so the screen rejects. An accepted screen drops the small
+    clusters it screened, a rejected one every small cluster."""
+
+    @staticmethod
+    def _pool(n_small):
+        # cluster 0: 20 points near 0 (large); then n_small far singletons
+        z = [0] * 20 + list(range(1, n_small + 1))
+        X = np.concatenate([np.linspace(-1.0, 1.0, 20), 100.0 * np.arange(1, n_small + 1)])
+        scores = np.concatenate([np.full(20, 0.9), np.full(n_small, 0.2)])
+        return X[:, None], scores, [f"img_{k}" for k in range(len(z))], Partition(tuple(z))
+
+    def _kept(self, monkeypatch, n_small, alpha):
+        verdicts = []
+        monkeypatch.setattr(dpmm, "detect_outliers", lambda *a: verdicts.append(
+            detect_outliers(*a)) or verdicts[-1])
+        X, scores, ids, p = self._pool(n_small)
+        kept = dpmm._screen_pool(X, scores, ids, p, DpmmConfig(alpha=alpha))
+        assert [r.accepted for r in verdicts] == [alpha > 1]
+        return kept
+
+    @pytest.mark.parametrize("n_small", [1, dpmm.MERGE_ENUM_CAP])
+    def test_up_to_the_cap_the_verdict_keeps_the_same_rows(self, monkeypatch, n_small):
+        accepted = self._kept(monkeypatch, n_small, 1e300)
+        assert accepted == self._kept(monkeypatch, n_small, 1e-300) == list(range(20))
+
+    def test_past_the_cap_an_accepted_screen_keeps_the_unscreened(self, monkeypatch):
+        n_small = dpmm.MERGE_ENUM_CAP + 1
+        assert self._kept(monkeypatch, n_small, 1e-300) == list(range(20))
+        # the last singleton, whose label loses the size tie, is not screened
+        assert self._kept(monkeypatch, n_small, 1e300) == [*range(20), 20 + n_small - 1]
+
+
 class TestDetectOutliers:
     def _planted(self, rng):
         xs = np.concatenate(

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poseboot.pipeline as pipeline
 import poseboot.svm as svm
@@ -13,17 +14,17 @@ from poseboot.dpmm import DpmmConfig
 from poseboot.features import relational_features
 from poseboot.fileio import PoseRecord, read_pose_index, write_pose_records
 from poseboot.heatmaps import CandidateGenConfig, enumerate_candidates
-from poseboot.metrics import pcp_correct
+from poseboot.metrics import PCP_THRESHOLD, pcp_correct
 from poseboot.pipeline import (
     AcceptedPose,
     IterationState,
     PipelineConfig,
     Scheme,
+    negative_keypoints,
     read_candidate_dir,
     run_iteration,
     run_pipeline,
     stop_check,
-    thin_negatives,
     write_iteration_files,
 )
 from poseboot.skeleton import (
@@ -106,20 +107,57 @@ class TestConfig:
             PipelineConfig(**kw)
 
 
+def background_sets(keypoints, lengths):
+    """keypoints (n, 14, 2) cut into consecutive sets of the given lengths."""
+    cuts = np.cumsum([0, *lengths])
+    assert cuts[-1] == len(keypoints)
+    return [CandidateSet.from_keypoints(f"bg_{k}", keypoints[lo:hi], np.zeros(hi - lo))
+            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+
+
+@st.composite
+def set_lengths(draw):
+    """Lengths of background sets, one of them 0 between others, whose total
+    is at most MAX_NEGATIVES, one more, or far above it."""
+    cap = pipeline.MAX_NEGATIVES
+    total = draw(st.one_of(st.integers(1, cap), st.just(cap + 1), st.integers(cap + 2, 12 * cap)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=1, max_size=4)))
+    lengths = np.diff([0, *cuts, total]).tolist()
+    lengths.insert(draw(st.integers(1, len(lengths) - 1)), 0)
+    return lengths
+
+
 class TestThinNegatives:
-    @pytest.mark.parametrize("n", [0, 3, 4])
-    def test_at_most_cap_rows_returned_unchanged(self, rng, n):
+    """The one thinning rule, negative_keypoints, over background sets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=set_lengths(), seed=st.integers(0, 2**32 - 1))
+    def test_the_thinned_rows_of_the_sets_joined(self, lengths, seed):
+        keypoints = np.random.default_rng(seed).uniform(0, 100, (sum(lengths), 14, 2))
+        want = keypoints[pipeline._thinned_rows(len(keypoints), pipeline.MAX_NEGATIVES)]
+        got = negative_keypoints(background_sets(keypoints, lengths))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_at_most_cap_rows_returned_unchanged(self, rng, monkeypatch, n):
+        monkeypatch.setattr(pipeline, "MAX_NEGATIVES", 4)
         keypoints = rng.uniform(0, 100, (n, 14, 2))
-        assert thin_negatives(keypoints, 4) is keypoints
+        assert negative_keypoints(background_sets(keypoints, [n])).tobytes() == keypoints.tobytes()
 
     @pytest.mark.parametrize("n, cap", [(5, 4), (10, 4), (3000, 256), (7, 2)])
-    def test_cap_distinct_rows_in_order_first_and_last_kept(self, rng, n, cap):
+    def test_cap_distinct_rows_in_order_first_and_last_kept(self, rng, monkeypatch, n, cap):
+        monkeypatch.setattr(pipeline, "MAX_NEGATIVES", cap)
         keypoints = rng.uniform(0, 100, (n, 14, 2))
-        kept = thin_negatives(keypoints, cap)
+        kept = negative_keypoints(background_sets(keypoints, [n // 3, 0, n - n // 3]))
         assert kept.shape == (cap, 14, 2)
         rows = [int(np.flatnonzero((keypoints == k).all(axis=(1, 2)))[0]) for k in kept]
         assert rows == sorted(set(rows))
         assert rows[0] == 0 and rows[-1] == n - 1
+
+    @pytest.mark.parametrize("lengths", [[], [0], [0, 0]], ids=["no-set", "empty", "two-empty"])
+    def test_no_row_is_an_error_that_says_why(self, lengths):
+        with pytest.raises(ValueError, match="no background image has a candidate"):
+            negative_keypoints(background_sets(np.empty((0, 14, 2)), lengths))
 
 
 class TestTrainingSet:
@@ -130,9 +168,8 @@ class TestTrainingSet:
         skels = [Skeleton(action_template(a).keypoints + rng.normal(0, 2.0, (14, 2)))
                  for a in range(3)]
         negatives = rng.uniform(10, 150, (6, 14, 2))
-        ts = pipeline.training_set(
-            skels, negatives, PipelineConfig(n_synth=4, eps=0.5), np.random.default_rng(7)
-        )
+        ts = pipeline.training_set(skels, background_sets(negatives, [2, 4]),
+                                   PipelineConfig(n_synth=4, eps=0.5), np.random.default_rng(7))
         g = np.random.default_rng(7)
         poses = [np.concatenate([s.keypoints[None], svm.synthesize_positives(s, 4, 0.5, g)])
                  for s in skels]
@@ -141,10 +178,13 @@ class TestTrainingSet:
         np.testing.assert_array_equal(ts.labels, [1.0] * 15 + [-1.0] * 6)
 
     def test_negatives_thinned_to_max_negatives(self, rng, monkeypatch):
+        """The negatives are negative_keypoints' rows of the sets: rows 0, 3,
+        6 and 9 of their 10, thinned across the sets' bounds."""
         monkeypatch.setattr(pipeline, "MAX_NEGATIVES", 4)
         skels = [Skeleton(action_template(0).keypoints)]
         negatives = rng.uniform(10, 150, (10, 14, 2))
-        ts = pipeline.training_set(skels, negatives, PipelineConfig(n_synth=0), rng)
+        ts = pipeline.training_set(skels, background_sets(negatives, [5, 0, 5]),
+                                   PipelineConfig(n_synth=0), rng)
         want = relational_features(negatives[[0, 3, 6, 9]], normalize=True)
         assert ts.features[1:].tobytes() == want.tobytes()
         np.testing.assert_array_equal(ts.labels, [1.0, -1.0, -1.0, -1.0, -1.0])
@@ -218,7 +258,7 @@ def test_each_selector_trains_on_its_rows_of_the_training_set(monkeypatch, targe
     general, _ = pipeline._train_selectors(IterationState(), split, cands, cfg,
                                            [e.image_id for e in split.ws])
     assert (general is not None) == bool(targets)
-    ts = pipeline.training_set([e.skeleton for e in split.fs], cands["bg"].keypoints, cfg,
+    ts = pipeline.training_set([e.skeleton for e in split.fs], [cands["bg"]], cfg,
                                np.random.default_rng([cfg.seed, 1]))
     negative = ts.labels < 0
     keeps = [negative | np.r_[np.repeat([b is a for b in labels], 1 + cfg.n_synth),
@@ -503,6 +543,28 @@ class TestRunIteration:
         assert stp == len(s2.accepted)
         correct = sum(pcp_correct(gt[a.image_id], a.skeleton, cfg.eps)[1] for a in s2.accepted)
         assert atp_stp == correct <= stp - 1
+
+    def test_report_scores_at_the_fixed_pcp_threshold(self):
+        """eps sets only the jitter: at eps 0.3 the report still scores at
+        PCP_THRESHOLD (0.7), where an accepted pose whose head is off by half
+        the head-neck length is correct; at 0.3 it would not be."""
+        corpus, cands = tiny_corpus()
+        gt = {i: skel for i, (skel, _) in corpus.truth.items()}
+        ws = corpus.split.ws[0]
+        truth = gt[ws.image_id]
+        near = truth.keypoints.copy()
+        near[JointId.HEAD] += 0.5 * (near[JointId.NECK] - near[JointId.HEAD])
+        near = Skeleton(near)
+        assert PCP_THRESHOLD == 0.7
+        assert pcp_correct(truth, near, 0.7)[1] and not pcp_correct(truth, near, 0.3)[1]
+        state = IterationState(
+            iteration=1, accepted=(AcceptedPose(ws.image_id, near, ws.action, "svm"),)
+        )
+        s2 = run_iteration(state, corpus.split, cands, fast_cfg(eps=0.3), gt=gt)
+        _, stp, atp_stp, _ = s2.report.counts
+        assert stp == len(s2.accepted)
+        assert atp_stp == sum(pcp_correct(gt[a.image_id], a.skeleton, 0.7)[1] for a in s2.accepted)
+        assert atp_stp > sum(pcp_correct(gt[a.image_id], a.skeleton, 0.3)[1] for a in s2.accepted)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_hand_built_sets(self, scheme):
